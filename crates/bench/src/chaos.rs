@@ -58,9 +58,11 @@ use crate::perf::validate_bench_json;
 /// Outcome of fuzzing one codec.
 #[derive(Debug, Clone)]
 pub struct CodecReport {
-    /// Codec name (`jsonl`, `json`, `bench-json`, `walk-batch`,
-    /// `count-msg`, `checkpoint`, `serve-request`, `serve-response`,
-    /// `serve-frame`, `serve-step-checkpoint`).
+    /// Codec name (`jsonl`, `jsonl-trace`, `json`, `bench-json`,
+    /// `walk-batch`, `count-msg`, `checkpoint`, `serve-request`,
+    /// `serve-response`, `serve-frame`, `serve-step-checkpoint`,
+    /// `exact-step-checkpoint`, `sketch-count-msg`,
+    /// `sketch-step-checkpoint`).
     pub name: &'static str,
     /// Mutated inputs fed to the decoder.
     pub cases: usize,
@@ -468,6 +470,24 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
     codecs.push(fuzz_codec(
         "serve-step-checkpoint",
         &step_corpus,
+        budget,
+        &mut rng,
+        |b| rwbc::distributed::StepSolver::restore(&corpus_graph, step_cfg.clone(), b).is_ok(),
+    ));
+
+    // A mid-count exact StepSolver image: phase tag 2 and a
+    // CountProgram engine image, whose dense cell table the decoder
+    // turns back into the program's sparse store.
+    let mut exact_solver =
+        rwbc::distributed::StepSolver::new(&corpus_graph, step_cfg.clone()).expect("step solver");
+    while exact_solver.phase() != rwbc::distributed::SolvePhase::Count {
+        exact_solver.step().expect("exact corpus run");
+    }
+    exact_solver.step().expect("exact corpus run");
+    let exact_step_corpus = vec![exact_solver.checkpoint().expect("exact corpus image")];
+    codecs.push(fuzz_codec(
+        "exact-step-checkpoint",
+        &exact_step_corpus,
         budget,
         &mut rng,
         |b| rwbc::distributed::StepSolver::restore(&corpus_graph, step_cfg.clone(), b).is_ok(),
@@ -972,7 +992,7 @@ mod tests {
     #[test]
     fn fuzzing_every_codec_panics_nowhere() {
         let report = fuzz_all_codecs(0xF422, 60);
-        assert_eq!(report.codecs.len(), 13);
+        assert_eq!(report.codecs.len(), 14);
         for codec in &report.codecs {
             assert!(
                 codec.panics.is_empty(),
@@ -985,7 +1005,7 @@ mod tests {
             assert!(codec.rejected > 0, "codec {} rejected nothing", codec.name);
         }
         assert!(report.is_clean());
-        assert_eq!(report.total_cases(), 13 * 60);
+        assert_eq!(report.total_cases(), 14 * 60);
     }
 
     #[test]

@@ -383,9 +383,8 @@ pub struct BenchResult {
     pub total_messages: u64,
     /// Total bits delivered across all phases.
     pub total_bits: u64,
-    /// Process peak RSS in bytes after the run (`VmHWM`), when the
-    /// platform exposes it. This is a process-wide high-water mark, so
-    /// in a multi-scenario run it reflects the largest scenario so far.
+    /// Peak RSS in bytes over this scenario (`VmHWM`, reset when the
+    /// scenario starts), when the platform exposes it.
     pub peak_rss_bytes: Option<u64>,
     /// Hardware threads the host exposed at run time, when knowable.
     pub host_parallelism: Option<u64>,
@@ -417,6 +416,7 @@ pub struct BenchResult {
 /// deterministic counter (an engine-determinism regression).
 pub fn run_scenario(scenario: &Scenario, warmup: usize, trials: usize) -> BenchResult {
     assert!(trials > 0, "need at least one timed trial");
+    reset_peak_rss();
     let graph = scenario.build_graph();
     let config = scenario.build_config();
     let mut samples_ms = Vec::with_capacity(trials);
@@ -760,8 +760,17 @@ pub fn validate_bench_json(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// The process's peak resident set size in bytes (`VmHWM` from
-/// `/proc/self/status`); `None` where the proc filesystem is absent.
+/// Resets the `VmHWM` mark to the current RSS, so [`peak_rss_bytes`]
+/// covers only what runs after this call rather than the whole process
+/// lifetime. Best effort: where the write is refused the mark stays the
+/// process peak.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
+/// The peak resident set size in bytes (`VmHWM` from
+/// `/proc/self/status`) since the process started or [`run_scenario`]
+/// last reset the mark; `None` where the proc filesystem is absent.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {

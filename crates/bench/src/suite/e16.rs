@@ -30,8 +30,8 @@ pub struct SketchRow {
     pub count_bits: u64,
     /// Count-phase bits relative to exact mode (exact / this).
     pub bit_reduction: f64,
-    /// Approximate per-node count-phase state in 64-bit words
-    /// (dense columns vs sketch buckets; the peak-RSS driver).
+    /// Per-node count-phase state in 64-bit words: the sparse exact
+    /// store's bound, or the sketch's dense buckets.
     pub state_words_per_node: u64,
     /// Broadcasts elided by the systolic only-modified-nodes rule.
     pub suppressed: u64,
@@ -59,14 +59,18 @@ fn mean_degree(g: &Graph) -> f64 {
     2.0 * g.edge_count() as f64 / g.node_count() as f64
 }
 
-/// Per-node count-phase state in 64-bit words: the exact program holds
-/// one dense `n`-column per neighbor plus its own, the sketch program
-/// `2^p` buckets per neighbor plus its own (registers are bytes).
-fn state_words(g: &Graph, mode: CountMode) -> u64 {
+/// Per-node count-phase state in 64-bit words. The exact program holds
+/// its own `n`-word count row plus one two-word cell per *nonzero*
+/// neighbor count; a source's `K` walks of length `l` reach at most
+/// `K(l + 1)` nodes, so a neighbor column averages at most
+/// `min(n, K(l + 1))` nonzero cells — the bound reported here. The
+/// sketch program holds `2^p` buckets per neighbor plus its own
+/// (registers are bytes).
+fn state_words(g: &Graph, mode: CountMode, k: usize, l: usize) -> u64 {
     let n = g.node_count() as f64;
     let deg = mean_degree(g);
     let per_node = match mode {
-        CountMode::Exact => n * (deg + 1.0),
+        CountMode::Exact => n + 2.0 * deg * n.min((k * (l + 1)) as f64),
         CountMode::Sketch { precision } => {
             let b = f64::from(1u32 << precision);
             b * (deg + 1.0) + b / 8.0
@@ -88,7 +92,7 @@ pub fn sweep(g: &Graph, k: usize, l: usize, seed: u64, precisions: &[u8]) -> Vec
         count_rounds: exact.count_stats.rounds,
         count_bits: exact_bits,
         bit_reduction: 1.0,
-        state_words_per_node: state_words(g, CountMode::Exact),
+        state_words_per_node: state_words(g, CountMode::Exact, k, l),
         suppressed: 0,
         mean_err: 0.0,
         max_err: 0.0,
@@ -107,7 +111,7 @@ pub fn sweep(g: &Graph, k: usize, l: usize, seed: u64, precisions: &[u8]) -> Vec
             count_rounds: run.count_stats.rounds,
             count_bits: bits,
             bit_reduction: exact_bits as f64 / bits.max(1) as f64,
-            state_words_per_node: state_words(g, mode),
+            state_words_per_node: state_words(g, mode, k, l),
             suppressed: run.sketch_suppressed,
             mean_err: mean_relative_error(&run.centrality, &exact.centrality),
             max_err: max_relative_error(&run.centrality, &exact.centrality),
@@ -132,7 +136,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             "count rounds",
             "count bits",
             "bit reduction",
-            "state words/node",
+            "state words/node (bound)",
             "suppressed",
             "mean rel err",
             "max rel err",

@@ -18,24 +18,24 @@ use congest_sim::{Context, Incoming, NodeProgram, TraceEvent};
 use rwbc_graph::NodeId;
 
 use crate::distributed::messages::CountMsg;
-use crate::flow_sum::node_net_flow_sorted_strided;
+use crate::flow_sum::{node_net_flow_sparse, Cell};
 
 /// Node program for the computing phase.
 #[derive(Debug, Clone)]
 pub struct CountProgram {
     me: NodeId,
     n: usize,
-    /// Own scaled counts `x_me[s] = ξ_me^s / (K · d(me))`, already divided.
-    own: Vec<f64>,
-    /// Fixed-point image of `own` that actually travels.
+    /// Fixed-point image of the own scaled counts
+    /// `x_me[s] = ξ_me^s / (K · d(me))` — what actually travels.
     own_scaled: Vec<u64>,
-    /// Received neighbor counts, flattened row-major as
-    /// `cols[source * degree + slot]`. One lockstep round fills one *row*
-    /// (every neighbor's count for the same source), so row-major keeps
-    /// the per-round writes on adjacent cache lines; a column layout
-    /// strides them `8n` bytes apart, which at `n = 4096` turns every
-    /// message into a cache miss.
-    cols: Vec<f64>,
+    /// The nonzero received neighbor counts, in arrival order; every
+    /// absent `(slot, source)` cell is zero. A source's `K` walks of
+    /// length `l` visit at most `K(l + 1)` nodes, so a neighbor's column
+    /// averages at most `K(l + 1)` nonzero cells where a dense table
+    /// holds `n`. Each slot's cells are by ascending source, because
+    /// both delivery modes assign sources in increasing order per
+    /// neighbor.
+    cells: Vec<Cell>,
     degree: usize,
     value_bits: u8,
     fractional_bits: u8,
@@ -92,23 +92,23 @@ impl CountProgram {
         fractional_bits: u8,
     ) -> CountProgram {
         debug_assert_eq!(xi.len(), n);
+        assert!(
+            u32::try_from(n).is_ok(),
+            "cells store node ids and slots as u32"
+        );
         let scale = f64::from(1u32 << fractional_bits);
         // Paper Algorithm 2 line 1: divide by the degree. The 1/K of line 4
-        // is folded in here too so "own" estimates T directly.
+        // is folded in when a count is read (`own_value`) so the combine
+        // estimates T directly.
         let own_scaled: Vec<u64> = xi
-            .iter()
-            .map(|&c| ((c as f64 / degree.max(1) as f64) * scale).round() as u64)
-            .collect();
-        let own: Vec<f64> = own_scaled
-            .iter()
-            .map(|&q| q as f64 / scale / walks_per_node as f64)
+            .into_iter()
+            .map(|c| ((c as f64 / degree.max(1) as f64) * scale).round() as u64)
             .collect();
         CountProgram {
             me,
             n,
-            own,
             own_scaled,
-            cols: vec![0.0; n * degree],
+            cells: Vec::new(),
             degree,
             value_bits,
             fractional_bits,
@@ -166,6 +166,35 @@ impl CountProgram {
         self.missing
     }
 
+    /// The own potential a fixed-point count stands for.
+    fn own_value(&self, q: u64) -> f64 {
+        q as f64 / f64::from(1u32 << self.fractional_bits) / self.k as f64
+    }
+
+    /// Writes cell `(slot, source)` with last-write-wins semantics, as a
+    /// dense table would: a repeated write overwrites the cell and a zero
+    /// removes it. Only a lockstep round can write one cell twice (two
+    /// frames from one neighbor in one round), and the inbox is sorted by
+    /// sender, so an earlier write of the cell is the last one stored.
+    fn store(&mut self, slot: usize, source: usize, value: f64) {
+        let (slot, source) = (slot as u32, source as u32);
+        match self.cells.last_mut() {
+            Some(c) if c.slot == slot && c.source == source => {
+                if value == 0.0 {
+                    self.cells.pop();
+                } else {
+                    c.value = value;
+                }
+            }
+            _ if value == 0.0 => {}
+            _ => self.cells.push(Cell {
+                slot,
+                source,
+                value,
+            }),
+        }
+    }
+
     fn send_next(&mut self, ctx: &mut Context<'_, CountMsg>) {
         if self.sent < self.n {
             let msg = CountMsg {
@@ -192,91 +221,9 @@ impl CountProgram {
         }
     }
 
-    fn finish_if_done(&mut self, ctx: &mut Context<'_, CountMsg>) {
-        if self.all_counts_received() && self.betweenness.is_none() {
-            let expected = (self.degree * self.n) as u64;
-            let received: u64 = self.received_per_neighbor.iter().map(|&r| r as u64).sum();
-            self.missing = expected.saturating_sub(received);
-            let inner = node_net_flow_sorted_strided(self.me, &self.own, &self.cols, self.degree);
-            let nf = self.effective_n as f64;
-            self.betweenness = Some((inner + (nf - 1.0)) / (nf * (nf - 1.0) / 2.0));
-            if ctx.tracing() {
-                // The value doubles as a per-node completion marker: the
-                // event's round is when this node finished evaluating.
-                ctx.trace(TraceEvent::App {
-                    round: ctx.round(),
-                    node: self.me,
-                    key: "count_missing".to_string(),
-                    value: self.missing,
-                });
-            }
-        }
-    }
-}
-
-// Checkpoint encoding: everything but `neighbor_ids`, a lazily-filled
-// topology cache that `on_round` rebuilds on first use after a restore —
-// excluding it keeps the bytes of a restored-and-resumed run identical to
-// an uninterrupted one.
-impl congest_sim::wire::WireState for CountProgram {
-    fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
-        self.me.encode_state(w);
-        self.n.encode_state(w);
-        self.own.encode_state(w);
-        self.own_scaled.encode_state(w);
-        self.cols.encode_state(w);
-        self.degree.encode_state(w);
-        self.value_bits.encode_state(w);
-        self.fractional_bits.encode_state(w);
-        self.k.encode_state(w);
-        self.sent.encode_state(w);
-        self.received_rounds.encode_state(w);
-        self.received_per_neighbor.encode_state(w);
-        self.strict_delivery.encode_state(w);
-        self.missing.encode_state(w);
-        self.dead_peers.encode_state(w);
-        self.live.encode_state(w);
-        self.effective_n.encode_state(w);
-        self.betweenness.encode_state(w);
-    }
-
-    fn decode_state(r: &mut congest_sim::wire::BitReader<'_>) -> Option<CountProgram> {
-        Some(CountProgram {
-            me: usize::decode_state(r)?,
-            n: usize::decode_state(r)?,
-            own: Vec::decode_state(r)?,
-            own_scaled: Vec::decode_state(r)?,
-            cols: Vec::decode_state(r)?,
-            degree: usize::decode_state(r)?,
-            value_bits: u8::decode_state(r)?,
-            fractional_bits: u8::decode_state(r)?,
-            k: usize::decode_state(r)?,
-            sent: usize::decode_state(r)?,
-            received_rounds: usize::decode_state(r)?,
-            received_per_neighbor: Vec::decode_state(r)?,
-            strict_delivery: bool::decode_state(r)?,
-            missing: u64::decode_state(r)?,
-            dead_peers: Vec::decode_state(r)?,
-            live: Vec::decode_state(r)?,
-            effective_n: usize::decode_state(r)?,
-            betweenness: Option::decode_state(r)?,
-            neighbor_ids: Vec::new(),
-        })
-    }
-}
-
-impl NodeProgram for CountProgram {
-    type Msg = CountMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, CountMsg>) {
-        self.send_next(ctx);
-    }
-
-    fn on_round(&mut self, ctx: &mut Context<'_, CountMsg>, inbox: &[Incoming<CountMsg>]) {
-        if self.neighbor_ids.len() != ctx.degree() {
-            self.neighbor_ids.clear();
-            self.neighbor_ids.extend(ctx.neighbors());
-        }
+    /// Files one round's inbox into the cell store. Needs the neighbor
+    /// list cached in `neighbor_ids`.
+    fn receive(&mut self, inbox: &[Incoming<CountMsg>]) {
         if !self.dead_peers.is_empty() {
             for p in &self.dead_peers {
                 if let Ok(slot) = self.neighbor_ids.binary_search(p) {
@@ -319,7 +266,7 @@ impl NodeProgram for CountProgram {
                     self.received_rounds
                 };
                 if source < self.n {
-                    self.cols[source * self.degree + slot] = m.msg.scaled as f64 * inv_scale / k_f;
+                    self.store(slot, source, m.msg.scaled as f64 * inv_scale / k_f);
                     self.received_per_neighbor[slot] += 1;
                 }
             }
@@ -327,6 +274,150 @@ impl NodeProgram for CountProgram {
                 self.received_rounds += 1;
             }
         }
+    }
+
+    /// Tallies the missing cells and combines Eqs. 6–8 into this node's
+    /// betweenness.
+    fn combine(&mut self) {
+        let expected = (self.degree * self.n) as u64;
+        let received: u64 = self.received_per_neighbor.iter().map(|&r| r as u64).sum();
+        self.missing = expected.saturating_sub(received);
+        let own: Vec<(u32, f64)> = (0u32..)
+            .zip(&self.own_scaled)
+            .filter(|&(_, &q)| q != 0)
+            .map(|(s, &q)| (s, self.own_value(q)))
+            .collect();
+        let inner = node_net_flow_sparse(self.me, self.n, &own, &self.cells, self.degree);
+        let nf = self.effective_n as f64;
+        self.betweenness = Some((inner + (nf - 1.0)) / (nf * (nf - 1.0) / 2.0));
+    }
+
+    fn finish_if_done(&mut self, ctx: &mut Context<'_, CountMsg>) {
+        if self.all_counts_received() && self.betweenness.is_none() {
+            self.combine();
+            if ctx.tracing() {
+                // The value doubles as a per-node completion marker: the
+                // event's round is when this node finished evaluating.
+                ctx.trace(TraceEvent::App {
+                    round: ctx.round(),
+                    node: self.me,
+                    key: "count_missing".to_string(),
+                    value: self.missing,
+                });
+            }
+        }
+    }
+}
+
+// Checkpoint encoding: everything but `neighbor_ids`, a lazily-filled
+// topology cache that `on_round` rebuilds on first use after a restore —
+// excluding it keeps the bytes of a restored-and-resumed run identical to
+// an uninterrupted one. The image keeps the dense layout: the own
+// potentials, then the `n × degree` cell table row-major
+// (`cols[source * degree + slot]`).
+impl congest_sim::wire::WireState for CountProgram {
+    fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
+        let own: Vec<f64> = self.own_scaled.iter().map(|&q| self.own_value(q)).collect();
+        let mut cols = vec![0.0f64; self.n * self.degree];
+        for c in &self.cells {
+            cols[c.source as usize * self.degree + c.slot as usize] = c.value;
+        }
+        self.me.encode_state(w);
+        self.n.encode_state(w);
+        own.encode_state(w);
+        self.own_scaled.encode_state(w);
+        cols.encode_state(w);
+        self.degree.encode_state(w);
+        self.value_bits.encode_state(w);
+        self.fractional_bits.encode_state(w);
+        self.k.encode_state(w);
+        self.sent.encode_state(w);
+        self.received_rounds.encode_state(w);
+        self.received_per_neighbor.encode_state(w);
+        self.strict_delivery.encode_state(w);
+        self.missing.encode_state(w);
+        self.dead_peers.encode_state(w);
+        self.live.encode_state(w);
+        self.effective_n.encode_state(w);
+        self.betweenness.encode_state(w);
+    }
+
+    fn decode_state(r: &mut congest_sim::wire::BitReader<'_>) -> Option<CountProgram> {
+        let me = usize::decode_state(r)?;
+        let n = usize::decode_state(r)?;
+        let own = Vec::<f64>::decode_state(r)?;
+        let own_scaled = Vec::<u64>::decode_state(r)?;
+        let cols = Vec::<f64>::decode_state(r)?;
+        let mut p = CountProgram {
+            me,
+            n,
+            own_scaled,
+            cells: Vec::new(),
+            degree: usize::decode_state(r)?,
+            value_bits: u8::decode_state(r)?,
+            fractional_bits: u8::decode_state(r)?,
+            k: usize::decode_state(r)?,
+            sent: usize::decode_state(r)?,
+            received_rounds: usize::decode_state(r)?,
+            received_per_neighbor: Vec::decode_state(r)?,
+            strict_delivery: bool::decode_state(r)?,
+            missing: u64::decode_state(r)?,
+            dead_peers: Vec::decode_state(r)?,
+            live: Vec::decode_state(r)?,
+            effective_n: usize::decode_state(r)?,
+            betweenness: Option::decode_state(r)?,
+            neighbor_ids: Vec::new(),
+        };
+        let consistent = me < n
+            && u32::try_from(n).is_ok()
+            && own.len() == n
+            && p.own_scaled.len() == n
+            && n.checked_mul(p.degree) == Some(cols.len())
+            && p.received_per_neighbor.len() == p.degree
+            && p.live.len() == p.degree
+            && p.fractional_bits < 32
+            && p.k > 0;
+        if !consistent {
+            return None;
+        }
+        // Row-major order is arrival order per slot. A cell can only hold
+        // a source its neighbor has already delivered; anything else is a
+        // corrupt image.
+        for (i, &value) in cols.iter().enumerate() {
+            if value != 0.0 {
+                let (source, slot) = (i / p.degree, i % p.degree);
+                let delivered = if p.strict_delivery {
+                    p.received_per_neighbor[slot]
+                } else {
+                    p.received_rounds
+                };
+                if source >= delivered {
+                    return None;
+                }
+                p.cells.push(Cell {
+                    slot: slot as u32,
+                    source: source as u32,
+                    value,
+                });
+            }
+        }
+        Some(p)
+    }
+}
+
+impl NodeProgram for CountProgram {
+    type Msg = CountMsg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, CountMsg>) {
+        self.send_next(ctx);
+    }
+
+    fn on_round(&mut self, ctx: &mut Context<'_, CountMsg>, inbox: &[Incoming<CountMsg>]) {
+        if self.neighbor_ids.len() != ctx.degree() {
+            self.neighbor_ids.clear();
+            self.neighbor_ids.extend(ctx.neighbors());
+        }
+        self.receive(inbox);
         self.send_next(ctx);
         self.finish_if_done(ctx);
     }
@@ -345,8 +436,185 @@ impl NodeProgram for CountProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_sim::wire::{BitReader, BitWriter, WireState};
     use congest_sim::{SimConfig, Simulator};
     use rwbc_graph::generators::{cycle, path};
+
+    use crate::flow_sum::node_net_flow_sorted;
+
+    // A hand-fed node: node 2 of a 6-node network, neighbors 1, 3 and 5,
+    // own counts with zeros in them, K = 3 and 4 fractional bits.
+    const ME: usize = 2;
+    const N: usize = 6;
+    const NEIGHBORS: [usize; 3] = [1, 3, 5];
+    const K: usize = 3;
+    const F: u8 = 4;
+
+    fn hand_program(strict: bool) -> CountProgram {
+        let xi = vec![0, 6, 9, 0, 3, 12];
+        let mut p =
+            CountProgram::new(ME, N, NEIGHBORS.len(), xi, K, 16, F).with_strict_delivery(strict);
+        p.neighbor_ids = NEIGHBORS.to_vec();
+        p
+    }
+
+    fn inbox(frames: &[(usize, u64)]) -> Vec<Incoming<CountMsg>> {
+        frames
+            .iter()
+            .map(|&(from, scaled)| Incoming {
+                from,
+                msg: CountMsg {
+                    scaled,
+                    value_bits: 16,
+                },
+            })
+            .collect()
+    }
+
+    fn encode(p: &CountProgram) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        p.encode_state(&mut w);
+        w.finish().to_vec()
+    }
+
+    /// Feeds `rounds` of hand-built inboxes (a checkpoint round trip
+    /// after round `restore_after`), then asserts the betweenness equals,
+    /// bit for bit, the dense reduction over `expected` — the scaled cell
+    /// matrix `expected[slot][source]` the frames should leave behind.
+    fn assert_matches_dense(
+        strict: bool,
+        rounds: &[&[(usize, u64)]],
+        restore_after: usize,
+        expected: [[u64; N]; 3],
+    ) {
+        let mut p = hand_program(strict);
+        for (r, frames) in rounds.iter().enumerate() {
+            p.receive(&inbox(frames));
+            if r == restore_after {
+                let bytes = encode(&p);
+                p = CountProgram::decode_state(&mut BitReader::new(&bytes)).expect("valid image");
+                assert_eq!(encode(&p), bytes, "restore must not change the image");
+                p.neighbor_ids = NEIGHBORS.to_vec();
+            }
+        }
+        p.combine();
+        let own: Vec<f64> = p.own_scaled.iter().map(|&q| p.own_value(q)).collect();
+        let inv_scale = 1.0 / f64::from(1u32 << F);
+        let cols: Vec<Vec<f64>> = expected
+            .iter()
+            .map(|col| {
+                col.iter()
+                    .map(|&q| q as f64 * inv_scale / K as f64)
+                    .collect()
+            })
+            .collect();
+        let inner = node_net_flow_sorted(ME, &own, cols.iter().map(Vec::as_slice));
+        let nf = N as f64;
+        let want = (inner + (nf - 1.0)) / (nf * (nf - 1.0) / 2.0);
+        let got = p.betweenness().expect("combined");
+        assert_eq!(got.to_bits(), want.to_bits(), "{got} vs dense {want}");
+    }
+
+    #[test]
+    fn lockstep_cells_keep_the_last_write() {
+        // Round r carries every neighbor's count for source r; a repeat
+        // from one neighbor in one round overwrites that cell.
+        let rounds: [&[(usize, u64)]; N] = [
+            // A duplicated frame.
+            &[(1, 5), (1, 5), (3, 7), (5, 2)],
+            // A zero overwriting a nonzero cell; a plain zero.
+            &[(1, 4), (1, 0), (3, 2), (5, 0)],
+            // A nonzero overwriting a zero; node 3's frame is delayed.
+            &[(1, 8), (5, 0), (5, 9)],
+            // The delayed frame arrives behind the current one, as the
+            // engine delivers it, and so wins the current cell.
+            &[(1, 1), (3, 11), (3, 6), (5, 3)],
+            &[(1, 2), (3, 5), (5, 4)],
+            &[(1, 3), (3, 1), (5, 5)],
+        ];
+        let expected = [[5, 0, 8, 1, 2, 3], [7, 2, 0, 6, 5, 1], [2, 0, 9, 3, 4, 5]];
+        for restore_after in [0, 2, N] {
+            assert_matches_dense(false, &rounds, restore_after, expected);
+        }
+    }
+
+    #[test]
+    fn strict_cells_follow_arrival_position() {
+        // Behind an in-order transport the k-th frame from a neighbor is
+        // its count for source k, whatever round it lands in; frames past
+        // the n-th are ignored.
+        let rounds: [&[(usize, u64)]; N] = [
+            &[(1, 5), (3, 7)],
+            // Node 5 catches up with two frames in one round.
+            &[(1, 0), (3, 2), (5, 2), (5, 0)],
+            &[(1, 8), (1, 1), (3, 0), (5, 9)],
+            &[(3, 11), (3, 6), (5, 3)],
+            &[(1, 2), (3, 5), (5, 4)],
+            &[(1, 3), (5, 5), (5, 7)],
+        ];
+        let expected = [[5, 0, 8, 1, 2, 3], [7, 2, 0, 11, 6, 5], [2, 0, 9, 3, 4, 5]];
+        for restore_after in [0, 3, N] {
+            assert_matches_dense(true, &rounds, restore_after, expected);
+        }
+    }
+
+    /// The image of `p` with its cell table replaced by `cols` and its
+    /// degree field by `degree`, in `encode_state`'s field order.
+    fn image_with(p: &CountProgram, cols: Vec<f64>, degree: usize) -> Vec<u8> {
+        let own: Vec<f64> = p.own_scaled.iter().map(|&q| p.own_value(q)).collect();
+        let mut w = BitWriter::new();
+        p.me.encode_state(&mut w);
+        p.n.encode_state(&mut w);
+        own.encode_state(&mut w);
+        p.own_scaled.encode_state(&mut w);
+        cols.encode_state(&mut w);
+        degree.encode_state(&mut w);
+        p.value_bits.encode_state(&mut w);
+        p.fractional_bits.encode_state(&mut w);
+        p.k.encode_state(&mut w);
+        p.sent.encode_state(&mut w);
+        p.received_rounds.encode_state(&mut w);
+        p.received_per_neighbor.encode_state(&mut w);
+        p.strict_delivery.encode_state(&mut w);
+        p.missing.encode_state(&mut w);
+        p.dead_peers.encode_state(&mut w);
+        p.live.encode_state(&mut w);
+        p.effective_n.encode_state(&mut w);
+        p.betweenness.encode_state(&mut w);
+        w.finish().to_vec()
+    }
+
+    #[test]
+    fn decode_rejects_inconsistent_cell_tables() {
+        let mut p = hand_program(false);
+        p.receive(&inbox(&[(1, 5), (3, 7), (5, 2)]));
+        let mut cols = vec![0.0; N * NEIGHBORS.len()];
+        for c in &p.cells {
+            cols[c.source as usize * NEIGHBORS.len() + c.slot as usize] = c.value;
+        }
+        let decode = |bytes: &[u8]| CountProgram::decode_state(&mut BitReader::new(bytes));
+        // The hand-built image is the real one, and it decodes.
+        assert_eq!(image_with(&p, cols.clone(), NEIGHBORS.len()), encode(&p));
+        assert!(decode(&encode(&p)).is_some());
+        // A table one cell short or long of n · degree.
+        assert!(decode(&image_with(&p, cols[1..].to_vec(), 3)).is_none());
+        let mut long = cols.clone();
+        long.push(0.0);
+        assert!(decode(&image_with(&p, long, 3)).is_none());
+        // Degree 0: only an empty table fits (and the per-slot vectors
+        // must be empty too).
+        assert!(decode(&image_with(&p, cols.clone(), 0)).is_none());
+        let mut isolated = hand_program(false);
+        isolated.degree = 0;
+        isolated.received_per_neighbor.clear();
+        isolated.live.clear();
+        assert!(decode(&image_with(&isolated, Vec::new(), 0)).is_some());
+        assert!(decode(&image_with(&isolated, vec![0.0], 0)).is_none());
+        // A nonzero cell for a source no neighbor has delivered yet.
+        let mut early = cols;
+        early[NEIGHBORS.len()] = 1.0;
+        assert!(decode(&image_with(&p, early, 3)).is_none());
+    }
 
     /// Runs phase 2 alone with synthetic integer counts and returns the
     /// per-node betweenness.

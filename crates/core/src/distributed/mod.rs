@@ -645,7 +645,7 @@ fn approximate_inner(
 
     // Phase 1: counting (Algorithm 1).
     let phase1_seed = config.seed ^ 0x9E37_79B9;
-    let (counts, walk_stats) = if config.reliable {
+    let (mut counts, walk_stats) = if config.reliable {
         // Reliable transport: no token can be lost, so one sub-phase
         // always accounts for every walk.
         degradation.walk_subphases = 1;
@@ -806,7 +806,7 @@ fn approximate_inner(
                             v,
                             n,
                             graph.degree(v),
-                            counts[v].clone(),
+                            std::mem::take(&mut counts[v]),
                             k,
                             value_bits,
                             f,
@@ -835,7 +835,8 @@ fn approximate_inner(
                 (values, stats)
             } else {
                 let mut sim2 = Simulator::new(graph, phase2_cfg, |v| {
-                    CountProgram::new(v, n, graph.degree(v), counts[v].clone(), k, value_bits, f)
+                    let xi = std::mem::take(&mut counts[v]);
+                    CountProgram::new(v, n, graph.degree(v), xi, k, value_bits, f)
                 });
                 if let Some(tr) = tracer.as_deref_mut() {
                     sim2 = sim2.with_tracer(tr);

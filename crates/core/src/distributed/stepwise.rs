@@ -330,7 +330,7 @@ impl<'g> StepSolver<'g> {
         let n = self.graph.node_count();
         let k = self.config.params.walks_per_node;
         let walk_stats = sim1.stats().clone();
-        let counts: Vec<Vec<u64>> = (0..n).map(|v| sim1.program(v).counts().to_vec()).collect();
+        let mut counts: Vec<Vec<u64>> = (0..n).map(|v| sim1.program(v).counts().to_vec()).collect();
         let mut walks_lost = 0u64;
         for s in 0..n {
             if s == self.target {
@@ -350,7 +350,8 @@ impl<'g> StepSolver<'g> {
         match self.config.count_mode {
             CountMode::Exact => {
                 let mut sim = Simulator::new(graph, cfg2, |v| {
-                    CountProgram::new(v, n, graph.degree(v), counts[v].clone(), k, value_bits, f)
+                    let xi = std::mem::take(&mut counts[v]);
+                    CountProgram::new(v, n, graph.degree(v), xi, k, value_bits, f)
                 });
                 if let Some(m) = &self.metrics {
                     sim.set_metrics(m.clone());
@@ -821,6 +822,41 @@ mod tests {
         let mut solver = StepSolver::new(&g, c).unwrap();
         let run = solver.run_to_completion().unwrap();
         assert_eq!(*run, oneshot);
+    }
+
+    /// A mid-count-phase exact image, pinned by its CRC-32: the image
+    /// keeps the dense `n × degree` cell table however the count phase
+    /// stores its cells, so these bytes must not move.
+    #[test]
+    fn exact_count_phase_image_is_pinned() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = connected_gnp(16, 0.3, 100, &mut rng).unwrap();
+        let c = DistributedConfig::builder()
+            .walks(6)
+            .length(12)
+            .seed(3)
+            .build()
+            .unwrap();
+        let mut solver = StepSolver::new(&g, c.clone()).unwrap();
+        while solver.phase() != SolvePhase::Count {
+            solver.step().unwrap();
+        }
+        for _ in 0..5 {
+            solver.step().unwrap();
+        }
+        assert_eq!(solver.phase(), SolvePhase::Count);
+        let image = solver.checkpoint().unwrap();
+        assert_eq!(
+            (image.len(), crc32(&image)),
+            (16_470, 0x996A_45FF),
+            "exact count-phase image changed"
+        );
+        let mut restored = StepSolver::restore(&g, c, &image).unwrap();
+        assert_eq!(restored.checkpoint().unwrap(), image);
+        assert_eq!(
+            restored.run_to_completion().unwrap(),
+            solver.run_to_completion().unwrap()
+        );
     }
 
     #[test]

@@ -35,42 +35,83 @@ pub enum PairSumMethod {
 
 /// A sorted view of a difference column with prefix sums, supporting the two
 /// queries the reduction needs.
+///
+/// The column may leave its zeros implicit: `zeros` entries equal to zero
+/// rank between the negative and the positive entries of `sorted`. Exact
+/// zeros add only `±0.0` terms to the rank-weighted fold and the prefix
+/// sums, so both queries return the same bits as on the dense column,
+/// except that a zero pair sum may differ in sign (which a `+0.0`-seeded
+/// accumulator erases).
 #[derive(Debug)]
 pub(crate) struct SortedColumn {
+    /// The stored entries, ascending.
     sorted: Vec<f64>,
     /// `prefix[k] = Σ_{j<k} sorted[j]`.
     prefix: Vec<f64>,
+    /// Zero entries not stored in `sorted`.
+    zeros: usize,
+    /// Negative entries of `sorted`: the rank where the zero run starts.
+    neg: usize,
 }
 
 impl SortedColumn {
     pub(crate) fn new(z: &[f64]) -> SortedColumn {
         let mut sorted = z.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("potentials must not be NaN"));
+        SortedColumn::from_sorted(sorted, 0)
+    }
+
+    /// A column of `nonzero.len() + zeros` entries, given only its
+    /// nonzero ones (in any order).
+    pub(crate) fn with_zeros(mut nonzero: Vec<f64>, zeros: usize) -> SortedColumn {
+        // Equal entries are bit-identical (no NaN, no −0.0 among
+        // nonzeros), so any sort yields the same sequence.
+        nonzero.sort_unstable_by(f64::total_cmp);
+        SortedColumn::from_sorted(nonzero, zeros)
+    }
+
+    fn from_sorted(sorted: Vec<f64>, zeros: usize) -> SortedColumn {
         let mut prefix = Vec::with_capacity(sorted.len() + 1);
         prefix.push(0.0);
         for &v in &sorted {
             prefix.push(prefix.last().unwrap() + v);
         }
-        SortedColumn { sorted, prefix }
+        let neg = sorted.partition_point(|&v| v < 0.0);
+        SortedColumn {
+            sorted,
+            prefix,
+            zeros,
+            neg,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.sorted.len() + self.zeros
     }
 
     /// `Σ_{s<t} |z_s − z_t|` over all unordered pairs.
     pub(crate) fn pair_sum(&self) -> f64 {
-        let n = self.sorted.len() as f64;
+        let n = self.len() as f64;
         self.sorted
             .iter()
             .enumerate()
-            .map(|(k, &v)| (2.0 * k as f64 - n + 1.0) * v)
+            .map(|(k, &v)| {
+                // Entries past the negatives rank behind the zero run.
+                let rank = if k < self.neg { k } else { k + self.zeros };
+                (2.0 * rank as f64 - n + 1.0) * v
+            })
             .sum()
     }
 
     /// `Σ_t |c − z_t|` over all entries.
     pub(crate) fn abs_sum_around(&self, c: f64) -> f64 {
-        // Number of entries <= c via binary search on the sorted array.
-        let k = self.sorted.partition_point(|&v| v <= c);
-        let below = c * k as f64 - self.prefix[k];
+        // Stored entries <= c via binary search; the zero run is <= c
+        // exactly when c >= 0.
+        let stored = self.sorted.partition_point(|&v| v <= c);
+        let k = stored + if c >= 0.0 { self.zeros } else { 0 };
+        let below = c * k as f64 - self.prefix[stored];
         let total = *self.prefix.last().unwrap();
-        let above = (total - self.prefix[k]) - c * (self.sorted.len() - k) as f64;
+        let above = (total - self.prefix[stored]) - c * (self.len() - k) as f64;
         below + above
     }
 }
@@ -93,27 +134,92 @@ pub(crate) fn node_net_flow_sorted<'a>(
     acc / 2.0
 }
 
-/// [`node_net_flow_sorted`] over columns stored row-major: neighbor
-/// `slot`'s column lives at `flat[s * deg + slot]` for `s = 0..n`. Same
-/// arithmetic in the same order — results are bit-identical; only the
-/// storage walk differs.
-pub(crate) fn node_net_flow_sorted_strided(
+/// One nonzero received potential: neighbor `slot`'s value for `source`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cell {
+    pub(crate) slot: u32,
+    pub(crate) source: u32,
+    pub(crate) value: f64,
+}
+
+/// [`node_net_flow_sorted`] over sparse columns of `n` entries each, with
+/// every absent entry zero. `own` holds node `me`'s nonzero potentials as
+/// `(source, value)` by ascending source; `cells` holds the `deg`
+/// neighbors' nonzero potentials, in any slot order but by ascending
+/// source within one slot. The result is bit-identical to the dense
+/// reduction (see [`SortedColumn`]), at `O(m log m)` per neighbor for `m`
+/// nonzero differences instead of `O(n log n)`.
+pub(crate) fn node_net_flow_sparse(
     me: usize,
-    own: &[f64],
-    flat: &[f64],
+    n: usize,
+    own: &[(u32, f64)],
+    cells: &[Cell],
     deg: usize,
 ) -> f64 {
-    debug_assert_eq!(flat.len(), own.len() * deg);
-    let mut acc = 0.0;
-    let mut z = vec![0.0; own.len()];
+    // Stable counting sort by slot: each neighbor's column becomes one
+    // contiguous run, still by ascending source.
+    let mut start = vec![0usize; deg + 1];
+    for c in cells {
+        start[c.slot as usize + 1] += 1;
+    }
     for slot in 0..deg {
-        for (s, (zs, o)) in z.iter_mut().zip(own).enumerate() {
-            *zs = o - flat[s * deg + slot];
-        }
-        let col = SortedColumn::new(&z);
-        acc += col.pair_sum() - col.abs_sum_around(z[me]);
+        start[slot + 1] += start[slot];
+    }
+    let mut next = start.clone();
+    let mut by_slot = vec![(0u32, 0.0f64); cells.len()];
+    for c in cells {
+        let at = &mut next[c.slot as usize];
+        by_slot[*at] = (c.source, c.value);
+        *at += 1;
+    }
+    let mut acc = 0.0;
+    for slot in 0..deg {
+        let (z, at_me) = nonzero_differences(me, own, &by_slot[start[slot]..start[slot + 1]]);
+        let zeros = n - z.len();
+        let col = SortedColumn::with_zeros(z, zeros);
+        acc += col.pair_sum() - col.abs_sum_around(at_me);
     }
     acc / 2.0
+}
+
+/// Merges two sparse columns, each by ascending source, into the nonzero
+/// entries of `own − nb`, and returns that difference at `me` as well.
+fn nonzero_differences(me: usize, own: &[(u32, f64)], nb: &[(u32, f64)]) -> (Vec<f64>, f64) {
+    let mut z = Vec::with_capacity(own.len() + nb.len());
+    let mut at_me = 0.0;
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let source = match (own.get(i), nb.get(j)) {
+            (None, None) => break,
+            (Some(a), Some(b)) => a.0.min(b.0),
+            (Some(a), None) => a.0,
+            (None, Some(b)) => b.0,
+        };
+        // An absent entry is the dense column's zero, so `o - b` is the
+        // very subtraction the dense reduction performs.
+        let o = match own.get(i) {
+            Some(&(s, v)) if s == source => {
+                i += 1;
+                v
+            }
+            _ => 0.0,
+        };
+        let b = match nb.get(j) {
+            Some(&(s, v)) if s == source => {
+                j += 1;
+                v
+            }
+            _ => 0.0,
+        };
+        let d = o - b;
+        if source as usize == me {
+            at_me = d;
+        }
+        if d != 0.0 {
+            z.push(d);
+        }
+    }
+    (z, at_me)
 }
 
 /// A weighted sorted column: entry `k` stands for `weight[k]` identical
@@ -180,8 +286,8 @@ impl WeightedColumn {
     }
 }
 
-/// Sketch-mode analogue of [`node_net_flow_sorted_strided`]: columns are
-/// bucket averages (`B` entries, row-major `flat[b * deg + slot]`) and
+/// Sketch-mode analogue of [`node_net_flow_sorted`]: columns are bucket
+/// averages (`B` entries, row-major `flat[b * deg + slot]`) and
 /// each bucket carries its preimage weight. `me_bucket` is the bucket
 /// node `me` hashes into; its average stands in for `z_me` in the
 /// excluded-pair correction.
@@ -256,9 +362,98 @@ pub(crate) fn combine_potentials(graph: &Graph, x: &[Vec<f64>], method: PairSumM
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use rwbc_graph::generators::{complete, cycle};
+
+    /// Draws one column of `n` potentials, from 0% to 100% of them
+    /// nonzero. `fixed` draws from four fixed-point levels, so ties and
+    /// exact cancellations between columns are common; otherwise values
+    /// are continuous and of either sign.
+    fn draw_column(rng: &mut StdRng, n: usize, fixed: bool) -> Vec<f64> {
+        const DENSITIES: [f64; 6] = [0.0, 0.05, 0.25, 0.5, 0.9, 1.0];
+        let density = DENSITIES[rng.gen_range(0..DENSITIES.len())];
+        (0..n)
+            .map(|_| {
+                if !rng.gen_bool(density) {
+                    0.0
+                } else if fixed {
+                    f64::from(rng.gen_range(1u32..=4)) / 16.0 / 3.0
+                } else {
+                    let v: f64 = rng.gen_range(-2.0..2.0);
+                    if v == 0.0 {
+                        1.0
+                    } else {
+                        v
+                    }
+                }
+            })
+            .collect()
+    }
+
+    fn nonzero(col: &[f64]) -> Vec<(u32, f64)> {
+        (0..col.len())
+            .filter(|&s| col[s] != 0.0)
+            .map(|s| (s as u32, col[s]))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sparse_combine_is_bit_identical_to_dense(
+            n in 1usize..48,
+            deg in 0usize..6,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let fixed = rng.gen_bool(0.5);
+            let me = rng.gen_range(0..n);
+            let mut own = draw_column(&mut rng, n, fixed);
+            let mut cols: Vec<Vec<f64>> = (0..deg)
+                .map(|_| draw_column(&mut rng, n, fixed))
+                .collect();
+            // `me` outside the support, inside it on both sides, or left
+            // to the draw.
+            match rng.gen_range(0..3) {
+                0 => {
+                    own[me] = 0.0;
+                    for col in &mut cols {
+                        col[me] = 0.0;
+                    }
+                }
+                1 => {
+                    own[me] = 1.0 / 16.0;
+                    for col in &mut cols {
+                        col[me] = 1.0 / 16.0;
+                    }
+                }
+                _ => {}
+            }
+            // Cells arrive source by source, neighbors in any order.
+            let mut cells = Vec::new();
+            let mut slots: Vec<usize> = (0..deg).collect();
+            for source in 0..n as u32 {
+                slots.shuffle(&mut rng);
+                for &slot in &slots {
+                    let value = cols[slot][source as usize];
+                    if value != 0.0 {
+                        cells.push(Cell {
+                            slot: slot as u32,
+                            source,
+                            value,
+                        });
+                    }
+                }
+            }
+            let dense = node_net_flow_sorted(me, &own, cols.iter().map(Vec::as_slice));
+            let sparse = node_net_flow_sparse(me, n, &nonzero(&own), &cells, deg);
+            prop_assert_eq!(sparse.to_bits(), dense.to_bits(), "{} vs dense {}", sparse, dense);
+        }
+    }
 
     #[test]
     fn pair_sum_matches_brute_force() {

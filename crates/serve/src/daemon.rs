@@ -16,7 +16,9 @@
 //!   `DegradationReport` plus the resumed-from-checkpoint bit.
 //! * **Clean drain.** `Drain`/`Shutdown` stop admission, flush a final
 //!   solve checkpoint, close the JSONL trace, and unblock the accept
-//!   loop so the process exits.
+//!   loop so the process exits. Clients connected before the drain,
+//!   including those still in the listen backlog, get a typed
+//!   [`Response::Draining`] rather than a closed socket.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -106,6 +108,41 @@ struct Shared {
 }
 
 impl Shared {
+    /// Spawns the background solve and the state every daemon thread
+    /// shares, for a listener bound at `addr`.
+    fn new(config: ServeConfig, addr: SocketAddr) -> Shared {
+        // One clock for everything time-shaped: deadlines, uptime, SLO
+        // buckets, and checkpoint ages all subtract from this instant.
+        let started = Instant::now();
+        let metrics = DaemonMetrics::new();
+        let flight = FlightRecorder::default();
+        let solver = BackgroundSolver::spawn_with(
+            config.solver.clone(),
+            SolverHooks {
+                epoch: started,
+                metrics: Some(metrics.clone()),
+                flight: Some(flight.clone()),
+            },
+        );
+        let slo = SloTracker::new(config.slo);
+        Shared {
+            counters: Counters {
+                served: AtomicU64::new(0),
+                overloaded: AtomicU64::new(0),
+                timed_out: AtomicU64::new(0),
+            },
+            draining: AtomicBool::new(false),
+            shutdown: AtomicBool::new(false),
+            started,
+            solver: Mutex::new(solver),
+            addr,
+            metrics,
+            slo,
+            flight,
+            config,
+        }
+    }
+
     fn snapshot(&self) -> SolveSnapshot {
         self.solver.lock().expect("solver handle lock").snapshot()
     }
@@ -282,37 +319,7 @@ impl Daemon {
     /// Propagates the bind failure.
     pub fn start(config: ServeConfig) -> io::Result<Daemon> {
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        // One clock for everything time-shaped: deadlines, uptime, SLO
-        // buckets, and checkpoint ages all subtract from this instant.
-        let started = Instant::now();
-        let metrics = DaemonMetrics::new();
-        let flight = FlightRecorder::default();
-        let solver = BackgroundSolver::spawn_with(
-            config.solver.clone(),
-            SolverHooks {
-                epoch: started,
-                metrics: Some(metrics.clone()),
-                flight: Some(flight.clone()),
-            },
-        );
-        let slo = SloTracker::new(config.slo);
-        let shared = Arc::new(Shared {
-            counters: Counters {
-                served: AtomicU64::new(0),
-                overloaded: AtomicU64::new(0),
-                timed_out: AtomicU64::new(0),
-            },
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            started,
-            solver: Mutex::new(solver),
-            addr,
-            metrics,
-            slo,
-            flight,
-            config,
-        });
+        let shared = Arc::new(Shared::new(config, listener.local_addr()?));
 
         let (tx, rx) = mpsc::sync_channel::<Job>(shared.config.queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
@@ -443,16 +450,31 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, tx: &SyncSender<Job>) {
     for stream in listener.incoming() {
+        let Ok(stream) = stream else { continue };
+        spawn_connection(shared, stream, tx);
         if shared.shutdown.load(Ordering::SeqCst) {
+            // Clients whose connect finished before the drain may still
+            // wait in the listen backlog. Serve them too — `dispatch`
+            // answers their queries `Draining` — rather than closing
+            // them unanswered, then stop accepting.
+            if listener.set_nonblocking(true).is_ok() {
+                while let Ok((stream, _)) = listener.accept() {
+                    if stream.set_nonblocking(false).is_ok() {
+                        spawn_connection(shared, stream, tx);
+                    }
+                }
+            }
             return;
         }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let _ = handle_connection(&shared, stream, &tx);
-        });
     }
+}
+
+fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream, tx: &SyncSender<Job>) {
+    let shared = Arc::clone(shared);
+    let tx = tx.clone();
+    std::thread::spawn(move || {
+        let _ = handle_connection(&shared, stream, &tx);
+    });
 }
 
 /// Serves one client connection: a loop of request frames answered in
@@ -584,5 +606,39 @@ fn dispatch(shared: &Arc<Shared>, mut env: RequestEnvelope, tx: &SyncSender<Job>
             shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
             finish(Response::Timeout { deadline_ms })
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backlogged_client_gets_the_typed_refusal_after_drain() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let shared = Arc::new(Shared::new(
+            ServeConfig::new(SolverConfig::new(16, 1)),
+            addr,
+        ));
+        // The client's connect completes before the drain, but nothing
+        // accepts it until after the flag flips: it waits in the backlog.
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        initiate_drain(&shared);
+        let (tx, _rx) = mpsc::sync_channel(1);
+        accept_loop(&shared, &listener, &tx);
+        let request = RequestEnvelope {
+            deadline_ms: 100,
+            request: Request::Stats,
+        };
+        write_frame(&mut client, &crate::protocol::encode_request(&request)).expect("send");
+        let payload = read_frame(&mut client).expect("a typed answer, not a closed socket");
+        assert_eq!(
+            crate::protocol::decode_response(&payload).expect("decodes"),
+            Response::Draining
+        );
     }
 }
