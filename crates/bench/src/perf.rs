@@ -1,10 +1,9 @@
 //! Perf-scenario harness behind the `rwbc-bench` binary.
 //!
-//! The criterion micro-benches under `benches/` answer "which variant of
-//! one kernel is faster"; this module answers "how fast is the whole
-//! two-phase RWBC pipeline, end to end, on a named scenario" — and
-//! records the answer as a machine-readable `BENCH_<scenario>.json`
-//! file so the engine's perf trajectory is tracked in-repo, PR over PR.
+//! This module answers "how fast is the whole two-phase RWBC pipeline,
+//! end to end, on a named scenario" — and records the answer as a
+//! machine-readable `BENCH_<scenario>.json` file so the engine's perf
+//! trajectory is tracked in-repo, PR over PR.
 //!
 //! A scenario is `(mode, topology, n, threads)`:
 //!

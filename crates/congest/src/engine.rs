@@ -14,21 +14,16 @@ use crate::trace::{DropReason, TraceEvent, Tracer};
 use crate::wire::{crc32, BitReader, BitWriter, WireState};
 use crate::{Message, NodeProgram, RunStats, SimConfig, SimError};
 
-/// Magic word opening every checkpoint image.
 /// Per-node outgoing `(destination, message)` buffers for one round.
 type Outboxes<M> = Vec<Vec<(NodeId, M)>>;
 
+/// Magic word opening every checkpoint image.
 const CHECKPOINT_MAGIC: u64 = 0xC4EC_5A7E;
-/// Bumped whenever the checkpoint layout changes incompatibly. Version
-/// 2 added [`RunStats::peak_edge`]; version 3 added the corruption
-/// counters and reframed the body into CRC-guarded sections (see
-/// [`Simulator::checkpoint`]). Version-1 and version-2 images still
-/// restore through dedicated legacy decode paths.
+/// Bumped whenever the checkpoint layout changes incompatibly; only this
+/// version restores. Version 2 added [`RunStats::peak_edge`]; version 3
+/// added the corruption counters and reframed the body into CRC-guarded
+/// sections (see [`Simulator::checkpoint`]).
 const CHECKPOINT_VERSION: u64 = 3;
-/// Oldest checkpoint version [`Simulator::restore`] still accepts.
-const CHECKPOINT_MIN_VERSION: u64 = 1;
-/// First checkpoint version with CRC-guarded sections.
-const CHECKPOINT_SECTIONED_VERSION: u64 = 3;
 
 /// Renders a worker panic payload for [`SimError::WorkerPanic`]. Panics
 /// raised via `panic!("..")` carry `&str` or `String`; anything else is
@@ -196,6 +191,14 @@ where
         self
     }
 
+    /// Detaches the tracer and hands it back, so a driver that runs
+    /// several simulators in turn can lend each one the same sink. The
+    /// simulator is untraced afterwards.
+    pub fn take_tracer(&mut self) -> Option<&'g mut dyn Tracer> {
+        self.node_trace = Vec::new();
+        self.tracer.take()
+    }
+
     /// Attaches live-metrics handles (see [`EngineMetrics`]). Updates
     /// happen once per committed round on the commit spine: the rounds
     /// counter advances per round, message/bit counters by that round's
@@ -254,13 +257,23 @@ where
     }
 
     /// Executes a single round (running `on_start` first if needed).
-    /// Returns `true` when the system has globally terminated.
+    /// Returns `true` when the system has globally terminated; that step
+    /// also folds the delivery-layer counters into [`Simulator::stats`],
+    /// so a stepped run reports exactly what [`Simulator::run`] does.
     ///
     /// # Errors
     ///
     /// Propagates CONGEST violations under the strict policy, sends to
     /// non-neighbors, and the round cap.
     pub fn step(&mut self) -> Result<bool, SimError> {
+        let done = self.step_round()?;
+        if done {
+            self.fold_reliability_stats();
+        }
+        Ok(done)
+    }
+
+    fn step_round(&mut self) -> Result<bool, SimError> {
         if !self.started {
             self.started = true;
             self.trace_crash_transitions(0);
@@ -418,15 +431,10 @@ where
     ///
     /// Same as [`Simulator::step`].
     pub fn run(&mut self) -> Result<RunStats, SimError> {
-        loop {
-            if self.step()? {
-                self.fold_reliability_stats();
-                // The engine's only stats clone: once per *run*, at
-                // termination. All per-round paths mutate `self.stats`
-                // in place.
-                return Ok(self.stats.clone());
-            }
-        }
+        while !self.step()? {}
+        // The engine's only stats clone: once per *run*, at termination.
+        // All per-round paths mutate `self.stats` in place.
+        Ok(self.stats.clone())
     }
 
     /// Folds per-node delivery-layer counters (if the programs report any)
@@ -992,8 +1000,11 @@ where
             return Err(corrupt("bad magic word"));
         }
         let version = r.read_bits(64).ok_or_else(|| corrupt("truncated header"))?;
-        if !(CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION).contains(&version) {
-            return Err(corrupt("unsupported checkpoint version"));
+        if version != CHECKPOINT_VERSION {
+            return Err(corrupt(&format!(
+                "unsupported checkpoint version {version} (this build reads version \
+                 {CHECKPOINT_VERSION})"
+            )));
         }
         let n = usize::decode_state(&mut r).ok_or_else(|| corrupt("truncated header"))?;
         if n != graph.node_count() {
@@ -1005,12 +1016,26 @@ where
         }
         let round = usize::decode_state(&mut r).ok_or_else(|| corrupt("truncated header"))?;
         let started = bool::decode_state(&mut r).ok_or_else(|| corrupt("truncated header"))?;
-        // Shared decoders, used both on the legacy inline stream (v1/v2)
-        // and on the checksummed section payloads (v3+).
-        let decode_stats = |r: &mut BitReader<'_>| match version {
-            1 => RunStats::decode_state_v1(r),
-            2 => RunStats::decode_state_v2(r),
-            _ => RunStats::decode_state(r),
+        // Each section is length-framed and CRC-guarded; the checksum is
+        // verified before any decoding touches the payload, so a flipped
+        // bit is caught at its section.
+        let read_section = |r: &mut BitReader<'_>, what: &str| -> Result<Vec<u8>, SimError> {
+            let len = r
+                .read_bits(64)
+                .ok_or_else(|| corrupt(&format!("truncated {what} section header")))?;
+            let len = usize::try_from(len)
+                .map_err(|_| corrupt(&format!("oversized {what} section length")))?;
+            let sum = r
+                .read_bits(32)
+                .ok_or_else(|| corrupt(&format!("truncated {what} section header")))?
+                as u32;
+            let bytes = r
+                .read_bytes(len)
+                .ok_or_else(|| corrupt(&format!("truncated {what} section")))?;
+            if crc32(&bytes) != sum {
+                return Err(corrupt(&format!("{what} section failed its checksum")));
+            }
+            Ok(bytes)
         };
         let read_rng = |r: &mut BitReader<'_>| -> Option<StdRng> {
             let mut words = [0u64; 4];
@@ -1018,21 +1043,6 @@ where
                 *w = u64::decode_state(r)?;
             }
             Some(StdRng::from_state(words))
-        };
-        let decode_rngs = |r: &mut BitReader<'_>| -> Result<(Vec<StdRng>, StdRng), SimError> {
-            let mut rngs = Vec::with_capacity(n);
-            for _ in 0..n {
-                rngs.push(read_rng(r).ok_or_else(|| corrupt("truncated rng state"))?);
-            }
-            let fault_rng = read_rng(r).ok_or_else(|| corrupt("truncated fault rng state"))?;
-            Ok((rngs, fault_rng))
-        };
-        let decode_programs = |r: &mut BitReader<'_>| -> Result<Vec<P>, SimError> {
-            let mut programs = Vec::with_capacity(n);
-            for _ in 0..n {
-                programs.push(P::decode_state(r).ok_or_else(|| corrupt("truncated program"))?);
-            }
-            Ok(programs)
         };
         let read_boxes =
             |r: &mut BitReader<'_>, what: &str| -> Result<Vec<Vec<Incoming<P::Msg>>>, SimError> {
@@ -1045,51 +1055,27 @@ where
                 }
                 Ok(boxes)
             };
-        let (stats, (rngs, fault_rng), programs, pending, delayed) = if version
-            >= CHECKPOINT_SECTIONED_VERSION
-        {
-            // v3+: each section is length-framed and CRC-guarded; the
-            // checksum is verified before any decoding touches the
-            // payload, so a flipped bit is caught at its section.
-            let read_section = |r: &mut BitReader<'_>, what: &str| -> Result<Vec<u8>, SimError> {
-                let len = r
-                    .read_bits(64)
-                    .ok_or_else(|| corrupt(&format!("truncated {what} section header")))?;
-                let len = usize::try_from(len)
-                    .map_err(|_| corrupt(&format!("oversized {what} section length")))?;
-                let sum = r
-                    .read_bits(32)
-                    .ok_or_else(|| corrupt(&format!("truncated {what} section header")))?
-                    as u32;
-                let bytes = r
-                    .read_bytes(len)
-                    .ok_or_else(|| corrupt(&format!("truncated {what} section")))?;
-                if crc32(&bytes) != sum {
-                    return Err(corrupt(&format!("{what} section failed its checksum")));
-                }
-                Ok(bytes)
-            };
-            let stats_bytes = read_section(&mut r, "stats")?;
-            let stats = decode_stats(&mut BitReader::new(&stats_bytes))
-                .ok_or_else(|| corrupt("truncated stats"))?;
-            let rng_bytes = read_section(&mut r, "rngs")?;
-            let rng_state = decode_rngs(&mut BitReader::new(&rng_bytes))?;
-            let prog_bytes = read_section(&mut r, "programs")?;
-            let programs = decode_programs(&mut BitReader::new(&prog_bytes))?;
-            let pending_bytes = read_section(&mut r, "pending")?;
-            let pending = read_boxes(&mut BitReader::new(&pending_bytes), "pending")?;
-            let delayed_bytes = read_section(&mut r, "delayed")?;
-            let delayed = read_boxes(&mut BitReader::new(&delayed_bytes), "delayed")?;
-            (stats, rng_state, programs, pending, delayed)
-        } else {
-            // v1/v2: one continuous unframed stream.
-            let stats = decode_stats(&mut r).ok_or_else(|| corrupt("truncated stats"))?;
-            let rng_state = decode_rngs(&mut r)?;
-            let programs = decode_programs(&mut r)?;
-            let pending = read_boxes(&mut r, "pending")?;
-            let delayed = read_boxes(&mut r, "delayed")?;
-            (stats, rng_state, programs, pending, delayed)
-        };
+
+        let stats_bytes = read_section(&mut r, "stats")?;
+        let stats = RunStats::decode_state(&mut BitReader::new(&stats_bytes))
+            .ok_or_else(|| corrupt("truncated stats"))?;
+        let rng_bytes = read_section(&mut r, "rngs")?;
+        let mut rr = BitReader::new(&rng_bytes);
+        let mut rngs = Vec::with_capacity(n);
+        for _ in 0..n {
+            rngs.push(read_rng(&mut rr).ok_or_else(|| corrupt("truncated rng state"))?);
+        }
+        let fault_rng = read_rng(&mut rr).ok_or_else(|| corrupt("truncated fault rng state"))?;
+        let prog_bytes = read_section(&mut r, "programs")?;
+        let mut pr = BitReader::new(&prog_bytes);
+        let mut programs = Vec::with_capacity(n);
+        for _ in 0..n {
+            programs.push(P::decode_state(&mut pr).ok_or_else(|| corrupt("truncated program"))?);
+        }
+        let pending_bytes = read_section(&mut r, "pending")?;
+        let pending = read_boxes(&mut BitReader::new(&pending_bytes), "pending")?;
+        let delayed_bytes = read_section(&mut r, "delayed")?;
+        let delayed = read_boxes(&mut BitReader::new(&delayed_bytes), "delayed")?;
         let in_flight = pending.iter().map(Vec::len).sum::<usize>()
             + delayed.iter().map(Vec::len).sum::<usize>();
         let cut_set: HashSet<(NodeId, NodeId)> =

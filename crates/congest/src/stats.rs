@@ -413,70 +413,6 @@ impl crate::wire::WireState for RunStats {
     }
 }
 
-impl RunStats {
-    /// Decodes the version-1 checkpoint layout, which predates
-    /// [`RunStats::peak_edge`]; the peak location is unrecoverable from
-    /// such images and decodes as `None`.
-    pub(crate) fn decode_state_v1(r: &mut crate::wire::BitReader<'_>) -> Option<RunStats> {
-        use crate::wire::WireState;
-        Some(RunStats {
-            rounds: usize::decode_state(r)?,
-            total_messages: u64::decode_state(r)?,
-            total_bits: u64::decode_state(r)?,
-            max_bits_edge_round: usize::decode_state(r)?,
-            peak_edge: None,
-            corrupted: 0,
-            corrupt_frames_detected: 0,
-            max_messages_edge_round: usize::decode_state(r)?,
-            budget_bits: usize::decode_state(r)?,
-            violations: u64::decode_state(r)?,
-            dropped: u64::decode_state(r)?,
-            duplicated: u64::decode_state(r)?,
-            delayed: u64::decode_state(r)?,
-            retransmissions: u64::decode_state(r)?,
-            duplicates_suppressed: u64::decode_state(r)?,
-            dead_links_declared: u64::decode_state(r)?,
-            undeliverable_messages: u64::decode_state(r)?,
-            crashed_node_rounds: u64::decode_state(r)?,
-            delivery_overhead_rounds: u64::decode_state(r)?,
-            cut: CutMeter::decode_state(r)?,
-            effective_threads: 0,
-            granularity: 0,
-        })
-    }
-
-    /// Decodes the version-2 checkpoint layout, which has
-    /// [`RunStats::peak_edge`] but predates the corruption counters
-    /// (which decode as zero).
-    pub(crate) fn decode_state_v2(r: &mut crate::wire::BitReader<'_>) -> Option<RunStats> {
-        use crate::wire::WireState;
-        Some(RunStats {
-            rounds: usize::decode_state(r)?,
-            total_messages: u64::decode_state(r)?,
-            total_bits: u64::decode_state(r)?,
-            max_bits_edge_round: usize::decode_state(r)?,
-            peak_edge: Option::<(NodeId, NodeId, usize)>::decode_state(r)?,
-            corrupted: 0,
-            corrupt_frames_detected: 0,
-            max_messages_edge_round: usize::decode_state(r)?,
-            budget_bits: usize::decode_state(r)?,
-            violations: u64::decode_state(r)?,
-            dropped: u64::decode_state(r)?,
-            duplicated: u64::decode_state(r)?,
-            delayed: u64::decode_state(r)?,
-            retransmissions: u64::decode_state(r)?,
-            duplicates_suppressed: u64::decode_state(r)?,
-            dead_links_declared: u64::decode_state(r)?,
-            undeliverable_messages: u64::decode_state(r)?,
-            crashed_node_rounds: u64::decode_state(r)?,
-            delivery_overhead_rounds: u64::decode_state(r)?,
-            cut: CutMeter::decode_state(r)?,
-            effective_threads: 0,
-            granularity: 0,
-        })
-    }
-}
-
 /// Per-node counters reported by a reliable-delivery adapter through
 /// [`NodeProgram::reliability_stats`].
 ///
@@ -602,57 +538,5 @@ mod tests {
         assert_eq!(decoded.effective_threads, 0);
         assert_eq!(decoded.granularity, 0);
         assert_eq!(decoded, a);
-    }
-
-    #[test]
-    fn v1_stats_decode_drops_peak_edge() {
-        use crate::wire::{BitReader, BitWriter, WireState};
-        let s = RunStats {
-            rounds: 7,
-            total_messages: 9,
-            total_bits: 100,
-            max_bits_edge_round: 20,
-            peak_edge: Some((1, 2, 3)),
-            max_messages_edge_round: 2,
-            budget_bits: 32,
-            ..RunStats::default()
-        };
-        // Hand-build the legacy (pre-peak_edge) image: the v2 layout
-        // minus the Option field that sits after max_bits_edge_round.
-        let mut w = BitWriter::new();
-        s.rounds.encode_state(&mut w);
-        s.total_messages.encode_state(&mut w);
-        s.total_bits.encode_state(&mut w);
-        s.max_bits_edge_round.encode_state(&mut w);
-        s.max_messages_edge_round.encode_state(&mut w);
-        s.budget_bits.encode_state(&mut w);
-        s.violations.encode_state(&mut w);
-        s.dropped.encode_state(&mut w);
-        s.duplicated.encode_state(&mut w);
-        s.delayed.encode_state(&mut w);
-        s.retransmissions.encode_state(&mut w);
-        s.duplicates_suppressed.encode_state(&mut w);
-        s.dead_links_declared.encode_state(&mut w);
-        s.undeliverable_messages.encode_state(&mut w);
-        s.crashed_node_rounds.encode_state(&mut w);
-        s.delivery_overhead_rounds.encode_state(&mut w);
-        s.cut.encode_state(&mut w);
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        let decoded = RunStats::decode_state_v1(&mut r).unwrap();
-        assert_eq!(decoded.peak_edge, None);
-        assert_eq!(
-            decoded,
-            RunStats {
-                peak_edge: None,
-                ..s.clone()
-            }
-        );
-        // And the current layout round-trips the peak.
-        let mut w = BitWriter::new();
-        s.encode_state(&mut w);
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(RunStats::decode_state(&mut r).unwrap(), s);
     }
 }

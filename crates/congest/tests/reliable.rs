@@ -46,6 +46,19 @@ fn reliable_flood_survives_heavy_bernoulli_drops() {
 }
 
 #[test]
+fn stepped_run_reports_the_same_stats_as_run() {
+    let g = cycle(8).unwrap();
+    let faults = FaultPlan::default().with_drop_probability(0.3);
+    let cfg = SimConfig::default().with_faults(faults).with_seed(11);
+    let make = || Simulator::new(&g, cfg.clone(), |v| Reliable::new(Flood::new(v, 0)));
+    let run = make().run().unwrap();
+    let mut stepped = make();
+    while !stepped.step().unwrap() {}
+    assert!(run.retransmissions > 0 && run.delivery_overhead_rounds > 0);
+    assert_eq!(*stepped.stats(), run);
+}
+
+#[test]
 fn reliable_flood_survives_duplication_and_delay() {
     let g = path(8).unwrap();
     let faults = FaultPlan::default()

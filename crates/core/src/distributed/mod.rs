@@ -55,27 +55,16 @@ pub use sketch::{
     MIN_SKETCH_PRECISION,
 };
 pub use sketch_count::SketchCountProgram;
-pub use stepwise::{
-    SolvePhase, StepSolver, STEP_CHECKPOINT_MAGIC, STEP_CHECKPOINT_MIN_VERSION,
-    STEP_CHECKPOINT_VERSION,
-};
+pub use stepwise::{SolvePhase, StepSolver, STEP_CHECKPOINT_MAGIC, STEP_CHECKPOINT_VERSION};
 pub use walk_phase::WalkProgram;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
-use congest_sim::{
-    Reliable, RunStats, SimConfig, Simulator, TraceEvent, Tracer, DEFAULT_DEATH_THRESHOLD,
-};
-use rwbc_graph::traversal::{connected_components, is_connected};
+use congest_sim::{RunStats, SimConfig, TraceEvent, Tracer};
 use rwbc_graph::{Graph, NodeId};
 
-use crate::distributed::messages::{count_field_bits, len_field_bits};
-use crate::distributed::sketch::sketch_field_bits;
 use crate::monte_carlo::TargetStrategy;
 use crate::params::ApproxParams;
 use crate::{Centrality, RwbcError};
@@ -509,7 +498,8 @@ impl DistributedRun {
     }
 }
 
-/// Runs the full distributed approximation (Algorithms 1 + 2).
+/// Runs the full distributed approximation (Algorithms 1 + 2): a loop
+/// over [`StepSolver::step`], the pipeline's only driver.
 ///
 /// # Errors
 ///
@@ -520,7 +510,7 @@ impl DistributedRun {
 /// * [`RwbcError::Sim`] on CONGEST violations (which would indicate a bug —
 ///   the algorithm is designed to comply).
 pub fn approximate(graph: &Graph, config: &DistributedConfig) -> Result<DistributedRun, RwbcError> {
-    approximate_inner(graph, config, None)
+    solve(StepSolver::new(graph, config.clone())?)
 }
 
 /// Runs [`approximate`] with a [`Tracer`] attached to every simulator
@@ -541,7 +531,15 @@ pub fn approximate_traced(
     config: &DistributedConfig,
     tracer: &mut dyn Tracer,
 ) -> Result<DistributedRun, RwbcError> {
-    approximate_inner(graph, config, Some(tracer))
+    solve(StepSolver::start(graph, config.clone(), Some(tracer))?)
+}
+
+/// Steps a solve to completion.
+fn solve(mut solver: StepSolver<'_>) -> Result<DistributedRun, RwbcError> {
+    while !solver.step()? {}
+    Ok(solver
+        .into_result()
+        .expect("a finished solve holds its run"))
 }
 
 /// Opens a driver-side phase span and starts its wall clock.
@@ -555,22 +553,12 @@ pub(crate) fn span_start(tracer: Option<&mut (dyn Tracer + '_)>, name: &str) -> 
 }
 
 /// Closes a driver-side phase span with its round count and elapsed time.
-///
-/// Setting `RWBC_PHASE_TIMING=1` prints each span to stderr as it
-/// closes — a zero-setup way to see where a run's wall clock goes
-/// without attaching a tracer.
 pub(crate) fn span_end(
     tracer: Option<&mut (dyn Tracer + '_)>,
     name: &str,
     rounds: usize,
     t0: Instant,
 ) {
-    if std::env::var_os("RWBC_PHASE_TIMING").is_some() {
-        eprintln!(
-            "[phase] {name}: {rounds} rounds, {:.1} ms",
-            t0.elapsed().as_secs_f64() * 1e3
-        );
-    }
     if let Some(tr) = tracer {
         tr.record(&TraceEvent::PhaseEnd {
             name: name.to_string(),
@@ -580,681 +568,14 @@ pub(crate) fn span_end(
     }
 }
 
-fn approximate_inner(
-    graph: &Graph,
-    config: &DistributedConfig,
-    mut tracer: Option<&mut (dyn Tracer + '_)>,
-) -> Result<DistributedRun, RwbcError> {
-    let n = graph.node_count();
-    if n < 2 {
-        return Err(RwbcError::TooSmall { n });
-    }
-    if !is_connected(graph) {
-        return Err(RwbcError::Disconnected);
-    }
-    let mut seeder = StdRng::seed_from_u64(config.seed);
-    let mut election_stats = None;
-    let target = if config.elect_target {
-        // Phase 0: fully distributed election (leader draws the target).
-        let t0 = span_start(tracer.as_deref_mut(), "election");
-        let cfg0 = config.sim.clone().with_seed(config.seed ^ 0xE1EC);
-        let mut sim0 = Simulator::new(graph, cfg0, |v| ElectTargetProgram::new(v, n));
-        if let Some(tr) = tracer.as_deref_mut() {
-            sim0 = sim0.with_tracer(tr);
-        }
-        let stats = sim0.run()?;
-        let t = sim0
-            .program(0)
-            .target()
-            .expect("election terminated, every node knows the target");
-        span_end(tracer.as_deref_mut(), "election", stats.rounds, t0);
-        election_stats = Some(stats);
-        t
-    } else {
-        match config.target {
-            TargetStrategy::Random => seeder.gen_range(0..n),
-            TargetStrategy::Fixed(t) if t < n => t,
-            TargetStrategy::Fixed(t) => {
-                return Err(RwbcError::InvalidParameter {
-                    reason: format!("fixed target {t} out of range"),
-                })
-            }
-        }
-    };
-    if config.partition_tolerant {
-        if let CountMode::Sketch { .. } = config.count_mode {
-            return Err(RwbcError::InvalidParameter {
-                reason: "sketch count mode does not compose with partition tolerance \
-                         (the survivor-graph combine needs exact per-source columns)"
-                    .to_string(),
-            });
-        }
-        return approximate_partition_tolerant(
-            graph,
-            config,
-            target,
-            election_stats,
-            &mut seeder,
-            tracer,
-        );
-    }
-    let k = config.params.walks_per_node;
-    let l = config.params.walk_length;
-    let len_bits = len_field_bits(l);
-    let mut degradation = DegradationReport::default();
-
-    // Phase 1: counting (Algorithm 1).
-    let phase1_seed = config.seed ^ 0x9E37_79B9;
-    let (mut counts, walk_stats) = if config.reliable {
-        // Reliable transport: no token can be lost, so one sub-phase
-        // always accounts for every walk.
-        degradation.walk_subphases = 1;
-        let t0 = span_start(tracer.as_deref_mut(), "walk");
-        let phase1_cfg = config.sim.clone().with_seed(phase1_seed);
-        let mut sim1 = Simulator::new(graph, phase1_cfg, |v| {
-            let r = Reliable::new(
-                WalkProgram::new(v, n, target, k, l, len_bits, config.discipline)
-                    .with_draw_seed(phase1_seed),
-            );
-            if config.checksums {
-                // Sealed frames + armed detector: corruption is detected
-                // and repaired; persistently corrupting links are
-                // quarantined instead of retried forever.
-                r.with_checksums()
-                    .with_failure_detection(DEFAULT_DEATH_THRESHOLD)
-            } else {
-                r
-            }
-        });
-        if let Some(tr) = tracer.as_deref_mut() {
-            sim1 = sim1.with_tracer(tr);
-        }
-        let stats = sim1.run()?;
-        let counts: Vec<Vec<u64>> = (0..n)
-            .map(|v| sim1.program(v).inner().counts().to_vec())
-            .collect();
-        // Verify (rather than assume) that the transport lost nothing:
-        // every launched token must have died exactly once somewhere.
-        for s in 0..n {
-            if s == target {
-                continue;
-            }
-            let deaths: u64 = (0..n).map(|v| sim1.program(v).inner().deaths()[s]).sum();
-            degradation.walks_lost += (k as u64).saturating_sub(deaths);
-        }
-        span_end(tracer.as_deref_mut(), "walk", stats.rounds, t0);
-        (counts, stats)
-    } else {
-        // Raw transport with relaunch recovery: after the network drains,
-        // every completed walk has been tallied (absorbed at the target or
-        // truncated somewhere) exactly once. A per-source death count
-        // short of `K` therefore equals the number of tokens faults ate;
-        // the source relaunches that many replacements in the next
-        // sub-phase. Replacement walks restart from hop 0, so the lost
-        // originals' partial visit prefixes remain tallied — a small
-        // overcount bias traded for the large undercount of losing whole
-        // walks.
-        let mut counts = vec![vec![0u64; n]; n];
-        let mut outstanding: Vec<u64> = (0..n)
-            .map(|s| if s == target { 0 } else { k as u64 })
-            .collect();
-        let mut merged: Option<RunStats> = None;
-        for attempt in 0..=config.walk_retries {
-            if attempt > 0 && outstanding.iter().all(|&o| o == 0) {
-                break;
-            }
-            let name = if attempt == 0 {
-                "walk".to_string()
-            } else {
-                format!("walk-retry-{attempt}")
-            };
-            let t0 = span_start(tracer.as_deref_mut(), &name);
-            // Per-sub-phase seed: keeps the engine's fault draws *and* the
-            // walk draw streams independent across recovery attempts, so
-            // replacement walks never retrace the originals.
-            let sub_seed = phase1_seed.wrapping_add(attempt as u64 * 0x5851_F42D);
-            let cfg = config.sim.clone().with_seed(sub_seed);
-            let mut sim1 = if attempt == 0 {
-                Simulator::new(graph, cfg, |v| {
-                    WalkProgram::new(v, n, target, k, l, len_bits, config.discipline)
-                        .with_draw_seed(sub_seed)
-                })
-            } else {
-                degradation.walks_relaunched += outstanding.iter().sum::<u64>();
-                Simulator::new(graph, cfg, |v| {
-                    WalkProgram::resume(
-                        v,
-                        n,
-                        target,
-                        vec![l as u32; outstanding[v] as usize],
-                        len_bits,
-                        config.discipline,
-                    )
-                    .with_draw_seed(sub_seed)
-                })
-            };
-            if let Some(tr) = tracer.as_deref_mut() {
-                sim1 = sim1.with_tracer(tr);
-            }
-            let stats = sim1.run()?;
-            degradation.walk_subphases += 1;
-            for (v, row) in counts.iter_mut().enumerate() {
-                let p = sim1.program(v);
-                for s in 0..n {
-                    row[s] += p.counts()[s];
-                    outstanding[s] = outstanding[s].saturating_sub(p.deaths()[s]);
-                }
-            }
-            span_end(tracer.as_deref_mut(), &name, stats.rounds, t0);
-            match &mut merged {
-                None => merged = Some(stats),
-                Some(m) => m.absorb(&stats),
-            }
-        }
-        degradation.walks_lost = outstanding.iter().sum();
-        (counts, merged.expect("at least one sub-phase ran"))
-    };
-
-    // Fit the fixed-point width under the phase-2 budget (reserving the
-    // delivery-layer header — and the frame seal, when checksummed — when
-    // the transport is reliable). In sketch mode the frame additionally
-    // carries the explicit bucket index and the value field widens to the
-    // worst-case bucket aggregate.
-    let header = if config.reliable {
-        Reliable::<CountProgram>::HEADER_BITS
-            + if config.checksums {
-                Reliable::<CountProgram>::CHECKSUM_BITS
-            } else {
-                0
-            }
-    } else {
-        0
-    };
-    let budget = config.sim.budget_bits(n).saturating_sub(header);
-    let frame_bits = |f: u8| -> usize {
-        match config.count_mode {
-            CountMode::Exact => count_field_bits(k, l, f) as usize,
-            CountMode::Sketch { precision } => {
-                precision as usize + sketch_field_bits(k, l, n, f) as usize
-            }
-        }
-    };
-    let mut f = config.fixed_point_bits;
-    while f > 1 && frame_bits(f) > budget {
-        f -= 1;
-    }
-    if frame_bits(f) > budget {
-        return Err(RwbcError::InvalidParameter {
-            reason: format!(
-                "phase-2 counts cannot fit the {budget}-bit budget even with 1 fractional bit; \
-                 raise the bandwidth coefficient"
-            ),
-        });
-    }
-
-    // Phase 2: computing (Algorithm 2, exact or sketch-compressed).
-    let t2 = span_start(tracer.as_deref_mut(), "count");
-    let phase2_cfg = config.sim.clone().with_seed(config.seed ^ 0x7F4A_7C15);
-    let mut sketch_suppressed = 0u64;
-    let (values, count_stats) = match config.count_mode {
-        CountMode::Exact => {
-            let value_bits = count_field_bits(k, l, f);
-            if config.reliable {
-                let mut sim2 = Simulator::new(graph, phase2_cfg, |v| {
-                    let r = Reliable::new(
-                        CountProgram::new(
-                            v,
-                            n,
-                            graph.degree(v),
-                            std::mem::take(&mut counts[v]),
-                            k,
-                            value_bits,
-                            f,
-                        )
-                        .with_strict_delivery(true),
-                    );
-                    if config.checksums {
-                        r.with_checksums()
-                            .with_failure_detection(DEFAULT_DEATH_THRESHOLD)
-                    } else {
-                        r
-                    }
-                });
-                if let Some(tr) = tracer.as_deref_mut() {
-                    sim2 = sim2.with_tracer(tr);
-                }
-                let stats = sim2.run()?;
-                let values: Vec<f64> = (0..n)
-                    .map(|v| {
-                        sim2.program(v)
-                            .inner()
-                            .betweenness()
-                            .expect("phase 2 finished, every node holds its value")
-                    })
-                    .collect();
-                (values, stats)
-            } else {
-                let mut sim2 = Simulator::new(graph, phase2_cfg, |v| {
-                    let xi = std::mem::take(&mut counts[v]);
-                    CountProgram::new(v, n, graph.degree(v), xi, k, value_bits, f)
-                });
-                if let Some(tr) = tracer.as_deref_mut() {
-                    sim2 = sim2.with_tracer(tr);
-                }
-                let stats = sim2.run()?;
-                degradation.count_cells_missing = (0..n).map(|v| sim2.program(v).missing()).sum();
-                let values: Vec<f64> = (0..n)
-                    .map(|v| {
-                        sim2.program(v)
-                            .betweenness()
-                            .expect("phase 2 finished, every node holds its value")
-                    })
-                    .collect();
-                (values, stats)
-            }
-        }
-        CountMode::Sketch { precision } => {
-            let value_bits = sketch_field_bits(k, l, n, f);
-            if config.reliable {
-                // Strict delivery: every bucket travels (systolic silence
-                // is ambiguous with a pending retransmission there).
-                let mut sim2 = Simulator::new(graph, phase2_cfg, |v| {
-                    let r = Reliable::new(
-                        SketchCountProgram::new(
-                            v,
-                            n,
-                            graph.degree(v),
-                            &counts[v],
-                            k,
-                            precision,
-                            value_bits,
-                            f,
-                        )
-                        .with_strict_delivery(true),
-                    );
-                    if config.checksums {
-                        r.with_checksums()
-                            .with_failure_detection(DEFAULT_DEATH_THRESHOLD)
-                    } else {
-                        r
-                    }
-                });
-                if let Some(tr) = tracer.as_deref_mut() {
-                    sim2 = sim2.with_tracer(tr);
-                }
-                let stats = sim2.run()?;
-                let values: Vec<f64> = (0..n)
-                    .map(|v| {
-                        sim2.program(v)
-                            .inner()
-                            .betweenness()
-                            .expect("phase 2 finished, every node holds its value")
-                    })
-                    .collect();
-                (values, stats)
-            } else {
-                let mut sim2 = Simulator::new(graph, phase2_cfg, |v| {
-                    SketchCountProgram::new(
-                        v,
-                        n,
-                        graph.degree(v),
-                        &counts[v],
-                        k,
-                        precision,
-                        value_bits,
-                        f,
-                    )
-                });
-                if let Some(tr) = tracer.as_deref_mut() {
-                    sim2 = sim2.with_tracer(tr);
-                }
-                let stats = sim2.run()?;
-                sketch_suppressed = (0..n).map(|v| sim2.program(v).suppressed()).sum();
-                let values: Vec<f64> = (0..n)
-                    .map(|v| {
-                        sim2.program(v)
-                            .betweenness()
-                            .expect("phase 2 finished, every node holds its value")
-                    })
-                    .collect();
-                (values, stats)
-            }
-        }
-    };
-    span_end(tracer, "count", count_stats.rounds, t2);
-    degradation.corrupt_frames_detected =
-        walk_stats.corrupt_frames_detected + count_stats.corrupt_frames_detected;
-    degradation.links_quarantined =
-        walk_stats.dead_links_declared + count_stats.dead_links_declared;
-    Ok(DistributedRun {
-        centrality: Centrality::from_values(values),
-        target,
-        election_stats,
-        walk_stats,
-        count_stats,
-        fixed_point_bits: f,
-        count_mode: config.count_mode,
-        sketch_suppressed,
-        degradation,
-    })
-}
-
-/// Normalizes an undirected link for the detected-dead set.
-fn ordered_pair(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
-    if u <= v {
-        (u, v)
-    } else {
-        (v, u)
-    }
-}
-
-/// The survivor-side recovery pipeline behind
-/// [`DistributedConfig::partition_tolerant`].
-///
-/// Both phases run behind [`Reliable::with_failure_detection`]. After each
-/// walk sub-phase the driver harvests every node's declared-dead channels,
-/// rebuilds the survivor topology, and restricts the computation to its
-/// largest connected component: sources cut off from the target abandon
-/// their walks (tallied as lost), surviving sources relaunch theirs with
-/// dead links excluded from the re-sampling, and a dead or separated
-/// target is re-drawn among the survivors (restarting the tally — visits
-/// toward different absorbing targets cannot be mixed). Phase 2 then runs
-/// with every known-dead channel pre-seeded and normalizes by the giant
-/// component's size, so the output is comparable to an exact solve on the
-/// survivor graph. Nodes outside the giant component report 0.
-fn approximate_partition_tolerant(
-    graph: &Graph,
-    config: &DistributedConfig,
-    mut target: NodeId,
-    election_stats: Option<RunStats>,
-    seeder: &mut StdRng,
-    mut tracer: Option<&mut (dyn Tracer + '_)>,
-) -> Result<DistributedRun, RwbcError> {
-    let n = graph.node_count();
-    let k = config.params.walks_per_node;
-    let l = config.params.walk_length;
-    let len_bits = len_field_bits(l);
-    let mut degradation = DegradationReport::default();
-
-    let mut dead_links: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-    let mut counts = vec![vec![0u64; n]; n];
-    let mut outstanding: Vec<u64> = (0..n)
-        .map(|s| if s == target { 0 } else { k as u64 })
-        .collect();
-    let mut in_giant = vec![true; n];
-    let mut merged: Option<RunStats> = None;
-
-    // Phase 1 with detection, relaunch, and partition handling.
-    let phase1_seed = config.seed ^ 0x9E37_79B9;
-    for attempt in 0..=config.walk_retries.max(1) {
-        if attempt > 0 && (0..n).all(|s| !in_giant[s] || outstanding[s] == 0) {
-            break;
-        }
-        let name = if attempt == 0 {
-            "walk".to_string()
-        } else {
-            format!("walk-retry-{attempt}")
-        };
-        let t0 = span_start(tracer.as_deref_mut(), &name);
-        let sub_seed = phase1_seed.wrapping_add(attempt as u64 * 0x5851_F42D);
-        let mut cfg = config.sim.clone().with_seed(sub_seed);
-        if attempt > 0 {
-            // Scheduled transients already fired in the first sub-phase;
-            // only standing damage carries over into recovery.
-            cfg.faults = cfg.faults.collapse_permanent();
-            degradation.walks_relaunched += (0..n)
-                .filter(|&s| in_giant[s])
-                .map(|s| outstanding[s])
-                .sum::<u64>();
-        }
-        let mut sim1 = Simulator::new(graph, cfg, |v| {
-            let dead: Vec<NodeId> = graph
-                .neighbors(v)
-                .filter(|&u| dead_links.contains(&ordered_pair(v, u)))
-                .collect();
-            let prog = if attempt == 0 {
-                WalkProgram::new(v, n, target, k, l, len_bits, config.discipline)
-                    .with_draw_seed(sub_seed)
-            } else {
-                let replay = if in_giant[v] {
-                    outstanding[v] as usize
-                } else {
-                    0
-                };
-                WalkProgram::resume(
-                    v,
-                    n,
-                    target,
-                    vec![l as u32; replay],
-                    len_bits,
-                    config.discipline,
-                )
-                .with_draw_seed(sub_seed)
-            };
-            Reliable::new(prog.with_dead_neighbors(dead.clone()))
-                .with_failure_detection(DEFAULT_DEATH_THRESHOLD)
-                .with_dead_peers(dead)
-        });
-        if let Some(tr) = tracer.as_deref_mut() {
-            sim1 = sim1.with_tracer(tr);
-        }
-        let stats = sim1.run()?;
-        degradation.walk_subphases += 1;
-        for (v, row) in counts.iter_mut().enumerate() {
-            let p = sim1.program(v).inner();
-            for s in 0..n {
-                row[s] += p.counts()[s];
-                outstanding[s] = outstanding[s].saturating_sub(p.deaths()[s]);
-            }
-            for peer in sim1.program(v).dead_peers() {
-                dead_links.insert(ordered_pair(v, peer));
-            }
-        }
-        span_end(tracer.as_deref_mut(), &name, stats.rounds, t0);
-        match &mut merged {
-            None => merged = Some(stats),
-            Some(m) => m.absorb(&stats),
-        }
-
-        // Survivor topology: the graph minus every declared-dead link.
-        let survivor = survivor_graph(graph, &dead_links)?;
-        let (comp, ncomps) = connected_components(&survivor);
-        let mut sizes = vec![0usize; ncomps];
-        for &c in &comp {
-            sizes[c] += 1;
-        }
-        let giant_id = (0..ncomps)
-            .max_by_key(|&c| (sizes[c], std::cmp::Reverse(c)))
-            .expect("a non-empty graph has at least one component");
-        for v in 0..n {
-            in_giant[v] = comp[v] == giant_id;
-        }
-        if !in_giant[target] {
-            // The absorbing target crashed or was cut off: every visit
-            // tallied so far was toward a sink the survivors cannot reach.
-            // Re-draw it among the survivors and restart the tally.
-            let members: Vec<NodeId> = (0..n).filter(|&v| in_giant[v]).collect();
-            let old_target = target;
-            target = members[seeder.gen_range(0..members.len())];
-            degradation.target_redraws += 1;
-            for row in &mut counts {
-                row.iter_mut().for_each(|c| *c = 0);
-            }
-            for s in 0..n {
-                if in_giant[s] {
-                    // Giant sources restart from scratch; the new target
-                    // stops being a source.
-                    outstanding[s] = if s == target { 0 } else { k as u64 };
-                }
-                // Cut-off sources keep their stranded counts: those walks
-                // are lost and must be reported as such.
-            }
-            // The dethroned target is a source under the new sink but
-            // never launched a walk toward it.
-            if !in_giant[old_target] {
-                outstanding[old_target] = k as u64;
-            }
-        }
-    }
-    let walk_stats = merged.expect("at least one sub-phase ran");
-    degradation.walks_lost = outstanding.iter().sum();
-
-    // Fixed-point fit, reserving the delivery-layer header.
-    let header = Reliable::<CountProgram>::HEADER_BITS;
-    let budget = config.sim.budget_bits(n).saturating_sub(header);
-    let mut f = config.fixed_point_bits;
-    while f > 1 && count_field_bits(k, l, f) as usize > budget {
-        f -= 1;
-    }
-    if count_field_bits(k, l, f) as usize > budget {
-        return Err(RwbcError::InvalidParameter {
-            reason: format!(
-                "phase-2 counts cannot fit the {budget}-bit budget even with 1 fractional bit; \
-                 raise the bandwidth coefficient"
-            ),
-        });
-    }
-    let value_bits = count_field_bits(k, l, f);
-
-    // Phase 2 on the survivors: dead channels pre-seeded, detection armed
-    // for channels phase 1 never exercised, normalization by the giant
-    // component's size. Walk traffic may never have crossed some dead
-    // links, so phase 2 can be the first to *discover* failures — in that
-    // case the giant component (and with it the normalization) was stale,
-    // and the phase re-runs once with the updated knowledge.
-    let mut count_stats: Option<RunStats> = None;
-    let mut values = vec![0.0; n];
-    for pass in 0..=config.walk_retries.max(1) {
-        let name = if pass == 0 {
-            "count".to_string()
-        } else {
-            format!("count-pass-{pass}")
-        };
-        let t0 = span_start(tracer.as_deref_mut(), &name);
-        // Refresh giant-component membership under the current dead set.
-        let survivor = survivor_graph(graph, &dead_links)?;
-        let (comp, ncomps) = connected_components(&survivor);
-        let mut sizes = vec![0usize; ncomps];
-        for &c in &comp {
-            sizes[c] += 1;
-        }
-        let giant_id = (0..ncomps)
-            .max_by_key(|&c| (sizes[c], std::cmp::Reverse(c)))
-            .expect("a non-empty graph has at least one component");
-        for v in 0..n {
-            in_giant[v] = comp[v] == giant_id;
-        }
-        let giant_size = sizes[giant_id];
-        let mut cfg2 = config.sim.clone().with_seed(config.seed ^ 0x7F4A_7C15);
-        cfg2.faults = cfg2.faults.collapse_permanent();
-        let mut sim2 = Simulator::new(graph, cfg2, |v| {
-            let dead: Vec<NodeId> = graph
-                .neighbors(v)
-                .filter(|&u| dead_links.contains(&ordered_pair(v, u)))
-                .collect();
-            Reliable::new(
-                CountProgram::new(v, n, graph.degree(v), counts[v].clone(), k, value_bits, f)
-                    .with_strict_delivery(true)
-                    .with_effective_n(if in_giant[v] { giant_size } else { 2 })
-                    .with_dead_neighbors(dead.clone()),
-            )
-            .with_failure_detection(DEFAULT_DEATH_THRESHOLD)
-            .with_dead_peers(dead)
-        });
-        if let Some(tr) = tracer.as_deref_mut() {
-            sim2 = sim2.with_tracer(tr);
-        }
-        let stats = sim2.run()?;
-        degradation.count_cells_missing = (0..n).map(|v| sim2.program(v).inner().missing()).sum();
-        let before = dead_links.len();
-        for v in 0..n {
-            for peer in sim2.program(v).dead_peers() {
-                dead_links.insert(ordered_pair(v, peer));
-            }
-        }
-        for (v, value) in values.iter_mut().enumerate() {
-            *value = if in_giant[v] {
-                sim2.program(v).inner().betweenness().unwrap_or(0.0)
-            } else {
-                0.0
-            };
-        }
-        span_end(tracer.as_deref_mut(), &name, stats.rounds, t0);
-        match &mut count_stats {
-            None => count_stats = Some(stats),
-            Some(m) => m.absorb(&stats),
-        }
-        if dead_links.len() == before {
-            break;
-        }
-    }
-    let count_stats = count_stats.expect("at least one phase-2 pass ran");
-
-    // Final detected-failure report, including channels only phase 2
-    // exercised.
-    degradation.dead_links_detected = dead_links.iter().copied().collect();
-    degradation.dead_nodes_detected = (0..n)
-        .filter(|&v| {
-            graph.degree(v) > 0
-                && graph
-                    .neighbors(v)
-                    .all(|u| dead_links.contains(&ordered_pair(v, u)))
-        })
-        .collect();
-    let survivor = survivor_graph(graph, &dead_links)?;
-    let (comp, ncomps) = connected_components(&survivor);
-    degradation.components = (0..ncomps)
-        .map(|c| {
-            let members: Vec<NodeId> = (0..n).filter(|&v| comp[v] == c).collect();
-            let sources = members.iter().filter(|&&s| s != target).count() as u64;
-            let completed: u64 = members
-                .iter()
-                .filter(|&&s| s != target)
-                .map(|&s| (k as u64).saturating_sub(outstanding[s]))
-                .sum();
-            ComponentCoverage {
-                nodes: members.len(),
-                contains_target: members.binary_search(&target).is_ok(),
-                walks_expected: sources * k as u64,
-                walks_completed: completed,
-            }
-        })
-        .collect();
-
-    Ok(DistributedRun {
-        centrality: Centrality::from_values(values),
-        target,
-        election_stats,
-        walk_stats,
-        count_stats,
-        fixed_point_bits: f,
-        count_mode: CountMode::Exact,
-        sketch_suppressed: 0,
-        degradation,
-    })
-}
-
-/// The input graph minus every detected-dead link (node set unchanged;
-/// fully dead nodes become isolated).
-fn survivor_graph(
-    graph: &Graph,
-    dead_links: &BTreeSet<(NodeId, NodeId)>,
-) -> Result<Graph, RwbcError> {
-    Ok(Graph::from_edges(
-        graph.node_count(),
-        graph
-            .edges()
-            .filter(|e| !dead_links.contains(&ordered_pair(e.u, e.v)))
-            .map(|e| (e.u, e.v)),
-    )?)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::stepwise::ordered_pair;
     use super::*;
     use crate::accuracy::{mean_relative_error, spearman_rho};
     use crate::exact::newman;
     use crate::monte_carlo::{estimate, McConfig};
+    use rand::SeedableRng;
     use rwbc_graph::generators::{connected_gnp, fig1_graph, path, star};
 
     #[test]

@@ -1,36 +1,51 @@
-//! Round-at-a-time driver for the distributed pipeline — the pause and
-//! snapshot points a long-running host (the `rwbc-serve` daemon) needs.
+//! The pipeline driver: the distributed computation one CONGEST round at
+//! a time.
 //!
-//! [`approximate`](super::approximate) runs both phases to completion in
-//! one call; [`StepSolver`] exposes the same computation as a sequence of
-//! [`StepSolver::step`] calls, each advancing exactly one CONGEST round,
-//! with [`StepSolver::checkpoint`] / [`StepSolver::restore`] usable at any
-//! round boundary. For the supported configuration subset the final
-//! [`DistributedRun`] is **bit-identical** to what `approximate` produces
-//! for the same graph and config — the solver mirrors the driver's seed
-//! derivations, target draw, and fixed-point fit exactly, and the engine's
+//! [`StepSolver`] runs every mode of [`DistributedConfig`];
+//! [`approximate`](super::approximate) and
+//! [`approximate_traced`](super::approximate_traced) are loops over its
+//! [`StepSolver::step`]. The pipeline is a sequence of simulators, one per
+//! (sub-)phase:
+//!
+//! 0. the target election, when `elect_target` is set;
+//! 1. walk sub-phases: the first launches every walk, later ones relaunch
+//!    the walks faults ate (`walk_retries`). Under partition tolerance
+//!    each sub-phase also rebuilds the survivor graph, restricts the run
+//!    to its giant component and redraws a lost target;
+//! 2. count passes: one, or under partition tolerance another while a
+//!    pass discovers new dead links.
+//!
+//! The `step` that drains a simulator harvests it and builds the next.
+//! The transport (raw, reliable, checksummed or failure-detecting) is
+//! fixed per solve and carries walk and count programs alike.
+//!
+//! [`StepSolver::checkpoint`] / [`StepSolver::restore`] cover the *clean
+//! single-sub-phase* subset — no `reliable`, `checksums`, `elect_target`,
+//! `walk_retries` or `partition_tolerant` — which is all the `rwbc-serve`
+//! daemon builds; other configs get a typed error. Within it, the engine's
 //! schedule-invariant draws make a checkpoint → kill → restore → finish
-//! execution reproduce the uninterrupted trace at any thread count.
-//!
-//! The checkpointable subset is the *clean single-sub-phase* pipeline:
-//! no `reliable` delivery adapter, no `checksums`, no `elect_target`, no
-//! `walk_retries`, no `partition_tolerant` recovery (those wrap programs
-//! in adapters or add driver-side control flow that is not snapshotted).
-//! [`StepSolver::new`] rejects anything else with a typed error.
+//! execution reproduce the uninterrupted run at any thread count.
+
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
+use std::time::Instant;
 
 use congest_sim::wire::{crc32, BitReader, BitWriter, WireState};
-use congest_sim::{EngineMetrics, RunStats, SimError, Simulator};
+use congest_sim::{
+    EngineMetrics, NodeProgram, Reliable, RunStats, SimConfig, SimError, Simulator, Tracer,
+    DEFAULT_DEATH_THRESHOLD,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rwbc_graph::traversal::is_connected;
+use rwbc_graph::traversal::{connected_components, is_connected};
 use rwbc_graph::{Graph, NodeId};
 
 use crate::distributed::messages::{count_field_bits, len_field_bits};
 use crate::distributed::sketch::sketch_field_bits;
 use crate::distributed::{
-    CountMode, CountProgram, DegradationReport, DistributedConfig, DistributedRun,
-    SketchCountProgram, WalkProgram,
+    span_end, span_start, ComponentCoverage, CountMode, CountProgram, DegradationReport,
+    DistributedConfig, DistributedRun, ElectTargetProgram, SketchCountProgram, WalkProgram,
 };
 use crate::monte_carlo::TargetStrategy;
 use crate::{Centrality, RwbcError};
@@ -38,23 +53,16 @@ use crate::{Centrality, RwbcError};
 /// Magic word opening a [`StepSolver::checkpoint`] image (distinct from
 /// the engine's, so the two image kinds can never be confused).
 pub const STEP_CHECKPOINT_MAGIC: u64 = 0x5E12_C4EC;
-/// Current step-checkpoint format version. Version 2 added the sketch
-/// count phase (tag 3) and the `count_mode` / `sketch_suppressed` fields
-/// in done images; version-1 images still restore (they predate sketch
-/// mode, so those fields default to exact / zero).
+/// Step-checkpoint format version, the only one [`StepSolver::restore`]
+/// accepts. Version 2 added the sketch count phase (tag 3) and the
+/// `count_mode` / `sketch_suppressed` fields of done images.
 pub const STEP_CHECKPOINT_VERSION: u64 = 2;
-/// Oldest step-checkpoint format version [`StepSolver::restore`] accepts.
-pub const STEP_CHECKPOINT_MIN_VERSION: u64 = 1;
-
-/// Seed derivation for phase 1, mirroring `approximate_inner`.
-const PHASE1_XOR: u64 = 0x9E37_79B9;
-/// Seed derivation for phase 2, mirroring `approximate_inner`.
-const PHASE2_XOR: u64 = 0x7F4A_7C15;
 
 /// Which pipeline stage a [`StepSolver`] is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolvePhase {
-    /// Phase 1 (Algorithm 1): walk tokens in flight.
+    /// Phase 1 (Algorithm 1): walk tokens in flight — or, with
+    /// `elect_target`, the phase-0 election that precedes them.
     Walk,
     /// Phase 2 (Algorithm 2): count exchange in flight.
     Count,
@@ -64,59 +72,350 @@ pub enum SolvePhase {
     Failed,
 }
 
+/// How every walk and count message travels, fixed for the whole solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Transport {
+    /// Bare messages: faults lose them, and raw recovery relaunches walks.
+    Raw,
+    /// Behind the [`Reliable`] adapter, which repairs losses. With
+    /// `checksums` it also seals frames and quarantines links that
+    /// corrupt persistently.
+    Reliable { checksums: bool },
+    /// Behind the adapter with failure detection: permanently dead links
+    /// are declared, carried into later sub-phases and routed around.
+    Tolerant,
+}
+
+impl Transport {
+    fn of(config: &DistributedConfig) -> Transport {
+        if config.partition_tolerant {
+            Transport::Tolerant
+        } else if config.reliable {
+            Transport::Reliable {
+                checksums: config.checksums,
+            }
+        } else {
+            Transport::Raw
+        }
+    }
+
+    /// Bits the transport adds to a count frame, which the fixed-point
+    /// fit reserves off the budget.
+    fn header_bits(self) -> usize {
+        let header = Reliable::<CountProgram>::HEADER_BITS;
+        match self {
+            Transport::Raw => 0,
+            Transport::Reliable { checksums: true } => {
+                header + Reliable::<CountProgram>::CHECKSUM_BITS
+            }
+            Transport::Reliable { checksums: false } | Transport::Tolerant => header,
+        }
+    }
+}
+
+/// One phase's simulator, over whichever transport the solve uses.
+enum Net<'g, P: NodeProgram> {
+    Raw(Simulator<'g, P>),
+    Framed(Simulator<'g, Reliable<P>>),
+}
+
+impl<'g, P: NodeProgram + Send> Net<'g, P> {
+    /// Builds a phase: `program(v, dead)` makes node `v`'s program, given
+    /// its neighbors across links already declared dead (only partition
+    /// tolerance declares any).
+    fn new(
+        graph: &'g Graph,
+        cfg: SimConfig,
+        transport: Transport,
+        dead_links: &BTreeSet<(NodeId, NodeId)>,
+        mut program: impl FnMut(NodeId, Vec<NodeId>) -> P,
+    ) -> Net<'g, P> {
+        match transport {
+            Transport::Raw => Net::Raw(Simulator::new(graph, cfg, |v| program(v, Vec::new()))),
+            Transport::Reliable { checksums } => Net::Framed(Simulator::new(graph, cfg, |v| {
+                let framed = Reliable::new(program(v, Vec::new()));
+                if checksums {
+                    framed
+                        .with_checksums()
+                        .with_failure_detection(DEFAULT_DEATH_THRESHOLD)
+                } else {
+                    framed
+                }
+            })),
+            Transport::Tolerant => Net::Framed(Simulator::new(graph, cfg, |v| {
+                let dead: Vec<NodeId> = graph
+                    .neighbors(v)
+                    .filter(|&u| dead_links.contains(&ordered_pair(v, u)))
+                    .collect();
+                Reliable::new(program(v, dead.clone()))
+                    .with_failure_detection(DEFAULT_DEATH_THRESHOLD)
+                    .with_dead_peers(dead)
+            })),
+        }
+    }
+
+    fn step(&mut self) -> Result<bool, SimError> {
+        match self {
+            Net::Raw(sim) => sim.step(),
+            Net::Framed(sim) => sim.step(),
+        }
+    }
+
+    fn round(&self) -> usize {
+        match self {
+            Net::Raw(sim) => sim.round(),
+            Net::Framed(sim) => sim.round(),
+        }
+    }
+
+    fn stats(&self) -> &RunStats {
+        match self {
+            Net::Raw(sim) => sim.stats(),
+            Net::Framed(sim) => sim.stats(),
+        }
+    }
+
+    fn set_metrics(&mut self, metrics: EngineMetrics) {
+        match self {
+            Net::Raw(sim) => sim.set_metrics(metrics),
+            Net::Framed(sim) => sim.set_metrics(metrics),
+        }
+    }
+
+    fn with_tracer(self, tracer: &'g mut dyn Tracer) -> Net<'g, P> {
+        match self {
+            Net::Raw(sim) => Net::Raw(sim.with_tracer(tracer)),
+            Net::Framed(sim) => Net::Framed(sim.with_tracer(tracer)),
+        }
+    }
+
+    fn take_tracer(&mut self) -> Option<&'g mut dyn Tracer> {
+        match self {
+            Net::Raw(sim) => sim.take_tracer(),
+            Net::Framed(sim) => sim.take_tracer(),
+        }
+    }
+
+    fn program(&self, v: NodeId) -> &P {
+        match self {
+            Net::Raw(sim) => sim.program(v),
+            Net::Framed(sim) => sim.program(v).inner(),
+        }
+    }
+
+    /// Peers whose links node `v`'s transport has declared dead.
+    fn dead_peers(&self, v: NodeId) -> Vec<NodeId> {
+        match self {
+            Net::Raw(_) => Vec::new(),
+            Net::Framed(sim) => sim.program(v).dead_peers(),
+        }
+    }
+}
+
+impl<P: NodeProgram + Send + WireState> Net<'_, P>
+where
+    P::Msg: WireState,
+{
+    /// The engine image; only bare programs have one.
+    fn checkpoint(&self) -> Result<Vec<u8>, RwbcError> {
+        match self {
+            Net::Raw(sim) => Ok(sim.checkpoint().to_vec()),
+            Net::Framed(_) => Err(not_checkpointable()),
+        }
+    }
+}
+
+/// What the count harvest reads from a drained node, whichever count
+/// program ran.
+trait CountSeam: NodeProgram + Send {
+    /// The node's centrality, once the phase has finished.
+    fn value(&self) -> Option<f64>;
+    /// Neighbor cells that never arrived.
+    fn cells_missing(&self) -> u64 {
+        0
+    }
+    /// Broadcasts the systolic rule suppressed.
+    fn broadcasts_suppressed(&self) -> u64 {
+        0
+    }
+}
+
+impl CountSeam for CountProgram {
+    fn value(&self) -> Option<f64> {
+        self.betweenness()
+    }
+
+    fn cells_missing(&self) -> u64 {
+        self.missing()
+    }
+}
+
+impl CountSeam for SketchCountProgram {
+    fn value(&self) -> Option<f64> {
+        self.betweenness()
+    }
+
+    fn broadcasts_suppressed(&self) -> u64 {
+        self.suppressed()
+    }
+}
+
+/// The count phase, exact or sketch-compressed.
+enum CountNet<'g> {
+    Exact(Net<'g, CountProgram>),
+    Sketch(Net<'g, SketchCountProgram>),
+}
+
 // One instance per solver, never moved after construction: boxing the
-// simulator variants would buy nothing but an extra indirection on the
-// per-round hot path.
+// simulators would buy nothing but an extra indirection on the per-round
+// hot path.
 #[allow(clippy::large_enum_variant)]
 enum PhaseState<'g> {
-    Walk(Simulator<'g, WalkProgram>),
-    Count {
-        sim: Simulator<'g, CountProgram>,
-        walk_stats: RunStats,
-        walks_lost: u64,
-    },
-    SketchCount {
-        sim: Simulator<'g, SketchCountProgram>,
-        walk_stats: RunStats,
-        walks_lost: u64,
-    },
+    Election(Net<'g, ElectTargetProgram>),
+    Walk(Net<'g, WalkProgram>),
+    Count(CountNet<'g>),
     Done(Box<DistributedRun>),
     /// A phase transition errored after its simulator was consumed.
     Poisoned,
 }
 
-/// A resumable, checkpointable execution of the distributed pipeline.
+/// Evaluates `$body` with `$net` bound to the running phase's [`Net`],
+/// whatever its program; `$idle` when no phase runs.
+macro_rules! on_net {
+    ($state:expr, $net:ident => $body:expr, _ => $idle:expr) => {
+        match $state {
+            PhaseState::Election($net) => $body,
+            PhaseState::Walk($net) => $body,
+            PhaseState::Count(CountNet::Exact($net)) => $body,
+            PhaseState::Count(CountNet::Sketch($net)) => $body,
+            PhaseState::Done(_) | PhaseState::Poisoned => $idle,
+        }
+    };
+}
+
+/// A resumable execution of the distributed pipeline, one CONGEST round
+/// per [`StepSolver::step`].
 ///
 /// ```
-/// use rwbc::distributed::{approximate, DistributedConfig, StepSolver};
+/// use rwbc::distributed::{DistributedConfig, StepSolver};
 /// use rwbc_graph::generators::star;
 ///
 /// # fn main() -> Result<(), rwbc::RwbcError> {
 /// let g = star(5)?;
 /// let cfg = DistributedConfig::builder().walks(100).length(40).seed(1).build()?;
 /// let mut solver = StepSolver::new(&g, cfg.clone())?;
-/// while !solver.step()? {}
-/// // Bit-identical to the one-shot driver.
-/// assert_eq!(*solver.result().unwrap(), approximate(&g, &cfg)?);
+/// for _ in 0..10 {
+///     solver.step()?;
+/// }
+/// // Pause: persist the image, resume it later, and finish identically.
+/// let image = solver.checkpoint()?;
+/// let mut resumed = StepSolver::restore(&g, cfg, &image)?;
+/// assert_eq!(resumed.run_to_completion()?, solver.run_to_completion()?);
 /// # Ok(())
 /// # }
 /// ```
 pub struct StepSolver<'g> {
     graph: &'g Graph,
     config: DistributedConfig,
-    target: NodeId,
+    transport: Transport,
     fixed_point_bits: u8,
     value_bits: u8,
+    /// Draws the `Random` target first, then every redraw.
+    seeder: StdRng,
+    target: NodeId,
     state: PhaseState<'g>,
-    /// Live-metrics handles carried across phase transitions so the
-    /// walk and count simulators feed one cumulative set of counters.
+    /// The running walk sub-phase or count pass (0 for the first).
+    attempt: usize,
+    /// The open driver span: its name and start.
+    span: (String, Instant),
+    /// The trace sink, lent to each phase's simulator in turn.
+    tracer: Option<&'g mut dyn Tracer>,
+    /// Live-metrics handles carried across phase transitions so every
+    /// phase's simulator feeds one cumulative set of counters.
     metrics: Option<EngineMetrics>,
+    election_stats: Option<RunStats>,
+    /// Every finished walk sub-phase, merged.
+    walk_stats: Option<RunStats>,
+    /// Every finished count pass, merged.
+    count_stats: Option<RunStats>,
+    /// Visit counts `ξ_v^s` summed over the walk sub-phases (row `v`).
+    counts: Vec<Vec<u64>>,
+    /// Walks each source still owes: `K` minus those that completed.
+    outstanding: Vec<u64>,
+    /// Membership of the survivor graph's giant component (everyone,
+    /// unless partition tolerance found a cut).
+    in_giant: Vec<bool>,
+    /// Links declared dead, as ordered pairs (partition tolerance only).
+    dead_links: BTreeSet<(NodeId, NodeId)>,
+    /// Each node's centrality, from the last count pass.
+    values: Vec<f64>,
+    sketch_suppressed: u64,
+    degradation: DegradationReport,
 }
 
 fn corrupt(reason: &str) -> RwbcError {
     RwbcError::Sim(SimError::CorruptCheckpoint {
         reason: reason.to_string(),
     })
+}
+
+fn invalid(reason: String) -> RwbcError {
+    RwbcError::InvalidParameter { reason }
+}
+
+fn not_checkpointable() -> RwbcError {
+    invalid(
+        "StepSolver checkpoints cover only the clean single-sub-phase pipeline \
+         (no reliable / checksums / partition_tolerant / elect_target / walk_retries)"
+            .to_string(),
+    )
+}
+
+/// Whether checkpoints cover `config`: the clean single-sub-phase subset.
+fn checkpointable(config: &DistributedConfig) -> bool {
+    !(config.reliable
+        || config.checksums
+        || config.partition_tolerant
+        || config.elect_target
+        || config.walk_retries != 0)
+}
+
+/// Normalizes an undirected link for the detected-dead set.
+pub(crate) fn ordered_pair(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
+    if u <= v {
+        (u, v)
+    } else {
+        (v, u)
+    }
+}
+
+/// The input graph minus every detected-dead link (node set unchanged;
+/// fully dead nodes become isolated).
+fn survivor_graph(
+    graph: &Graph,
+    dead_links: &BTreeSet<(NodeId, NodeId)>,
+) -> Result<Graph, RwbcError> {
+    Ok(Graph::from_edges(
+        graph.node_count(),
+        graph
+            .edges()
+            .filter(|e| !dead_links.contains(&ordered_pair(e.u, e.v)))
+            .map(|e| (e.u, e.v)),
+    )?)
+}
+
+/// `K` walks owed by every source but the target.
+fn walks_owed(n: usize, target: NodeId, k: usize) -> Vec<u64> {
+    (0..n)
+        .map(|s| if s == target { 0 } else { k as u64 })
+        .collect()
+}
+
+fn merge(total: &mut Option<RunStats>, stats: RunStats) {
+    match total {
+        None => *total = Some(stats),
+        Some(t) => t.absorb(&stats),
+    }
 }
 
 /// Appends one length-framed, CRC-guarded section (same framing as the
@@ -147,125 +446,548 @@ fn read_section(r: &mut BitReader<'_>, what: &str) -> Result<Vec<u8>, RwbcError>
     Ok(bytes)
 }
 
-/// Validates the config against the checkpointable subset and derives the
-/// quantities `approximate_inner` computes up front: the target draw, the
-/// fitted fixed-point width, and the phase-2 value width.
-fn derive_plan(graph: &Graph, config: &DistributedConfig) -> Result<(NodeId, u8, u8), RwbcError> {
-    let n = graph.node_count();
-    if n < 2 {
-        return Err(RwbcError::TooSmall { n });
-    }
-    if !is_connected(graph) {
-        return Err(RwbcError::Disconnected);
-    }
-    if config.reliable
-        || config.checksums
-        || config.partition_tolerant
-        || config.elect_target
-        || config.walk_retries != 0
-    {
-        return Err(RwbcError::InvalidParameter {
-            reason: "StepSolver supports only the clean single-sub-phase pipeline \
-                     (reliable / checksums / partition_tolerant / elect_target / \
-                     walk_retries are not checkpointable)"
-                .to_string(),
-        });
-    }
-    let mut seeder = StdRng::seed_from_u64(config.seed);
-    let target = match config.target {
-        TargetStrategy::Random => seeder.gen_range(0..n),
-        TargetStrategy::Fixed(t) if t < n => t,
-        TargetStrategy::Fixed(t) => {
-            return Err(RwbcError::InvalidParameter {
-                reason: format!("fixed target {t} out of range"),
-            })
-        }
-    };
-    let k = config.params.walks_per_node;
-    let l = config.params.walk_length;
-    let budget = config.sim.budget_bits(n);
-    // Mirrors `approximate_inner`'s fit exactly (no reliable header: the
-    // checkpointable subset never wraps programs in the adapter).
-    let frame_bits = |f: u8| -> usize {
-        match config.count_mode {
-            CountMode::Exact => count_field_bits(k, l, f) as usize,
-            CountMode::Sketch { precision } => {
-                precision as usize + sketch_field_bits(k, l, n, f) as usize
-            }
-        }
-    };
-    let mut f = config.fixed_point_bits;
-    while f > 1 && frame_bits(f) > budget {
-        f -= 1;
-    }
-    if frame_bits(f) > budget {
-        return Err(RwbcError::InvalidParameter {
-            reason: format!(
-                "phase-2 counts cannot fit the {budget}-bit budget even with 1 fractional bit; \
-                 raise the bandwidth coefficient"
-            ),
-        });
-    }
-    let value_bits = match config.count_mode {
-        CountMode::Exact => count_field_bits(k, l, f),
-        CountMode::Sketch { .. } => sketch_field_bits(k, l, n, f),
-    };
-    Ok((target, f, value_bits))
-}
-
 impl<'g> StepSolver<'g> {
-    /// Starts a fresh solve at round 0 of the walk phase.
+    /// Starts a fresh solve at round 0 of its first phase.
     ///
     /// # Errors
     ///
     /// [`RwbcError::TooSmall`] / [`RwbcError::Disconnected`] on invalid
-    /// graphs; [`RwbcError::InvalidParameter`] when the config is outside
-    /// the checkpointable subset, the fixed target is out of range, or the
-    /// phase-2 counts cannot fit the budget.
+    /// graphs; [`RwbcError::InvalidParameter`] when the fixed target is
+    /// out of range, sketch counting meets partition tolerance, or the
+    /// phase-2 counts cannot fit the budget even with 1 fractional bit.
     pub fn new(graph: &'g Graph, config: DistributedConfig) -> Result<StepSolver<'g>, RwbcError> {
-        let (target, f, value_bits) = derive_plan(graph, &config)?;
+        StepSolver::start(graph, config, None)
+    }
+
+    /// [`StepSolver::new`] with `tracer` lent to every phase's simulator
+    /// and receiving the driver's phase spans.
+    pub(crate) fn start(
+        graph: &'g Graph,
+        config: DistributedConfig,
+        tracer: Option<&'g mut dyn Tracer>,
+    ) -> Result<StepSolver<'g>, RwbcError> {
+        let mut solver = StepSolver::plan(graph, config, tracer)?;
+        if solver.config.elect_target {
+            solver.begin_election();
+        } else {
+            solver.begin_walk();
+        }
+        Ok(solver)
+    }
+
+    /// Validates the inputs and derives what the solve fixes up front: the
+    /// transport, the target draw (unless elected) and the fixed-point
+    /// fit. No phase is running yet.
+    fn plan(
+        graph: &'g Graph,
+        config: DistributedConfig,
+        tracer: Option<&'g mut dyn Tracer>,
+    ) -> Result<StepSolver<'g>, RwbcError> {
         let n = graph.node_count();
+        if n < 2 {
+            return Err(RwbcError::TooSmall { n });
+        }
+        if !is_connected(graph) {
+            return Err(RwbcError::Disconnected);
+        }
+        let mut seeder = StdRng::seed_from_u64(config.seed);
+        // An elected target is known only once phase 0 has finished.
+        let target = if config.elect_target {
+            0
+        } else {
+            match config.target {
+                TargetStrategy::Random => seeder.gen_range(0..n),
+                TargetStrategy::Fixed(t) if t < n => t,
+                TargetStrategy::Fixed(t) => {
+                    return Err(invalid(format!("fixed target {t} out of range")))
+                }
+            }
+        };
+        if config.partition_tolerant && matches!(config.count_mode, CountMode::Sketch { .. }) {
+            return Err(invalid(
+                "sketch count mode does not compose with partition tolerance \
+                 (the survivor-graph combine needs exact per-source columns)"
+                    .to_string(),
+            ));
+        }
+        // Fit the fixed-point width under the phase-2 budget, minus what
+        // the transport adds to every frame. In sketch mode the frame also
+        // carries the bucket index, and the value field widens to the
+        // worst-case bucket aggregate.
+        let transport = Transport::of(&config);
         let k = config.params.walks_per_node;
         let l = config.params.walk_length;
-        let len_bits = len_field_bits(l);
-        let phase1_seed = config.seed ^ PHASE1_XOR;
-        let cfg1 = config.sim.clone().with_seed(phase1_seed);
-        let discipline = config.discipline;
-        let sim = Simulator::new(graph, cfg1, |v| {
-            WalkProgram::new(v, n, target, k, l, len_bits, discipline).with_draw_seed(phase1_seed)
-        });
+        let budget = config
+            .sim
+            .budget_bits(n)
+            .saturating_sub(transport.header_bits());
+        let frame_bits = |f: u8| -> usize {
+            match config.count_mode {
+                CountMode::Exact => count_field_bits(k, l, f) as usize,
+                CountMode::Sketch { precision } => {
+                    precision as usize + sketch_field_bits(k, l, n, f) as usize
+                }
+            }
+        };
+        let mut f = config.fixed_point_bits;
+        while f > 1 && frame_bits(f) > budget {
+            f -= 1;
+        }
+        if frame_bits(f) > budget {
+            return Err(invalid(format!(
+                "phase-2 counts cannot fit the {budget}-bit budget even with 1 fractional bit; \
+                 raise the bandwidth coefficient"
+            )));
+        }
+        let value_bits = match config.count_mode {
+            CountMode::Exact => count_field_bits(k, l, f),
+            CountMode::Sketch { .. } => sketch_field_bits(k, l, n, f),
+        };
         Ok(StepSolver {
             graph,
-            config,
-            target,
+            transport,
             fixed_point_bits: f,
             value_bits,
-            state: PhaseState::Walk(sim),
+            seeder,
+            target,
+            state: PhaseState::Poisoned,
+            attempt: 0,
+            span: (String::new(), Instant::now()),
+            tracer,
             metrics: None,
+            election_stats: None,
+            walk_stats: None,
+            count_stats: None,
+            counts: Vec::new(),
+            outstanding: walks_owed(n, target, k),
+            in_giant: vec![true; n],
+            dead_links: BTreeSet::new(),
+            values: Vec::new(),
+            sketch_suppressed: 0,
+            degradation: DegradationReport::default(),
+            config,
         })
     }
 
-    /// Attaches live-metrics handles to the solver. The active phase's
+    fn open_span(&mut self, name: String) {
+        let t0 = span_start(self.tracer.as_deref_mut(), &name);
+        self.span = (name, t0);
+    }
+
+    fn close_span(&mut self, rounds: usize) {
+        span_end(
+            self.tracer.as_deref_mut(),
+            &self.span.0,
+            rounds,
+            self.span.1,
+        );
+    }
+
+    /// Lends the tracer and the metrics handles to a new phase's simulator.
+    fn lend<P: NodeProgram + Send>(&mut self, mut net: Net<'g, P>) -> Net<'g, P> {
+        if let Some(tracer) = self.tracer.take() {
+            net = net.with_tracer(tracer);
+        }
+        if let Some(m) = &self.metrics {
+            net.set_metrics(m.clone());
+        }
+        net
+    }
+
+    /// Engine settings of walk sub-phase `attempt`, and its seed. The seed
+    /// also keys the walk draws, so relaunched walks never retrace the
+    /// originals.
+    fn walk_sim(&self, attempt: usize) -> (SimConfig, u64) {
+        let seed = (self.config.seed ^ 0x9E37_79B9).wrapping_add(attempt as u64 * 0x5851_F42D);
+        let mut cfg = self.config.sim.clone().with_seed(seed);
+        if attempt > 0 && self.transport == Transport::Tolerant {
+            // Scheduled transients already fired in the first sub-phase;
+            // only standing damage carries over into recovery.
+            cfg.faults = cfg.faults.collapse_permanent();
+        }
+        (cfg, seed)
+    }
+
+    /// Engine settings of every count pass. Under partition tolerance the
+    /// damage is standing: it exists from the pass's first round.
+    fn count_sim(&self) -> SimConfig {
+        let mut cfg = self
+            .config
+            .sim
+            .clone()
+            .with_seed(self.config.seed ^ 0x7F4A_7C15);
+        if self.transport == Transport::Tolerant {
+            cfg.faults = cfg.faults.collapse_permanent();
+        }
+        cfg
+    }
+
+    /// The last walk sub-phase, and under partition tolerance the last
+    /// count pass. The reliable transport loses no walk, so it needs no
+    /// relaunch.
+    fn last_attempt(&self) -> usize {
+        match self.transport {
+            Transport::Raw => self.config.walk_retries,
+            Transport::Reliable { .. } => 0,
+            Transport::Tolerant => self.config.walk_retries.max(1),
+        }
+    }
+
+    /// Phase 0: the fully distributed election (the leader draws the
+    /// target).
+    fn begin_election(&mut self) {
+        self.open_span("election".to_string());
+        let n = self.graph.node_count();
+        let cfg = self.config.sim.clone().with_seed(self.config.seed ^ 0xE1EC);
+        let net = Net::Raw(Simulator::new(self.graph, cfg, |v| {
+            ElectTargetProgram::new(v, n)
+        }));
+        self.state = PhaseState::Election(self.lend(net));
+    }
+
+    fn end_election(&mut self, mut net: Net<'g, ElectTargetProgram>) -> Result<(), RwbcError> {
+        self.tracer = net.take_tracer();
+        self.target = net
+            .program(0)
+            .target()
+            .ok_or_else(|| invalid("the election finished without a target".to_string()))?;
+        let stats = net.stats().clone();
+        self.close_span(stats.rounds);
+        self.election_stats = Some(stats);
+        drop(net);
+        let n = self.graph.node_count();
+        self.outstanding = walks_owed(n, self.target, self.config.params.walks_per_node);
+        self.begin_walk();
+        Ok(())
+    }
+
+    /// Walk sub-phase `self.attempt` (Algorithm 1). The first launches
+    /// `K` walks per source; later ones relaunch only what is still owed.
+    /// A relaunched walk restarts from hop 0, so a lost original's partial
+    /// visits stay tallied: a small overcount traded for the large
+    /// undercount of losing whole walks.
+    fn begin_walk(&mut self) {
+        let attempt = self.attempt;
+        self.open_span(if attempt == 0 {
+            "walk".to_string()
+        } else {
+            format!("walk-retry-{attempt}")
+        });
+        let n = self.graph.node_count();
+        let k = self.config.params.walks_per_node;
+        let l = self.config.params.walk_length;
+        let len_bits = len_field_bits(l);
+        let (target, discipline) = (self.target, self.config.discipline);
+        let (cfg, seed) = self.walk_sim(attempt);
+        if attempt > 0 {
+            self.degradation.walks_relaunched += (0..n)
+                .filter(|&s| self.in_giant[s])
+                .map(|s| self.outstanding[s])
+                .sum::<u64>();
+        }
+        let net = Net::new(
+            self.graph,
+            cfg,
+            self.transport,
+            &self.dead_links,
+            |v, dead| {
+                let walks = if attempt == 0 {
+                    WalkProgram::new(v, n, target, k, l, len_bits, discipline)
+                } else {
+                    // Sources cut off from the target relaunch nothing.
+                    let replay = if self.in_giant[v] {
+                        self.outstanding[v] as usize
+                    } else {
+                        0
+                    };
+                    WalkProgram::resume(v, n, target, vec![l as u32; replay], len_bits, discipline)
+                };
+                walks.with_draw_seed(seed).with_dead_neighbors(dead)
+            },
+        );
+        self.state = PhaseState::Walk(self.lend(net));
+    }
+
+    /// Harvests a drained walk sub-phase. Once the network drains, every
+    /// completed walk has died exactly once somewhere, so a source's
+    /// death tally short of `K` is what faults ate.
+    fn end_walk(&mut self, mut net: Net<'g, WalkProgram>) -> Result<(), RwbcError> {
+        self.tracer = net.take_tracer();
+        let n = self.graph.node_count();
+        let tolerant = self.transport == Transport::Tolerant;
+        self.degradation.walk_subphases += 1;
+        if self.counts.is_empty() {
+            self.counts = vec![vec![0u64; n]; n];
+        }
+        for (v, row) in self.counts.iter_mut().enumerate() {
+            let p = net.program(v);
+            let owed = self.outstanding.iter_mut();
+            for ((count, owed), (&c, &d)) in row
+                .iter_mut()
+                .zip(owed)
+                .zip(p.counts().iter().zip(p.deaths()))
+            {
+                *count += c;
+                *owed = owed.saturating_sub(d);
+            }
+            if tolerant {
+                for peer in net.dead_peers(v) {
+                    self.dead_links.insert(ordered_pair(v, peer));
+                }
+            }
+        }
+        let stats = net.stats().clone();
+        self.close_span(stats.rounds);
+        merge(&mut self.walk_stats, stats);
+        drop(net);
+        if tolerant {
+            self.track_survivors()?;
+        }
+        let owed = (0..n).any(|s| self.in_giant[s] && self.outstanding[s] > 0);
+        if owed && self.attempt < self.last_attempt() {
+            self.attempt += 1;
+            self.begin_walk();
+        } else {
+            self.degradation.walks_lost = self.outstanding.iter().sum();
+            self.attempt = 0;
+            self.begin_count()?;
+        }
+        Ok(())
+    }
+
+    /// Recomputes giant-component membership under the current dead links
+    /// (ties go to the lowest component id) and returns the giant's size.
+    fn find_giant(&mut self) -> Result<usize, RwbcError> {
+        let (comp, ncomps) = connected_components(&survivor_graph(self.graph, &self.dead_links)?);
+        let mut sizes = vec![0usize; ncomps];
+        for &c in &comp {
+            sizes[c] += 1;
+        }
+        let giant = (0..ncomps)
+            .max_by_key(|&c| (sizes[c], Reverse(c)))
+            .expect("a non-empty graph has at least one component");
+        for (member, &c) in self.in_giant.iter_mut().zip(&comp) {
+            *member = c == giant;
+        }
+        Ok(sizes[giant])
+    }
+
+    /// Restricts the walks to the survivor graph's giant component. A
+    /// target that crashed or was cut off is redrawn among the survivors,
+    /// restarting the tally: visits toward different absorbing targets
+    /// cannot be mixed.
+    fn track_survivors(&mut self) -> Result<(), RwbcError> {
+        self.find_giant()?;
+        if self.in_giant[self.target] {
+            return Ok(());
+        }
+        let n = self.graph.node_count();
+        let k = self.config.params.walks_per_node as u64;
+        let members: Vec<NodeId> = (0..n).filter(|&v| self.in_giant[v]).collect();
+        let old_target = self.target;
+        self.target = members[self.seeder.gen_range(0..members.len())];
+        self.degradation.target_redraws += 1;
+        for row in &mut self.counts {
+            row.fill(0);
+        }
+        for s in 0..n {
+            // Giant sources restart from scratch and the new target stops
+            // being a source. Cut-off sources keep their stranded walks,
+            // which are reported as lost.
+            if self.in_giant[s] {
+                self.outstanding[s] = if s == self.target { 0 } else { k };
+            }
+        }
+        // The dethroned target is a source under the new sink but never
+        // launched a walk toward it.
+        if !self.in_giant[old_target] {
+            self.outstanding[old_target] = k;
+        }
+        Ok(())
+    }
+
+    /// Count pass `self.attempt` (Algorithm 2, exact or sketch-compressed).
+    /// Under partition tolerance every known-dead link is pre-seeded and
+    /// the result is normalized by the giant component's size, so it
+    /// compares with an exact solve on the survivor graph; nodes outside
+    /// the giant report 0.
+    fn begin_count(&mut self) -> Result<(), RwbcError> {
+        let pass = self.attempt;
+        self.open_span(if pass == 0 {
+            "count".to_string()
+        } else {
+            format!("count-pass-{pass}")
+        });
+        let n = self.graph.node_count();
+        let k = self.config.params.walks_per_node;
+        let (f, value_bits) = (self.fixed_point_bits, self.value_bits);
+        let tolerant = self.transport == Transport::Tolerant;
+        let giant_size = if tolerant { self.find_giant()? } else { n };
+        // Behind the adapter every cell is awaited by position (and every
+        // sketch bucket sent): there, silence could be a pending
+        // retransmission.
+        let strict = self.transport != Transport::Raw;
+        let graph = self.graph;
+        let cfg = self.count_sim();
+        self.state = match self.config.count_mode {
+            CountMode::Exact => {
+                let net = Net::new(graph, cfg, self.transport, &self.dead_links, |v, dead| {
+                    // A tolerant pass may re-run, so it copies the counts;
+                    // otherwise each node takes its row.
+                    let xi = if tolerant {
+                        self.counts[v].clone()
+                    } else {
+                        std::mem::take(&mut self.counts[v])
+                    };
+                    CountProgram::new(v, n, graph.degree(v), xi, k, value_bits, f)
+                        .with_strict_delivery(strict)
+                        .with_effective_n(if self.in_giant[v] { giant_size } else { 2 })
+                        .with_dead_neighbors(dead)
+                });
+                PhaseState::Count(CountNet::Exact(self.lend(net)))
+            }
+            CountMode::Sketch { precision } => {
+                let net = Net::new(graph, cfg, self.transport, &self.dead_links, |v, _| {
+                    SketchCountProgram::new(
+                        v,
+                        n,
+                        graph.degree(v),
+                        &self.counts[v],
+                        k,
+                        precision,
+                        value_bits,
+                        f,
+                    )
+                    .with_strict_delivery(strict)
+                });
+                PhaseState::Count(CountNet::Sketch(self.lend(net)))
+            }
+        };
+        if !tolerant {
+            self.counts = Vec::new();
+        }
+        Ok(())
+    }
+
+    /// Harvests a drained count pass, exact or sketch alike.
+    fn end_count<P: CountSeam>(&mut self, mut net: Net<'g, P>) -> Result<(), RwbcError> {
+        self.tracer = net.take_tracer();
+        let n = self.graph.node_count();
+        let tolerant = self.transport == Transport::Tolerant;
+        // The reliable transport leaves both tallies at 0: it repairs every
+        // loss but those on quarantined links (reported as such), and it
+        // sends every bucket.
+        if !matches!(self.transport, Transport::Reliable { .. }) {
+            self.degradation.count_cells_missing =
+                (0..n).map(|v| net.program(v).cells_missing()).sum();
+            self.sketch_suppressed = (0..n).map(|v| net.program(v).broadcasts_suppressed()).sum();
+        }
+        let known_dead = self.dead_links.len();
+        if tolerant {
+            for v in 0..n {
+                for peer in net.dead_peers(v) {
+                    self.dead_links.insert(ordered_pair(v, peer));
+                }
+            }
+        }
+        self.values = (0..n)
+            .map(|v| match (self.in_giant[v], net.program(v).value()) {
+                (false, _) => Ok(0.0),
+                (true, Some(value)) => Ok(value),
+                (true, None) if tolerant => Ok(0.0),
+                (true, None) => Err(invalid(format!(
+                    "node {v} finished phase 2 without a betweenness value"
+                ))),
+            })
+            .collect::<Result<_, _>>()?;
+        let stats = net.stats().clone();
+        drop(net);
+        self.close_span(stats.rounds);
+        merge(&mut self.count_stats, stats);
+        // Walk traffic may never have crossed some dead links, so a count
+        // pass can be the first to find them. Its giant component (and
+        // with it the normalization) was then stale: pass again.
+        if tolerant && self.dead_links.len() > known_dead && self.attempt < self.last_attempt() {
+            self.attempt += 1;
+            self.begin_count()
+        } else {
+            self.finish()
+        }
+    }
+
+    /// Assembles the final [`DistributedRun`].
+    fn finish(&mut self) -> Result<(), RwbcError> {
+        let graph = self.graph;
+        let n = graph.node_count();
+        let k = self.config.params.walks_per_node as u64;
+        let walk_stats = self.walk_stats.take().expect("the walk phase ran");
+        let count_stats = self.count_stats.take().expect("a count pass ran");
+        let mut degradation = std::mem::take(&mut self.degradation);
+        if self.transport == Transport::Tolerant {
+            // The detected-failure report, including links only the count
+            // phase exercised.
+            let dead = &self.dead_links;
+            degradation.dead_links_detected = dead.iter().copied().collect();
+            degradation.dead_nodes_detected = (0..n)
+                .filter(|&v| {
+                    graph.degree(v) > 0
+                        && graph
+                            .neighbors(v)
+                            .all(|u| dead.contains(&ordered_pair(v, u)))
+                })
+                .collect();
+            let (comp, ncomps) = connected_components(&survivor_graph(graph, dead)?);
+            let target = self.target;
+            degradation.components = (0..ncomps)
+                .map(|c| {
+                    let members: Vec<NodeId> = (0..n).filter(|&v| comp[v] == c).collect();
+                    let sources = members.iter().filter(|&&s| s != target);
+                    ComponentCoverage {
+                        nodes: members.len(),
+                        contains_target: members.binary_search(&target).is_ok(),
+                        walks_expected: sources.clone().count() as u64 * k,
+                        walks_completed: sources
+                            .map(|&s| k.saturating_sub(self.outstanding[s]))
+                            .sum(),
+                    }
+                })
+                .collect();
+        } else {
+            degradation.corrupt_frames_detected =
+                walk_stats.corrupt_frames_detected + count_stats.corrupt_frames_detected;
+            degradation.links_quarantined =
+                walk_stats.dead_links_declared + count_stats.dead_links_declared;
+        }
+        self.state = PhaseState::Done(Box::new(DistributedRun {
+            centrality: Centrality::from_values(std::mem::take(&mut self.values)),
+            target: self.target,
+            election_stats: self.election_stats.take(),
+            walk_stats,
+            count_stats,
+            fixed_point_bits: self.fixed_point_bits,
+            count_mode: self.config.count_mode,
+            sketch_suppressed: self.sketch_suppressed,
+            degradation,
+        }));
+        Ok(())
+    }
+
+    /// Attaches live-metrics handles to the solver. The running phase's
     /// simulator starts feeding them immediately, and the handles are
-    /// re-attached across the walk → count hand-off, so the engine
-    /// counters accumulate over the whole pipeline: attached at round 0,
+    /// re-attached at every phase transition, so the engine counters
+    /// accumulate over the whole pipeline: attached at round 0,
     /// `engine_rounds_total` equals [`StepSolver::rounds_completed`] at
     /// any quiescent point (attached later — e.g. after
     /// [`StepSolver::restore`] — they count the rounds run since).
     /// Metrics never perturb the simulation; attaching them is safe at
     /// any round boundary.
     pub fn set_metrics(&mut self, metrics: EngineMetrics) {
-        match &mut self.state {
-            PhaseState::Walk(sim) => sim.set_metrics(metrics.clone()),
-            PhaseState::Count { sim, .. } => sim.set_metrics(metrics.clone()),
-            PhaseState::SketchCount { sim, .. } => sim.set_metrics(metrics.clone()),
-            PhaseState::Done(_) | PhaseState::Poisoned => {}
-        }
+        on_net!(&mut self.state, net => net.set_metrics(metrics.clone()), _ => {});
         self.metrics = Some(metrics);
     }
 
-    /// Advances the pipeline by one CONGEST round (handling the
-    /// walk → count and count → done transitions when a phase drains).
+    /// Advances the pipeline by one CONGEST round. The step that drains a
+    /// phase also harvests it and builds the next phase's simulator.
     /// Returns `true` once the run is complete; further calls are no-ops.
     ///
     /// # Errors
@@ -273,201 +995,29 @@ impl<'g> StepSolver<'g> {
     /// Propagates simulator errors ([`RwbcError::Sim`]); a transition
     /// failure poisons the solver and every later call reports it.
     pub fn step(&mut self) -> Result<bool, RwbcError> {
-        match &mut self.state {
-            PhaseState::Walk(sim) => {
-                if !sim.step().map_err(RwbcError::Sim)? {
-                    return Ok(false);
-                }
-            }
-            PhaseState::Count { sim, .. } => {
-                if !sim.step().map_err(RwbcError::Sim)? {
-                    return Ok(false);
-                }
-            }
-            PhaseState::SketchCount { sim, .. } => {
-                if !sim.step().map_err(RwbcError::Sim)? {
-                    return Ok(false);
-                }
-            }
-            PhaseState::Done(_) => return Ok(true),
-            PhaseState::Poisoned => {
-                return Err(RwbcError::InvalidParameter {
-                    reason: "StepSolver was poisoned by an earlier transition failure".to_string(),
-                })
-            }
+        let drained = on_net!(&mut self.state, net => net.step().map_err(RwbcError::Sim)?, _ => {
+            return match self.state {
+                PhaseState::Done(_) => Ok(true),
+                _ => Err(invalid(
+                    "StepSolver was poisoned by an earlier transition failure".to_string(),
+                )),
+            };
+        });
+        if !drained {
+            return Ok(false);
         }
-        // The active phase just drained: transition. The simulator is
-        // consumed here, so a failure leaves the solver poisoned rather
-        // than silently rewound.
+        // The simulator is consumed here, so a failed transition leaves
+        // the solver poisoned rather than silently rewound.
         match std::mem::replace(&mut self.state, PhaseState::Poisoned) {
-            PhaseState::Walk(sim) => {
-                self.state = self.begin_count(sim);
-            }
-            PhaseState::Count {
-                sim,
-                walk_stats,
-                walks_lost,
-            } => match self.finish(sim, walk_stats, walks_lost) {
-                Ok(done) => self.state = done,
-                Err(e) => return Err(e),
-            },
-            PhaseState::SketchCount {
-                sim,
-                walk_stats,
-                walks_lost,
-            } => match self.finish_sketch(sim, walk_stats, walks_lost) {
-                Ok(done) => self.state = done,
-                Err(e) => return Err(e),
-            },
-            other => self.state = other,
-        }
-        Ok(matches!(self.state, PhaseState::Done(_)))
-    }
-
-    /// Harvests the drained walk phase and builds the count-phase
-    /// simulator — the exact hand-off `approximate_inner` performs.
-    fn begin_count(&self, sim1: Simulator<'g, WalkProgram>) -> PhaseState<'g> {
-        let n = self.graph.node_count();
-        let k = self.config.params.walks_per_node;
-        let walk_stats = sim1.stats().clone();
-        let mut counts: Vec<Vec<u64>> = (0..n).map(|v| sim1.program(v).counts().to_vec()).collect();
-        let mut walks_lost = 0u64;
-        for s in 0..n {
-            if s == self.target {
-                continue;
-            }
-            let deaths: u64 = (0..n).map(|v| sim1.program(v).deaths()[s]).sum();
-            walks_lost += (k as u64).saturating_sub(deaths);
-        }
-        drop(sim1);
-        let graph = self.graph;
-        let (value_bits, f) = (self.value_bits, self.fixed_point_bits);
-        let cfg2 = self
-            .config
-            .sim
-            .clone()
-            .with_seed(self.config.seed ^ PHASE2_XOR);
-        match self.config.count_mode {
-            CountMode::Exact => {
-                let mut sim = Simulator::new(graph, cfg2, |v| {
-                    let xi = std::mem::take(&mut counts[v]);
-                    CountProgram::new(v, n, graph.degree(v), xi, k, value_bits, f)
-                });
-                if let Some(m) = &self.metrics {
-                    sim.set_metrics(m.clone());
-                }
-                PhaseState::Count {
-                    sim,
-                    walk_stats,
-                    walks_lost,
-                }
-            }
-            CountMode::Sketch { precision } => {
-                let mut sim = Simulator::new(graph, cfg2, |v| {
-                    SketchCountProgram::new(
-                        v,
-                        n,
-                        graph.degree(v),
-                        &counts[v],
-                        k,
-                        precision,
-                        value_bits,
-                        f,
-                    )
-                });
-                if let Some(m) = &self.metrics {
-                    sim.set_metrics(m.clone());
-                }
-                PhaseState::SketchCount {
-                    sim,
-                    walk_stats,
-                    walks_lost,
-                }
+            PhaseState::Election(net) => self.end_election(net)?,
+            PhaseState::Walk(net) => self.end_walk(net)?,
+            PhaseState::Count(CountNet::Exact(net)) => self.end_count(net)?,
+            PhaseState::Count(CountNet::Sketch(net)) => self.end_count(net)?,
+            PhaseState::Done(_) | PhaseState::Poisoned => {
+                unreachable!("only a running phase drains")
             }
         }
-    }
-
-    /// Harvests the drained count phase into the final [`DistributedRun`].
-    fn finish(
-        &self,
-        sim2: Simulator<'g, CountProgram>,
-        walk_stats: RunStats,
-        walks_lost: u64,
-    ) -> Result<PhaseState<'g>, RwbcError> {
-        let n = self.graph.node_count();
-        let count_stats = sim2.stats().clone();
-        let mut degradation = DegradationReport {
-            walks_lost,
-            walk_subphases: 1,
-            ..DegradationReport::default()
-        };
-        degradation.count_cells_missing = (0..n).map(|v| sim2.program(v).missing()).sum();
-        degradation.corrupt_frames_detected =
-            walk_stats.corrupt_frames_detected + count_stats.corrupt_frames_detected;
-        degradation.links_quarantined =
-            walk_stats.dead_links_declared + count_stats.dead_links_declared;
-        let mut values = Vec::with_capacity(n);
-        for v in 0..n {
-            // `approximate` panics here; a long-running host must not.
-            values.push(sim2.program(v).betweenness().ok_or_else(|| {
-                RwbcError::InvalidParameter {
-                    reason: format!("node {v} finished phase 2 without a betweenness value"),
-                }
-            })?);
-        }
-        Ok(PhaseState::Done(Box::new(DistributedRun {
-            centrality: Centrality::from_values(values),
-            target: self.target,
-            election_stats: None,
-            walk_stats,
-            count_stats,
-            fixed_point_bits: self.fixed_point_bits,
-            count_mode: CountMode::Exact,
-            sketch_suppressed: 0,
-            degradation,
-        })))
-    }
-
-    /// Harvests the drained sketch count phase — the sketch-mode twin of
-    /// [`StepSolver::finish`], mirroring `approximate_inner`'s lockstep
-    /// sketch branch (including the systolic-silence tally).
-    fn finish_sketch(
-        &self,
-        sim2: Simulator<'g, SketchCountProgram>,
-        walk_stats: RunStats,
-        walks_lost: u64,
-    ) -> Result<PhaseState<'g>, RwbcError> {
-        let n = self.graph.node_count();
-        let count_stats = sim2.stats().clone();
-        let mut degradation = DegradationReport {
-            walks_lost,
-            walk_subphases: 1,
-            ..DegradationReport::default()
-        };
-        degradation.corrupt_frames_detected =
-            walk_stats.corrupt_frames_detected + count_stats.corrupt_frames_detected;
-        degradation.links_quarantined =
-            walk_stats.dead_links_declared + count_stats.dead_links_declared;
-        let sketch_suppressed = (0..n).map(|v| sim2.program(v).suppressed()).sum();
-        let mut values = Vec::with_capacity(n);
-        for v in 0..n {
-            values.push(sim2.program(v).betweenness().ok_or_else(|| {
-                RwbcError::InvalidParameter {
-                    reason: format!("node {v} finished phase 2 without a betweenness value"),
-                }
-            })?);
-        }
-        Ok(PhaseState::Done(Box::new(DistributedRun {
-            centrality: Centrality::from_values(values),
-            target: self.target,
-            election_stats: None,
-            walk_stats,
-            count_stats,
-            fixed_point_bits: self.fixed_point_bits,
-            count_mode: self.config.count_mode,
-            sketch_suppressed,
-            degradation,
-        })))
+        Ok(self.is_done())
     }
 
     /// Runs remaining rounds to completion and returns the result.
@@ -483,8 +1033,8 @@ impl<'g> StepSolver<'g> {
     /// The stage the pipeline is currently in.
     pub fn phase(&self) -> SolvePhase {
         match &self.state {
-            PhaseState::Walk(_) => SolvePhase::Walk,
-            PhaseState::Count { .. } | PhaseState::SketchCount { .. } => SolvePhase::Count,
+            PhaseState::Election(_) | PhaseState::Walk(_) => SolvePhase::Walk,
+            PhaseState::Count(_) => SolvePhase::Count,
             PhaseState::Done(_) => SolvePhase::Done,
             PhaseState::Poisoned => SolvePhase::Failed,
         }
@@ -492,16 +1042,14 @@ impl<'g> StepSolver<'g> {
 
     /// Total CONGEST rounds completed so far, across phases.
     pub fn rounds_completed(&self) -> usize {
+        let finished: usize = [&self.election_stats, &self.walk_stats, &self.count_stats]
+            .into_iter()
+            .flatten()
+            .map(|stats| stats.rounds)
+            .sum();
         match &self.state {
-            PhaseState::Walk(sim) => sim.round(),
-            PhaseState::Count {
-                sim, walk_stats, ..
-            } => walk_stats.rounds + sim.round(),
-            PhaseState::SketchCount {
-                sim, walk_stats, ..
-            } => walk_stats.rounds + sim.round(),
             PhaseState::Done(run) => run.total_rounds(),
-            PhaseState::Poisoned => 0,
+            state => on_net!(state, net => finished + net.round(), _ => 0),
         }
     }
 
@@ -538,7 +1086,9 @@ impl<'g> StepSolver<'g> {
         })
     }
 
-    /// The absorbing target this solve drew.
+    /// The absorbing target. With `elect_target` it is known once the
+    /// election has finished; under partition tolerance a redraw may
+    /// replace it.
     pub fn target(&self) -> NodeId {
         self.target
     }
@@ -555,17 +1105,22 @@ impl<'g> StepSolver<'g> {
     ///
     /// # Errors
     ///
-    /// [`RwbcError::InvalidParameter`] when the solver is poisoned.
+    /// [`RwbcError::InvalidParameter`] when the config is outside the
+    /// clean single-sub-phase subset or the solver is poisoned.
     pub fn checkpoint(&self) -> Result<Vec<u8>, RwbcError> {
-        let phase_tag: u8 = match &self.state {
-            PhaseState::Walk(_) => 0,
-            PhaseState::Count { .. } => 1,
-            PhaseState::Done(_) => 2,
-            PhaseState::SketchCount { .. } => 3,
+        if !checkpointable(&self.config) {
+            return Err(not_checkpointable());
+        }
+        let (phase_tag, engine): (u8, Vec<u8>) = match &self.state {
+            PhaseState::Walk(net) => (0, net.checkpoint()?),
+            PhaseState::Count(CountNet::Exact(net)) => (1, net.checkpoint()?),
+            PhaseState::Done(_) => (2, Vec::new()),
+            PhaseState::Count(CountNet::Sketch(net)) => (3, net.checkpoint()?),
+            PhaseState::Election(_) => unreachable!("the clean subset elects no target"),
             PhaseState::Poisoned => {
-                return Err(RwbcError::InvalidParameter {
-                    reason: "cannot checkpoint a poisoned StepSolver".to_string(),
-                })
+                return Err(invalid(
+                    "cannot checkpoint a poisoned StepSolver".to_string(),
+                ))
             }
         };
         let mut w = BitWriter::new();
@@ -582,19 +1137,12 @@ impl<'g> StepSolver<'g> {
 
         let mut mw = BitWriter::new();
         match &self.state {
-            PhaseState::Walk(_) => {}
-            PhaseState::Count {
-                walk_stats,
-                walks_lost,
-                ..
-            }
-            | PhaseState::SketchCount {
-                walk_stats,
-                walks_lost,
-                ..
-            } => {
-                walk_stats.encode_state(&mut mw);
-                walks_lost.encode_state(&mut mw);
+            PhaseState::Count(_) => {
+                self.walk_stats
+                    .as_ref()
+                    .expect("the walk phase ran")
+                    .encode_state(&mut mw);
+                self.degradation.walks_lost.encode_state(&mut mw);
             }
             PhaseState::Done(run) => {
                 run.centrality.as_slice().to_vec().encode_state(&mut mw);
@@ -607,8 +1155,6 @@ impl<'g> StepSolver<'g> {
                     .corrupt_frames_detected
                     .encode_state(&mut mw);
                 run.degradation.links_quarantined.encode_state(&mut mw);
-                // Version-2 additions (absent from v1 images, which are
-                // always exact-mode runs).
                 let mode_precision: u8 = match run.count_mode {
                     CountMode::Exact => 0,
                     CountMode::Sketch { precision } => precision,
@@ -616,16 +1162,9 @@ impl<'g> StepSolver<'g> {
                 mode_precision.encode_state(&mut mw);
                 run.sketch_suppressed.encode_state(&mut mw);
             }
-            PhaseState::Poisoned => unreachable!("tagged above"),
+            _ => {}
         }
         write_section(&mut w, &mw.finish());
-
-        let engine: Vec<u8> = match &self.state {
-            PhaseState::Walk(sim) => sim.checkpoint().to_vec(),
-            PhaseState::Count { sim, .. } => sim.checkpoint().to_vec(),
-            PhaseState::SketchCount { sim, .. } => sim.checkpoint().to_vec(),
-            _ => Vec::new(),
-        };
         write_section(&mut w, &engine);
         Ok(w.finish().to_vec())
     }
@@ -640,21 +1179,29 @@ impl<'g> StepSolver<'g> {
     /// # Errors
     ///
     /// [`RwbcError::Sim`] with [`SimError::CorruptCheckpoint`] when the
-    /// image is truncated, mangled, or disagrees with `graph`/`config`;
-    /// the same validation errors as [`StepSolver::new`] otherwise.
+    /// image is truncated, mangled, of another format version, or
+    /// disagrees with `graph`/`config`; [`RwbcError::InvalidParameter`]
+    /// when `config` is outside the clean single-sub-phase subset; the
+    /// same validation errors as [`StepSolver::new`] otherwise.
     pub fn restore(
         graph: &'g Graph,
         config: DistributedConfig,
         data: &[u8],
     ) -> Result<StepSolver<'g>, RwbcError> {
-        let (target, f, value_bits) = derive_plan(graph, &config)?;
+        let mut solver = StepSolver::plan(graph, config, None)?;
+        if !checkpointable(&solver.config) {
+            return Err(not_checkpointable());
+        }
         let mut r = BitReader::new(data);
         if r.read_bits(64) != Some(STEP_CHECKPOINT_MAGIC) {
             return Err(corrupt("bad magic word"));
         }
         let version = r.read_bits(64).ok_or_else(|| corrupt("truncated header"))?;
-        if !(STEP_CHECKPOINT_MIN_VERSION..=STEP_CHECKPOINT_VERSION).contains(&version) {
-            return Err(corrupt("unsupported step-checkpoint version"));
+        if version != STEP_CHECKPOINT_VERSION {
+            return Err(corrupt(&format!(
+                "unsupported step-checkpoint version {version} (this build reads version \
+                 {STEP_CHECKPOINT_VERSION})"
+            )));
         }
         let header = read_section(&mut r, "header")?;
         let mut hr = BitReader::new(&header);
@@ -663,7 +1210,7 @@ impl<'g> StepSolver<'g> {
             return Err(corrupt("node count disagrees with the provided graph"));
         }
         let seed = u64::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
-        if seed != config.seed {
+        if seed != solver.config.seed {
             return Err(corrupt("seed disagrees with the provided config"));
         }
         let image_target =
@@ -671,7 +1218,9 @@ impl<'g> StepSolver<'g> {
         let image_f = u8::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
         let image_vb = u8::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
         let phase_tag = u8::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
-        if (image_target, image_f, image_vb) != (target, f, value_bits) {
+        if (image_target, image_f, image_vb)
+            != (solver.target, solver.fixed_point_bits, solver.value_bits)
+        {
             return Err(corrupt(
                 "solve plan (target / fixed-point fit) disagrees with the provided config",
             ));
@@ -680,8 +1229,8 @@ impl<'g> StepSolver<'g> {
         // engine image decodes as that mode's program type, so a config
         // naming the other mode must be rejected, not misinterpreted.
         let tag_mode_ok = match phase_tag {
-            1 => config.count_mode == CountMode::Exact,
-            3 => matches!(config.count_mode, CountMode::Sketch { .. }),
+            1 => solver.config.count_mode == CountMode::Exact,
+            3 => matches!(solver.config.count_mode, CountMode::Sketch { .. }),
             _ => true,
         };
         if !tag_mode_ok {
@@ -691,40 +1240,32 @@ impl<'g> StepSolver<'g> {
         let mut mr = BitReader::new(&meta);
         let engine = read_section(&mut r, "engine image")?;
 
-        let state = match phase_tag {
+        solver.state = match phase_tag {
             0 => {
-                let cfg1 = config.sim.clone().with_seed(config.seed ^ PHASE1_XOR);
-                let sim = Simulator::<WalkProgram>::restore(graph, cfg1, &engine)
-                    .map_err(RwbcError::Sim)?;
-                PhaseState::Walk(sim)
+                let cfg = solver.walk_sim(0).0;
+                let sim = Simulator::restore(graph, cfg, &engine).map_err(RwbcError::Sim)?;
+                solver.span.0 = "walk".to_string();
+                PhaseState::Walk(Net::Raw(sim))
             }
-            1 => {
+            1 | 3 => {
                 let walk_stats = RunStats::decode_state(&mut mr)
                     .ok_or_else(|| corrupt("truncated walk stats"))?;
                 let walks_lost =
                     u64::decode_state(&mut mr).ok_or_else(|| corrupt("truncated walk tally"))?;
-                let cfg2 = config.sim.clone().with_seed(config.seed ^ PHASE2_XOR);
-                let sim = Simulator::<CountProgram>::restore(graph, cfg2, &engine)
-                    .map_err(RwbcError::Sim)?;
-                PhaseState::Count {
-                    sim,
-                    walk_stats,
-                    walks_lost,
-                }
-            }
-            3 => {
-                let walk_stats = RunStats::decode_state(&mut mr)
-                    .ok_or_else(|| corrupt("truncated walk stats"))?;
-                let walks_lost =
-                    u64::decode_state(&mut mr).ok_or_else(|| corrupt("truncated walk tally"))?;
-                let cfg2 = config.sim.clone().with_seed(config.seed ^ PHASE2_XOR);
-                let sim = Simulator::<SketchCountProgram>::restore(graph, cfg2, &engine)
-                    .map_err(RwbcError::Sim)?;
-                PhaseState::SketchCount {
-                    sim,
-                    walk_stats,
-                    walks_lost,
-                }
+                solver.walk_stats = Some(walk_stats);
+                solver.degradation.walks_lost = walks_lost;
+                solver.degradation.walk_subphases = 1;
+                solver.span.0 = "count".to_string();
+                let cfg = solver.count_sim();
+                PhaseState::Count(if phase_tag == 1 {
+                    CountNet::Exact(Net::Raw(
+                        Simulator::restore(graph, cfg, &engine).map_err(RwbcError::Sim)?,
+                    ))
+                } else {
+                    CountNet::Sketch(Net::Raw(
+                        Simulator::restore(graph, cfg, &engine).map_err(RwbcError::Sim)?,
+                    ))
+                })
             }
             2 => {
                 let values: Vec<f64> = Vec::decode_state(&mut mr)
@@ -746,55 +1287,39 @@ impl<'g> StepSolver<'g> {
                     u64::decode_state(&mut mr).ok_or_else(|| corrupt("truncated degradation"))?;
                 let links_quarantined =
                     u64::decode_state(&mut mr).ok_or_else(|| corrupt("truncated degradation"))?;
-                let degradation = DegradationReport {
-                    walks_lost,
-                    walk_subphases,
-                    count_cells_missing,
-                    corrupt_frames_detected,
-                    links_quarantined,
-                    ..DegradationReport::default()
+                let mode_precision =
+                    u8::decode_state(&mut mr).ok_or_else(|| corrupt("truncated count mode"))?;
+                let count_mode = match mode_precision {
+                    0 => CountMode::Exact,
+                    p => CountMode::Sketch { precision: p },
                 };
-                // Version-1 images predate sketch mode: exact, no
-                // suppression tally.
-                let (count_mode, sketch_suppressed) = if version >= 2 {
-                    let mode_precision =
-                        u8::decode_state(&mut mr).ok_or_else(|| corrupt("truncated count mode"))?;
-                    let mode = match mode_precision {
-                        0 => CountMode::Exact,
-                        p => CountMode::Sketch { precision: p },
-                    };
-                    let suppressed = u64::decode_state(&mut mr)
-                        .ok_or_else(|| corrupt("truncated suppression tally"))?;
-                    (mode, suppressed)
-                } else {
-                    (CountMode::Exact, 0)
-                };
-                if count_mode != config.count_mode {
+                let sketch_suppressed = u64::decode_state(&mut mr)
+                    .ok_or_else(|| corrupt("truncated suppression tally"))?;
+                if count_mode != solver.config.count_mode {
                     return Err(corrupt("count mode disagrees with the provided config"));
                 }
                 PhaseState::Done(Box::new(DistributedRun {
                     centrality: Centrality::from_values(values),
-                    target,
+                    target: solver.target,
                     election_stats: None,
                     walk_stats,
                     count_stats,
-                    fixed_point_bits: f,
+                    fixed_point_bits: solver.fixed_point_bits,
                     count_mode,
                     sketch_suppressed,
-                    degradation,
+                    degradation: DegradationReport {
+                        walks_lost,
+                        walk_subphases,
+                        count_cells_missing,
+                        corrupt_frames_detected,
+                        links_quarantined,
+                        ..DegradationReport::default()
+                    },
                 }))
             }
             _ => return Err(corrupt("unknown phase tag")),
         };
-        Ok(StepSolver {
-            graph,
-            config,
-            target,
-            fixed_point_bits: f,
-            value_bits,
-            state,
-            metrics: None,
-        })
+        Ok(solver)
     }
 }
 
@@ -811,17 +1336,6 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn stepwise_matches_one_shot_driver_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let g = connected_gnp(18, 0.3, 100, &mut rng).unwrap();
-        let c = cfg(9);
-        let oneshot = approximate(&g, &c).unwrap();
-        let mut solver = StepSolver::new(&g, c).unwrap();
-        let run = solver.run_to_completion().unwrap();
-        assert_eq!(*run, oneshot);
     }
 
     /// A mid-count-phase exact image, pinned by its CRC-32: the image
@@ -860,7 +1374,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_uncheckpointable_configs() {
+    fn every_mode_solves_but_only_the_clean_subset_checkpoints() {
         let g = star(4).unwrap();
         for bad in [
             {
@@ -884,8 +1398,19 @@ mod tests {
                 c
             },
         ] {
+            let mut solver = StepSolver::new(&g, bad.clone()).unwrap();
             assert!(matches!(
-                StepSolver::new(&g, bad),
+                solver.checkpoint(),
+                Err(RwbcError::InvalidParameter { .. })
+            ));
+            solver.run_to_completion().unwrap();
+            assert!(matches!(
+                solver.checkpoint(),
+                Err(RwbcError::InvalidParameter { .. })
+            ));
+            let clean = StepSolver::new(&g, cfg(1)).unwrap().checkpoint().unwrap();
+            assert!(matches!(
+                StepSolver::restore(&g, bad, &clean),
                 Err(RwbcError::InvalidParameter { .. })
             ));
         }
@@ -919,19 +1444,6 @@ mod tests {
             .count_mode(CountMode::Sketch { precision: 4 })
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn sketch_stepwise_matches_one_shot_driver_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(101);
-        let g = connected_gnp(18, 0.3, 100, &mut rng).unwrap();
-        let c = sketch_cfg(9);
-        let oneshot = approximate(&g, &c).unwrap();
-        let mut solver = StepSolver::new(&g, c).unwrap();
-        let run = solver.run_to_completion().unwrap();
-        assert_eq!(*run, oneshot);
-        assert_eq!(run.count_mode, CountMode::Sketch { precision: 4 });
-        assert_eq!(run.count_stats.rounds, 16);
     }
 
     #[test]
@@ -984,23 +1496,24 @@ mod tests {
     }
 
     #[test]
-    fn version_one_walk_images_still_restore() {
-        // Walk-phase layout is unchanged since v1, so an aged version field
-        // must still be accepted (the range check, not strict equality).
+    fn other_image_versions_get_a_typed_error() {
         let g = star(6).unwrap();
         let c = cfg(4);
-        let oneshot = approximate(&g, &c).unwrap();
         let mut solver = StepSolver::new(&g, c.clone()).unwrap();
         solver.step().unwrap();
         let mut image = solver.checkpoint().unwrap();
         // The version is a big-endian u64 at bytes 8..16.
         assert_eq!(image[8..16], STEP_CHECKPOINT_VERSION.to_be_bytes());
-        image[8..16].copy_from_slice(&STEP_CHECKPOINT_MIN_VERSION.to_be_bytes());
-        let mut resumed = StepSolver::restore(&g, c.clone(), &image).unwrap();
-        assert_eq!(*resumed.run_to_completion().unwrap(), oneshot);
-        // Future versions stay rejected.
-        image[8..16].copy_from_slice(&(STEP_CHECKPOINT_VERSION + 1).to_be_bytes());
-        assert!(StepSolver::restore(&g, c, &image).is_err());
+        for version in [1, STEP_CHECKPOINT_VERSION + 1] {
+            image[8..16].copy_from_slice(&version.to_be_bytes());
+            match StepSolver::restore(&g, c.clone(), &image) {
+                Err(RwbcError::Sim(SimError::CorruptCheckpoint { reason })) => {
+                    assert!(reason.contains(&format!("version {version}")), "{reason}");
+                }
+                Err(other) => panic!("expected CorruptCheckpoint, got {other:?}"),
+                Ok(_) => panic!("a version-{version} image must not restore"),
+            }
+        }
     }
 
     #[test]
@@ -1031,6 +1544,27 @@ mod tests {
         let (r8, _, snap8) = run(8);
         assert_eq!(&r1, &r8);
         assert_eq!(&snap1, &snap8);
+    }
+
+    #[test]
+    fn rounds_completed_spans_every_phase_and_sub_phase() {
+        use congest_sim::{FaultPlan, Registry, SimConfig};
+        let mut rng = StdRng::seed_from_u64(21);
+        let g = connected_gnp(16, 0.3, 100, &mut rng).unwrap();
+        let mut c = cfg(5);
+        c.elect_target = true;
+        c.walk_retries = 3;
+        c.sim = SimConfig::default().with_faults(FaultPlan::default().with_drop_probability(0.02));
+        let registry = Registry::new();
+        let mut solver = StepSolver::new(&g, c).unwrap();
+        solver.set_metrics(EngineMetrics::register(&registry));
+        let run = solver.run_to_completion().unwrap().clone();
+        assert!(run.degradation.walk_subphases > 1, "a relaunch must run");
+        assert_eq!(solver.rounds_completed(), run.total_rounds());
+        assert_eq!(
+            registry.snapshot().counter("engine_rounds_total"),
+            Some(run.total_rounds() as u64)
+        );
     }
 
     #[test]
