@@ -284,18 +284,16 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
     let len_bits = 7;
     let batch_corpus: Vec<Vec<u8>> = (0..4)
         .map(|i| {
-            let tokens = (0..=i)
+            let tokens: Vec<WalkToken> = (0..=i)
                 .map(|t| WalkToken {
                     source: (37 * (t + 1) + i) % n,
                     remaining: (1 + 13 * t as u32) & 0x7F,
                 })
                 .collect();
-            WalkBatch {
-                tokens,
-                len_bits: len_bits as u8,
-            }
-            .encode(n)
-            .to_vec()
+            WalkBatch::new(&tokens, len_bits as u8)
+                .expect("at most four tokens")
+                .encode(n)
+                .to_vec()
         })
         .collect();
     codecs.push(fuzz_codec(

@@ -60,17 +60,17 @@ fn mean_degree(g: &Graph) -> f64 {
 }
 
 /// Per-node count-phase state in 64-bit words. The exact program holds
-/// its own `n`-word count row plus one two-word cell per *nonzero*
-/// neighbor count; a source's `K` walks of length `l` reach at most
-/// `K(l + 1)` nodes, so a neighbor column averages at most
-/// `min(n, K(l + 1))` nonzero cells — the bound reported here. The
-/// sketch program holds `2^p` buckets per neighbor plus its own
-/// (registers are bytes).
+/// one two-word `(source, count)` pair per *nonzero* own count and one
+/// two-word cell per *nonzero* neighbor count; a source's `K` walks of
+/// length `l` reach at most `K(l + 1)` nodes, so a node's row and a
+/// neighbor column each average at most `min(n, K(l + 1))` nonzero
+/// entries — the bound reported here. The sketch program holds `2^p`
+/// buckets per neighbor plus its own (registers are bytes).
 fn state_words(g: &Graph, mode: CountMode, k: usize, l: usize) -> u64 {
     let n = g.node_count() as f64;
     let deg = mean_degree(g);
     let per_node = match mode {
-        CountMode::Exact => n + 2.0 * deg * n.min((k * (l + 1)) as f64),
+        CountMode::Exact => 2.0 * (deg + 1.0) * n.min((k * (l + 1)) as f64),
         CountMode::Sketch { precision } => {
             let b = f64::from(1u32 << precision);
             b * (deg + 1.0) + b / 8.0

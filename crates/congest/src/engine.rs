@@ -236,6 +236,18 @@ where
         &self.programs
     }
 
+    /// Mutable access to every node program, e.g. to re-apply settings a
+    /// checkpoint image does not carry after [`Simulator::restore`].
+    pub fn programs_mut(&mut self) -> &mut [P] {
+        &mut self.programs
+    }
+
+    /// Every message sent but not yet delivered, delayed ones included —
+    /// e.g. to check a restored image against the network.
+    pub fn in_flight(&self) -> impl Iterator<Item = &Incoming<P::Msg>> + '_ {
+        self.pending.iter().chain(&self.delayed).flatten()
+    }
+
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &RunStats {
         &self.stats

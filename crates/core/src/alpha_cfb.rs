@@ -196,8 +196,15 @@ pub fn distributed(
         .with_draw_seed(config.seed ^ 0xCFB)
     });
     let walk_stats = simulator.run()?;
+    // The centralized combine below takes the dense `n × n` potentials.
     let counts: Vec<Vec<u64>> = (0..n)
-        .map(|v| simulator.program(v).counts().to_vec())
+        .map(|v| {
+            let mut row = vec![0; n];
+            for (s, c) in simulator.program(v).counts() {
+                row[s] = c;
+            }
+            row
+        })
         .collect();
     let x = crate::monte_carlo::scale_counts(graph, &counts, k);
     Ok(AlphaDistributedRun {

@@ -25,9 +25,12 @@ use crate::flow_sum::{node_net_flow_sparse, Cell};
 pub struct CountProgram {
     me: NodeId,
     n: usize,
-    /// Fixed-point image of the own scaled counts
-    /// `x_me[s] = ξ_me^s / (K · d(me))` — what actually travels.
-    own_scaled: Vec<u64>,
+    /// The nonzero fixed-point own counts `(s, round(ξ_me^s · 2^F / d(me)))`
+    /// by ascending source — what actually travels; every absent source
+    /// sends zero.
+    own: Vec<(u32, u64)>,
+    /// Index into `own` of the first source not yet broadcast.
+    cursor: usize,
     /// The nonzero received neighbor counts, in arrival order; every
     /// absent `(slot, source)` cell is zero. A source's `K` walks of
     /// length `l` visit at most `K(l + 1)` nodes, so a neighbor's column
@@ -76,7 +79,8 @@ pub struct CountProgram {
 }
 
 impl CountProgram {
-    /// Program for node `me` with its phase-1 counts `xi` (`ξ_me^s`),
+    /// Program for node `me` with its phase-1 counts `xi`, listed as
+    /// `(s, ξ_me^s)` by ascending source (an omitted source counts zero),
     /// degree `degree`, and `K = walks_per_node`.
     ///
     /// `value_bits`/`fractional_bits` come from
@@ -86,12 +90,13 @@ impl CountProgram {
         me: NodeId,
         n: usize,
         degree: usize,
-        xi: Vec<u64>,
+        xi: &[(NodeId, u64)],
         walks_per_node: usize,
         value_bits: u8,
         fractional_bits: u8,
     ) -> CountProgram {
-        debug_assert_eq!(xi.len(), n);
+        debug_assert!(xi.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(xi.last().is_none_or(|&(s, _)| s < n));
         assert!(
             u32::try_from(n).is_ok(),
             "cells store node ids and slots as u32"
@@ -100,14 +105,19 @@ impl CountProgram {
         // Paper Algorithm 2 line 1: divide by the degree. The 1/K of line 4
         // is folded in when a count is read (`own_value`) so the combine
         // estimates T directly.
-        let own_scaled: Vec<u64> = xi
-            .into_iter()
-            .map(|c| ((c as f64 / degree.max(1) as f64) * scale).round() as u64)
+        let own: Vec<(u32, u64)> = xi
+            .iter()
+            .map(|&(s, c)| {
+                let q = ((c as f64 / degree.max(1) as f64) * scale).round() as u64;
+                (s as u32, q)
+            })
+            .filter(|&(_, q)| q != 0)
             .collect();
         CountProgram {
             me,
             n,
-            own_scaled,
+            own,
+            cursor: 0,
             cells: Vec::new(),
             degree,
             value_bits,
@@ -195,13 +205,28 @@ impl CountProgram {
         }
     }
 
+    /// The own counts as a dense `n`-word row.
+    fn dense_own(&self) -> Vec<u64> {
+        let mut row = vec![0; self.n];
+        for &(s, q) in &self.own {
+            row[s as usize] = q;
+        }
+        row
+    }
+
     fn send_next(&mut self, ctx: &mut Context<'_, CountMsg>) {
         if self.sent < self.n {
-            let msg = CountMsg {
-                scaled: self.own_scaled[self.sent],
-                value_bits: self.value_bits,
+            let scaled = match self.own.get(self.cursor) {
+                Some(&(s, q)) if s as usize == self.sent => {
+                    self.cursor += 1;
+                    q
+                }
+                _ => 0,
             };
-            ctx.broadcast(msg);
+            ctx.broadcast(CountMsg {
+                scaled,
+                value_bits: self.value_bits,
+            });
             self.sent += 1;
         }
     }
@@ -282,10 +307,10 @@ impl CountProgram {
         let expected = (self.degree * self.n) as u64;
         let received: u64 = self.received_per_neighbor.iter().map(|&r| r as u64).sum();
         self.missing = expected.saturating_sub(received);
-        let own: Vec<(u32, f64)> = (0u32..)
-            .zip(&self.own_scaled)
-            .filter(|&(_, &q)| q != 0)
-            .map(|(s, &q)| (s, self.own_value(q)))
+        let own: Vec<(u32, f64)> = self
+            .own
+            .iter()
+            .map(|&(s, q)| (s, self.own_value(q)))
             .collect();
         let inner = node_net_flow_sparse(self.me, self.n, &own, &self.cells, self.degree);
         let nf = self.effective_n as f64;
@@ -312,12 +337,14 @@ impl CountProgram {
 // Checkpoint encoding: everything but `neighbor_ids`, a lazily-filled
 // topology cache that `on_round` rebuilds on first use after a restore —
 // excluding it keeps the bytes of a restored-and-resumed run identical to
-// an uninterrupted one. The image keeps the dense layout: the own
-// potentials, then the `n × degree` cell table row-major
-// (`cols[source * degree + slot]`).
+// an uninterrupted one — and `cursor`, which `sent` implies. The image
+// keeps the dense layout: the own potentials and counts as `n`-word rows,
+// then the `n × degree` cell table row-major (`cols[source * degree +
+// slot]`).
 impl congest_sim::wire::WireState for CountProgram {
     fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
-        let own: Vec<f64> = self.own_scaled.iter().map(|&q| self.own_value(q)).collect();
+        let own_scaled = self.dense_own();
+        let own: Vec<f64> = own_scaled.iter().map(|&q| self.own_value(q)).collect();
         let mut cols = vec![0.0f64; self.n * self.degree];
         for c in &self.cells {
             cols[c.source as usize * self.degree + c.slot as usize] = c.value;
@@ -325,7 +352,7 @@ impl congest_sim::wire::WireState for CountProgram {
         self.me.encode_state(w);
         self.n.encode_state(w);
         own.encode_state(w);
-        self.own_scaled.encode_state(w);
+        own_scaled.encode_state(w);
         cols.encode_state(w);
         self.degree.encode_state(w);
         self.value_bits.encode_state(w);
@@ -351,7 +378,8 @@ impl congest_sim::wire::WireState for CountProgram {
         let mut p = CountProgram {
             me,
             n,
-            own_scaled,
+            own: Vec::new(),
+            cursor: 0,
             cells: Vec::new(),
             degree: usize::decode_state(r)?,
             value_bits: u8::decode_state(r)?,
@@ -371,7 +399,7 @@ impl congest_sim::wire::WireState for CountProgram {
         let consistent = me < n
             && u32::try_from(n).is_ok()
             && own.len() == n
-            && p.own_scaled.len() == n
+            && own_scaled.len() == n
             && n.checked_mul(p.degree) == Some(cols.len())
             && p.received_per_neighbor.len() == p.degree
             && p.live.len() == p.degree
@@ -380,6 +408,8 @@ impl congest_sim::wire::WireState for CountProgram {
         if !consistent {
             return None;
         }
+        p.own = (0u32..).zip(own_scaled).filter(|&(_, q)| q != 0).collect();
+        p.cursor = p.own.partition_point(|&(s, _)| (s as usize) < p.sent);
         // Row-major order is arrival order per slot. A cell can only hold
         // a source its neighbor has already delivered; anything else is a
         // corrupt image.
@@ -451,9 +481,9 @@ mod tests {
     const F: u8 = 4;
 
     fn hand_program(strict: bool) -> CountProgram {
-        let xi = vec![0, 6, 9, 0, 3, 12];
+        let xi = [(1, 6), (2, 9), (4, 3), (5, 12)];
         let mut p =
-            CountProgram::new(ME, N, NEIGHBORS.len(), xi, K, 16, F).with_strict_delivery(strict);
+            CountProgram::new(ME, N, NEIGHBORS.len(), &xi, K, 16, F).with_strict_delivery(strict);
         p.neighbor_ids = NEIGHBORS.to_vec();
         p
     }
@@ -498,7 +528,7 @@ mod tests {
             }
         }
         p.combine();
-        let own: Vec<f64> = p.own_scaled.iter().map(|&q| p.own_value(q)).collect();
+        let own: Vec<f64> = p.dense_own().iter().map(|&q| p.own_value(q)).collect();
         let inv_scale = 1.0 / f64::from(1u32 << F);
         let cols: Vec<Vec<f64>> = expected
             .iter()
@@ -561,12 +591,13 @@ mod tests {
     /// The image of `p` with its cell table replaced by `cols` and its
     /// degree field by `degree`, in `encode_state`'s field order.
     fn image_with(p: &CountProgram, cols: Vec<f64>, degree: usize) -> Vec<u8> {
-        let own: Vec<f64> = p.own_scaled.iter().map(|&q| p.own_value(q)).collect();
+        let own_scaled = p.dense_own();
+        let own: Vec<f64> = own_scaled.iter().map(|&q| p.own_value(q)).collect();
         let mut w = BitWriter::new();
         p.me.encode_state(&mut w);
         p.n.encode_state(&mut w);
         own.encode_state(&mut w);
-        p.own_scaled.encode_state(&mut w);
+        own_scaled.encode_state(&mut w);
         cols.encode_state(&mut w);
         degree.encode_state(&mut w);
         p.value_bits.encode_state(&mut w);
@@ -628,7 +659,8 @@ mod tests {
         let max = counts.iter().flatten().copied().max().unwrap_or(1);
         let value_bits = (congest_sim::bits_for_count(max) + f as usize) as u8;
         let mut sim = Simulator::new(g, SimConfig::default().with_bandwidth_coeff(16), |v| {
-            CountProgram::new(v, n, g.degree(v), counts[v].clone(), k, value_bits, f)
+            let xi: Vec<(NodeId, u64)> = counts[v].iter().copied().enumerate().collect();
+            CountProgram::new(v, n, g.degree(v), &xi, k, value_bits, f)
         });
         let stats = sim.run().unwrap();
         let b = (0..n)

@@ -20,7 +20,7 @@ use rwbc_graph::NodeId;
 
 /// A random-walk token: the unit of the paper's Algorithm 1. Carries its
 /// source id and its remaining length, exactly as in line 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalkToken {
     /// The node the walk started at (`RW.source`).
     pub source: NodeId,
@@ -33,32 +33,82 @@ pub struct WalkToken {
 ///
 /// Under the paper's discipline ([`CongestionDiscipline::HoldAndResend`])
 /// a batch always holds exactly one token; the batched ablation packs as
-/// many as the bit budget allows.
+/// many as the bit budget allows, at most [`WalkBatch::CAPACITY`]. The
+/// tokens live inline, so a message owns no heap allocation.
 ///
 /// [`CongestionDiscipline::HoldAndResend`]: crate::distributed::CongestionDiscipline::HoldAndResend
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkBatch {
-    /// The tokens.
-    pub tokens: Vec<WalkToken>,
+    /// The first `len` entries are the tokens; the rest stay default, so
+    /// the derived equality compares only the tokens.
+    tokens: [WalkToken; WalkBatch::CAPACITY],
+    len: u8,
     /// Width of the remaining-length field, `⌈log₂ (l + 1)⌉` bits,
     /// fixed per run at construction.
-    pub len_bits: u8,
+    len_bits: u8,
 }
 
 /// Width of the batch-size header (tokens per message is small).
 const BATCH_HEADER_BITS: usize = 4;
 
 impl WalkBatch {
+    /// Most tokens one batch holds: the default budget `8⌈log₂ n⌉` fits
+    /// `⌊(8⌈log₂ n⌉ − 4) / (⌈log₂ n⌉ + len_bits)⌋ ≤ 7` of them.
+    pub const CAPACITY: usize = 7;
+
+    /// A batch of `tokens`, or `None` when they exceed [`Self::CAPACITY`].
+    pub fn new(tokens: &[WalkToken], len_bits: u8) -> Option<WalkBatch> {
+        if tokens.len() > WalkBatch::CAPACITY {
+            return None;
+        }
+        let mut batch = WalkBatch::empty(len_bits);
+        batch.tokens[..tokens.len()].copy_from_slice(tokens);
+        batch.len = tokens.len() as u8;
+        Some(batch)
+    }
+
+    pub(crate) fn empty(len_bits: u8) -> WalkBatch {
+        WalkBatch {
+            tokens: [WalkToken::default(); WalkBatch::CAPACITY],
+            len: 0,
+            len_bits,
+        }
+    }
+
+    /// Appends a token to a batch that is not full.
+    pub(crate) fn push(&mut self, token: WalkToken) {
+        self.tokens[usize::from(self.len)] = token;
+        self.len += 1;
+    }
+
+    /// The tokens.
+    pub fn tokens(&self) -> &[WalkToken] {
+        &self.tokens[..usize::from(self.len)]
+    }
+
+    /// Width of the remaining-length field.
+    pub fn len_bits(&self) -> u8 {
+        self.len_bits
+    }
+
     /// Bits one token occupies in a network of `n` nodes.
     pub fn token_bits(n: usize, len_bits: u8) -> usize {
         bits_for_node_id(n) + len_bits as usize
     }
 
+    /// Tokens per batch that fit `payload_bits` (the budget net of any
+    /// transport header), clamped to `1..=CAPACITY`: one token always
+    /// travels, and a budget too small for it fails as a violation.
+    pub fn fit(payload_bits: usize, n: usize, len_bits: u8) -> usize {
+        (payload_bits.saturating_sub(BATCH_HEADER_BITS) / WalkBatch::token_bits(n, len_bits))
+            .clamp(1, WalkBatch::CAPACITY)
+    }
+
     /// Encodes to real bytes (used by tests to validate `bit_size`).
     pub fn encode(&self, n: usize) -> bytes::Bytes {
         let mut w = BitWriter::new();
-        w.write_bits(self.tokens.len() as u64, BATCH_HEADER_BITS);
-        for t in &self.tokens {
+        w.write_bits(u64::from(self.len), BATCH_HEADER_BITS);
+        for t in self.tokens() {
             w.write_bits(t.source as u64, bits_for_node_id(n));
             w.write_bits(u64::from(t.remaining), self.len_bits as usize);
         }
@@ -67,34 +117,37 @@ impl WalkBatch {
 
     /// Decodes from bytes produced by [`WalkBatch::encode`].
     ///
-    /// Total over malformed input: a truncated stream or a source id
-    /// outside `0..n` (the id field can physically encode up to
-    /// `2^⌈log₂ n⌉ - 1`) yields `None`, never a panic or an out-of-range
-    /// token handed to the walk logic.
+    /// Total over malformed input: a truncated stream, a token count
+    /// above [`Self::CAPACITY`] or a source id outside `0..n` (the id
+    /// field can physically encode up to `2^⌈log₂ n⌉ - 1`) yields `None`,
+    /// never a panic or an out-of-range token handed to the walk logic.
     pub fn decode(data: &[u8], n: usize, len_bits: u8) -> Option<WalkBatch> {
         let mut r = BitReader::new(data);
-        let count = r.read_bits(BATCH_HEADER_BITS)?;
-        let mut tokens = Vec::with_capacity(count as usize);
+        let count = r.read_bits(BATCH_HEADER_BITS)? as usize;
+        if count > WalkBatch::CAPACITY {
+            return None;
+        }
+        let mut batch = WalkBatch::empty(len_bits);
         for _ in 0..count {
             let source = r.read_bits(bits_for_node_id(n))? as NodeId;
             if source >= n {
                 return None;
             }
             let remaining = r.read_bits(len_bits as usize)? as u32;
-            tokens.push(WalkToken { source, remaining });
+            batch.push(WalkToken { source, remaining });
         }
-        Some(WalkBatch { tokens, len_bits })
+        Some(batch)
     }
 }
 
 impl Message for WalkBatch {
     fn bit_size(&self, n: usize) -> usize {
-        BATCH_HEADER_BITS + self.tokens.len() * WalkBatch::token_bits(n, self.len_bits)
+        BATCH_HEADER_BITS + usize::from(self.len) * WalkBatch::token_bits(n, self.len_bits)
     }
 
     fn digest(&self, n: usize, crc: &mut Crc32) {
-        crc.update_bits(self.tokens.len() as u64, BATCH_HEADER_BITS);
-        for t in &self.tokens {
+        crc.update_bits(u64::from(self.len), BATCH_HEADER_BITS);
+        for t in self.tokens() {
             crc.update_bits(t.source as u64, bits_for_node_id(n));
             crc.update_bits(u64::from(t.remaining), self.len_bits as usize);
         }
@@ -142,18 +195,17 @@ impl WireState for WalkToken {
     }
 }
 
-// Host-side checkpoint encoding (full-width fields; the budget-charged
-// on-wire form stays `WalkBatch::encode`/`decode`).
+// Host-side checkpoint encoding (full-width fields, the tokens as a
+// `Vec<WalkToken>`; the budget-charged on-wire form stays
+// `WalkBatch::encode`/`decode`).
 impl WireState for WalkBatch {
     fn encode_state(&self, w: &mut BitWriter) {
-        self.tokens.encode_state(w);
+        self.tokens().to_vec().encode_state(w);
         self.len_bits.encode_state(w);
     }
     fn decode_state(r: &mut BitReader<'_>) -> Option<WalkBatch> {
-        Some(WalkBatch {
-            tokens: Vec::decode_state(r)?,
-            len_bits: u8::decode_state(r)?,
-        })
+        let tokens: Vec<WalkToken> = Vec::decode_state(r)?;
+        WalkBatch::new(&tokens, u8::decode_state(r)?)
     }
 }
 
@@ -259,8 +311,8 @@ mod tests {
     fn walk_batch_round_trips_and_size_matches() {
         let n = 300;
         let len_bits = len_field_bits(500);
-        let batch = WalkBatch {
-            tokens: vec![
+        let batch = WalkBatch::new(
+            &[
                 WalkToken {
                     source: 7,
                     remaining: 499,
@@ -275,7 +327,8 @@ mod tests {
                 },
             ],
             len_bits,
-        };
+        )
+        .unwrap();
         let bytes = batch.encode(n);
         // Declared size must match the real encoding (up to byte padding).
         assert_eq!(bytes.len(), batch.bit_size(n).div_ceil(8));
@@ -318,12 +371,54 @@ mod tests {
     }
 
     #[test]
+    fn batches_hold_at_most_capacity_tokens() {
+        let n = 300;
+        let len_bits = len_field_bits(500);
+        let token = WalkToken {
+            source: 1,
+            remaining: 2,
+        };
+        let full = WalkBatch::new(&[token; WalkBatch::CAPACITY], len_bits).unwrap();
+        assert_eq!(WalkBatch::decode(&full.encode(n), n, len_bits), Some(full));
+        assert_eq!(
+            WalkBatch::new(&[token; WalkBatch::CAPACITY + 1], len_bits),
+            None
+        );
+        // A header announcing one token too many is refused even though
+        // every announced token is present.
+        let mut w = BitWriter::new();
+        w.write_bits(WalkBatch::CAPACITY as u64 + 1, BATCH_HEADER_BITS);
+        for _ in 0..=WalkBatch::CAPACITY {
+            w.write_bits(1, bits_for_node_id(n));
+            w.write_bits(2, len_bits as usize);
+        }
+        assert_eq!(WalkBatch::decode(&w.finish(), n, len_bits), None);
+        // So is an oversized token list in a checkpoint image.
+        let mut w = BitWriter::new();
+        vec![token; WalkBatch::CAPACITY + 1].encode_state(&mut w);
+        len_bits.encode_state(&mut w);
+        let image = w.finish();
+        assert_eq!(WalkBatch::decode_state(&mut BitReader::new(&image)), None);
+        // The default budget never fits more than CAPACITY one-bit-length
+        // tokens, and `fit` stays within 1..=CAPACITY at any budget.
+        for n in [2usize, 3, 64, 4096, 1 << 20, 1 << 40] {
+            let budget = congest_sim::SimConfig::default().budget_bits(n);
+            let most = (budget - BATCH_HEADER_BITS) / WalkBatch::token_bits(n, 1);
+            assert!(most <= WalkBatch::CAPACITY, "n = {n}: {most}");
+            for payload in [0, budget, 100 * budget] {
+                let k = WalkBatch::fit(payload, n, 1);
+                assert!((1..=WalkBatch::CAPACITY).contains(&k));
+            }
+        }
+    }
+
+    #[test]
     fn corruption_exercises_the_real_codec() {
         use rand::SeedableRng;
         let n = 300;
         let len_bits = len_field_bits(500);
-        let batch = WalkBatch {
-            tokens: vec![
+        let batch = WalkBatch::new(
+            &[
                 WalkToken {
                     source: 7,
                     remaining: 499,
@@ -334,7 +429,8 @@ mod tests {
                 },
             ],
             len_bits,
-        };
+        )
+        .unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let mut survived = 0usize;
         let mut destroyed = 0usize;
@@ -345,8 +441,8 @@ mod tests {
                         survived += 1;
                         // Whatever survives decodes cleanly: in-range
                         // sources, same field widths.
-                        assert!(m.tokens.iter().all(|t| t.source < n));
-                        assert_eq!(m.len_bits, len_bits);
+                        assert!(m.tokens().iter().all(|t| t.source < n));
+                        assert_eq!(m.len_bits(), len_bits);
                     }
                     None => destroyed += 1,
                 }
@@ -384,15 +480,19 @@ mod tests {
             batch.digest(n, &mut crc);
             crc.finish()
         };
-        let a = WalkBatch {
-            tokens: vec![WalkToken {
-                source: 7,
-                remaining: 9,
+        let token = WalkToken {
+            source: 7,
+            remaining: 9,
+        };
+        let a = WalkBatch::new(&[token], len_bits).unwrap();
+        let b = WalkBatch::new(
+            &[WalkToken {
+                remaining: 8,
+                ..token
             }],
             len_bits,
-        };
-        let mut b = a.clone();
-        b.tokens[0].remaining = 8;
+        )
+        .unwrap();
         assert_ne!(d(&a), d(&b));
         // The digest hashes exactly the encoded bits: byte-hashing the
         // real encoding gives the same checksum.
@@ -405,13 +505,11 @@ mod tests {
         // must fit B(n) = 8 ceil(log2 n) for reasonable n and l = n ln(1/eps).
         for n in [8usize, 64, 1000, 1 << 20] {
             let l = (n as f64 * 10.0f64.ln()).ceil() as usize;
-            let batch = WalkBatch {
-                tokens: vec![WalkToken {
-                    source: 0,
-                    remaining: l as u32,
-                }],
-                len_bits: len_field_bits(l),
+            let token = WalkToken {
+                source: 0,
+                remaining: l as u32,
             };
+            let batch = WalkBatch::new(&[token], len_field_bits(l)).unwrap();
             let budget = congest_sim::SimConfig::default().budget_bits(n);
             assert!(
                 batch.bit_size(n) <= budget,

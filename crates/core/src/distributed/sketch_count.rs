@@ -62,7 +62,8 @@ pub struct SketchCountProgram {
 }
 
 impl SketchCountProgram {
-    /// Program for node `me` with its phase-1 counts `xi` (`ξ_me^s`),
+    /// Program for node `me` with its phase-1 counts `xi`, listed as
+    /// `(s, ξ_me^s)` by ascending source (an omitted source counts zero),
     /// bucketed at `precision`. `value_bits` comes from
     /// [`sketch_field_bits`](crate::distributed::sketch::sketch_field_bits)
     /// and the driver's budget fitting; the per-source quantization
@@ -73,16 +74,19 @@ impl SketchCountProgram {
         me: NodeId,
         n: usize,
         degree: usize,
-        xi: &[u64],
+        xi: &[(NodeId, u64)],
         walks_per_node: usize,
         precision: u8,
         value_bits: u8,
         fractional_bits: u8,
     ) -> SketchCountProgram {
-        debug_assert_eq!(xi.len(), n);
+        debug_assert!(xi.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(xi.last().is_none_or(|&(s, _)| s < n));
         let scale = f64::from(1u32 << fractional_bits);
         let mut sketch = VisitSketch::new(precision);
-        for (s, &c) in xi.iter().enumerate() {
+        // A zero count would observe nothing, so omitted sources match a
+        // dense row.
+        for &(s, c) in xi {
             let scaled = ((c as f64 / degree.max(1) as f64) * scale).round() as u64;
             sketch.observe(s, scaled);
         }
@@ -363,7 +367,8 @@ mod tests {
         let l = counts.iter().flatten().copied().max().unwrap_or(1) as usize;
         let value_bits = sketch_field_bits(k, l, n, f);
         let mut sim = Simulator::new(g, SimConfig::default().with_bandwidth_coeff(16), |v| {
-            SketchCountProgram::new(v, n, g.degree(v), &counts[v], k, precision, value_bits, f)
+            let xi: Vec<(NodeId, u64)> = counts[v].iter().copied().enumerate().collect();
+            SketchCountProgram::new(v, n, g.degree(v), &xi, k, precision, value_bits, f)
         });
         let stats = sim.run().unwrap();
         let b = (0..n)
@@ -468,7 +473,7 @@ mod tests {
     #[test]
     fn program_state_round_trips() {
         let g = cycle(5).unwrap();
-        let counts: Vec<u64> = (0..5).map(|s| (s * 3 + 1) as u64).collect();
+        let counts: Vec<(NodeId, u64)> = (0..5).map(|s| (s, (s * 3 + 1) as u64)).collect();
         let mut p = SketchCountProgram::new(1, 5, g.degree(1), &counts, 2, 3, 24, 8);
         p.received_per_neighbor[0] = 2;
         p.cols[3] = 77;

@@ -41,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use rwbc_graph::traversal::{connected_components, is_connected};
 use rwbc_graph::{Graph, NodeId};
 
-use crate::distributed::messages::{count_field_bits, len_field_bits};
+use crate::distributed::messages::{count_field_bits, len_field_bits, WalkBatch};
 use crate::distributed::sketch::sketch_field_bits;
 use crate::distributed::{
     span_end, span_start, ComponentCoverage, CountMode, CountProgram, DegradationReport,
@@ -338,8 +338,9 @@ pub struct StepSolver<'g> {
     walk_stats: Option<RunStats>,
     /// Every finished count pass, merged.
     count_stats: Option<RunStats>,
-    /// Visit counts `ξ_v^s` summed over the walk sub-phases (row `v`).
-    counts: Vec<Vec<u64>>,
+    /// The nonzero visit counts `ξ_v^s` summed over the walk sub-phases:
+    /// row `v` holds `(s, ξ_v^s)` by ascending `s`.
+    counts: Vec<Vec<(NodeId, u64)>>,
     /// Walks each source still owes: `K` minus those that completed.
     outstanding: Vec<u64>,
     /// Membership of the survivor graph's giant component (everyone,
@@ -679,6 +680,7 @@ impl<'g> StepSolver<'g> {
         let len_bits = len_field_bits(l);
         let (target, discipline) = (self.target, self.config.discipline);
         let (cfg, seed) = self.walk_sim(attempt);
+        let batch = self.walk_batch_limit();
         if attempt > 0 {
             self.degradation.walks_relaunched += (0..n)
                 .filter(|&s| self.in_giant[s])
@@ -702,10 +704,25 @@ impl<'g> StepSolver<'g> {
                     };
                     WalkProgram::resume(v, n, target, vec![l as u32; replay], len_bits, discipline)
                 };
-                walks.with_draw_seed(seed).with_dead_neighbors(dead)
+                walks
+                    .with_draw_seed(seed)
+                    .with_batch_limit(batch)
+                    .with_dead_neighbors(dead)
             },
         );
         self.state = PhaseState::Walk(self.lend(net));
+    }
+
+    /// Tokens one walk message may carry: as many as the run's budget
+    /// holds once the transport's frame header is paid.
+    fn walk_batch_limit(&self) -> usize {
+        let n = self.graph.node_count();
+        let payload = self
+            .config
+            .sim
+            .budget_bits(n)
+            .saturating_sub(self.transport.header_bits());
+        WalkBatch::fit(payload, n, len_field_bits(self.config.params.walk_length))
     }
 
     /// Harvests a drained walk sub-phase. Once the network drains, every
@@ -717,19 +734,23 @@ impl<'g> StepSolver<'g> {
         let tolerant = self.transport == Transport::Tolerant;
         self.degradation.walk_subphases += 1;
         if self.counts.is_empty() {
-            self.counts = vec![vec![0u64; n]; n];
+            self.counts = vec![Vec::new(); n];
         }
         for (v, row) in self.counts.iter_mut().enumerate() {
             let p = net.program(v);
-            let owed = self.outstanding.iter_mut();
-            for ((count, owed), (&c, &d)) in row
-                .iter_mut()
-                .zip(owed)
-                .zip(p.counts().iter().zip(p.deaths()))
-            {
-                *count += c;
-                *owed = owed.saturating_sub(d);
+            for (s, d) in p.deaths() {
+                self.outstanding[s] = self.outstanding[s].saturating_sub(d);
             }
+            // A later sub-phase's visits add to the earlier ones.
+            row.extend(p.counts());
+            row.sort_unstable_by_key(|&(s, _)| s);
+            row.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 += later.1;
+                }
+                same
+            });
             if tolerant {
                 for peer in net.dead_peers(v) {
                     self.dead_links.insert(ordered_pair(v, peer));
@@ -788,7 +809,7 @@ impl<'g> StepSolver<'g> {
         self.target = members[self.seeder.gen_range(0..members.len())];
         self.degradation.target_redraws += 1;
         for row in &mut self.counts {
-            row.fill(0);
+            row.clear();
         }
         for s in 0..n {
             // Giant sources restart from scratch and the new target stops
@@ -832,14 +853,7 @@ impl<'g> StepSolver<'g> {
         self.state = match self.config.count_mode {
             CountMode::Exact => {
                 let net = Net::new(graph, cfg, self.transport, &self.dead_links, |v, dead| {
-                    // A tolerant pass may re-run, so it copies the counts;
-                    // otherwise each node takes its row.
-                    let xi = if tolerant {
-                        self.counts[v].clone()
-                    } else {
-                        std::mem::take(&mut self.counts[v])
-                    };
-                    CountProgram::new(v, n, graph.degree(v), xi, k, value_bits, f)
+                    CountProgram::new(v, n, graph.degree(v), &self.counts[v], k, value_bits, f)
                         .with_strict_delivery(strict)
                         .with_effective_n(if self.in_giant[v] { giant_size } else { 2 })
                         .with_dead_neighbors(dead)
@@ -863,6 +877,7 @@ impl<'g> StepSolver<'g> {
                 PhaseState::Count(CountNet::Sketch(self.lend(net)))
             }
         };
+        // A tolerant pass may re-run, so it keeps the counts.
         if !tolerant {
             self.counts = Vec::new();
         }
@@ -1243,7 +1258,21 @@ impl<'g> StepSolver<'g> {
         solver.state = match phase_tag {
             0 => {
                 let cfg = solver.walk_sim(0).0;
-                let sim = Simulator::restore(graph, cfg, &engine).map_err(RwbcError::Sim)?;
+                let mut sim: Simulator<'g, WalkProgram> =
+                    Simulator::restore(graph, cfg, &engine).map_err(RwbcError::Sim)?;
+                // Program images are checked on decode; the batches in
+                // flight can only be checked against the network here.
+                let unknown_source = sim
+                    .in_flight()
+                    .flat_map(|m| m.msg.tokens())
+                    .any(|token| token.source >= n);
+                if unknown_source {
+                    return Err(corrupt("an in-flight walk token names no node"));
+                }
+                let batch = solver.walk_batch_limit();
+                for program in sim.programs_mut() {
+                    program.set_batch_limit(batch);
+                }
                 solver.span.0 = "walk".to_string();
                 PhaseState::Walk(Net::Raw(sim))
             }
@@ -1371,6 +1400,141 @@ mod tests {
             restored.run_to_completion().unwrap(),
             solver.run_to_completion().unwrap()
         );
+    }
+
+    /// Asserts `solver`'s image has the pinned `(length, CRC-32)`, then
+    /// that it restores to the same bytes and the same finished run.
+    fn assert_image_pinned(
+        g: &Graph,
+        c: DistributedConfig,
+        mut solver: StepSolver<'_>,
+        pin: (usize, u32),
+        what: &str,
+    ) {
+        let image = solver.checkpoint().unwrap();
+        assert_eq!((image.len(), crc32(&image)), pin, "{what} image changed");
+        let mut restored = StepSolver::restore(g, c, &image).unwrap();
+        assert_eq!(restored.checkpoint().unwrap(), image);
+        assert_eq!(
+            restored.run_to_completion().unwrap(),
+            solver.run_to_completion().unwrap()
+        );
+    }
+
+    /// Mid-walk images under both disciplines, pinned by CRC-32: the image
+    /// keeps the dense visit-count and death rows, the sorted ticket list
+    /// and every in-flight batch as a token list, however the walk phase
+    /// stores them.
+    #[test]
+    fn walk_phase_images_are_pinned() {
+        use crate::distributed::CongestionDiscipline;
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = connected_gnp(16, 0.3, 100, &mut rng).unwrap();
+        for (discipline, pin) in [
+            (CongestionDiscipline::HoldAndResend, (9_643, 0xCB78_2598)),
+            (CongestionDiscipline::Batched, (10_363, 0xB6AF_C81B)),
+        ] {
+            let c = DistributedConfig::builder()
+                .walks(6)
+                .length(12)
+                .seed(3)
+                .discipline(discipline)
+                .build()
+                .unwrap();
+            let mut solver = StepSolver::new(&g, c.clone()).unwrap();
+            for _ in 0..3 {
+                solver.step().unwrap();
+            }
+            // Six walks per node leave tokens parked and have issued
+            // tickets 0..5 at every birth state; under `Batched` some
+            // edge has carried several tokens in one message.
+            let PhaseState::Walk(net) = &solver.state else {
+                panic!("the walk phase must still run")
+            };
+            assert!((0..16).any(|v| net.program(v).queued() > 0));
+            let stats = net.stats();
+            let one_token = 4 + WalkBatch::token_bits(16, len_field_bits(12));
+            assert_eq!(
+                stats.max_bits_edge_round > one_token,
+                discipline == CongestionDiscipline::Batched
+            );
+            assert_image_pinned(&g, c, solver, pin, &format!("{discipline:?} walk"));
+        }
+    }
+
+    /// A walk image whose only in-flight batch carries a source outside
+    /// the network gets a typed error, not a panic at the harvest.
+    #[test]
+    fn restore_rejects_in_flight_tokens_from_unknown_sources() {
+        let g = star(5).unwrap();
+        let n = g.node_count();
+        let c = cfg(4);
+        let solver = StepSolver::new(&g, c.clone()).unwrap();
+        // An engine image holding one batch that names node n: node 1
+        // launches a walk under that id, then every node gets a clean
+        // program.
+        let (sim_cfg, seed) = solver.walk_sim(0);
+        let len_bits = len_field_bits(30);
+        let program = |me: NodeId, lengths: Vec<u32>| {
+            WalkProgram::resume(me, n, solver.target(), lengths, len_bits, c.discipline)
+                .with_draw_seed(seed)
+        };
+        let mut sim = Simulator::new(&g, sim_cfg, |v| {
+            if v == 1 {
+                program(n, vec![2])
+            } else {
+                program(v, Vec::new())
+            }
+        });
+        sim.step().unwrap();
+        for (v, p) in sim.programs_mut().iter_mut().enumerate() {
+            *p = program(v, Vec::new());
+        }
+        let mut in_flight = sim.in_flight();
+        let batch = in_flight.next().expect("one batch in flight").msg;
+        assert!(in_flight.next().is_none());
+        assert_eq!(batch.tokens()[0].source, n);
+        // Frame it like the solver's own image.
+        let image = solver.checkpoint().unwrap();
+        let mut r = BitReader::new(&image);
+        r.read_bits(64).unwrap();
+        r.read_bits(64).unwrap();
+        let mut w = BitWriter::new();
+        w.write_bits(STEP_CHECKPOINT_MAGIC, 64);
+        w.write_bits(STEP_CHECKPOINT_VERSION, 64);
+        write_section(&mut w, &read_section(&mut r, "header").unwrap());
+        write_section(&mut w, &read_section(&mut r, "phase metadata").unwrap());
+        write_section(&mut w, &sim.checkpoint());
+        match StepSolver::restore(&g, c, &w.finish()) {
+            Err(RwbcError::Sim(SimError::CorruptCheckpoint { reason })) => {
+                assert!(reason.contains("in-flight"), "{reason}");
+            }
+            Err(other) => panic!("expected CorruptCheckpoint, got {other:?}"),
+            Ok(_) => panic!("an unknown source must not restore"),
+        }
+    }
+
+    /// A mid-count sketch image, pinned like the exact one.
+    #[test]
+    fn sketch_count_phase_image_is_pinned() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = connected_gnp(16, 0.3, 100, &mut rng).unwrap();
+        let c = DistributedConfig::builder()
+            .walks(6)
+            .length(12)
+            .seed(3)
+            .count_mode(CountMode::Sketch { precision: 4 })
+            .build()
+            .unwrap();
+        let mut solver = StepSolver::new(&g, c.clone()).unwrap();
+        while solver.phase() != SolvePhase::Count {
+            solver.step().unwrap();
+        }
+        for _ in 0..5 {
+            solver.step().unwrap();
+        }
+        assert_eq!(solver.phase(), SolvePhase::Count);
+        assert_image_pinned(&g, c, solver, (11_909, 0xCBC0_C0E1), "sketch count-phase");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! per source.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use congest_sim::{Context, Incoming, NodeProgram, TraceEvent};
 use rwbc_graph::NodeId;
@@ -20,6 +21,9 @@ use crate::distributed::CongestionDiscipline;
 /// losers stay queued and keep their rolled neighbor for the next round.
 /// The batched variant (ablation D3) instead packs as many tokens per
 /// message as the bit budget allows.
+///
+/// The state is proportional to the tokens the node handles, not to `n`:
+/// only the nonzero visit counts and deaths are kept (DESIGN §14).
 ///
 /// # Schedule-invariant randomness
 ///
@@ -48,24 +52,28 @@ use crate::distributed::CongestionDiscipline;
 #[derive(Debug, Clone)]
 pub struct WalkProgram {
     me: NodeId,
+    n: usize,
     target: NodeId,
     k: usize,
     len_bits: u8,
     discipline: CongestionDiscipline,
+    /// Tokens one message may carry under `Batched`; see
+    /// [`WalkProgram::with_batch_limit`].
+    batch_limit: usize,
     /// Seed of the schedule-invariant draw streams (see [`Self::roll`]).
     draw_seed: u64,
-    /// Tickets issued per walk state `(source, remaining)` at this node.
-    tickets: HashMap<(NodeId, u32), u32>,
+    /// Tickets issued per walk state, keyed by [`state_key`].
+    tickets: StateMap<u64, u32>,
     /// Tokens currently parked at this node, waiting to move.
     queue: Vec<Queued>,
-    /// `ξ_me^s` for every source `s`.
-    counts: Vec<u64>,
-    /// Walk completions observed *at this node*, per source: absorptions
-    /// (when this node is the target) and truncations (remaining hit 0
-    /// here). Summed across nodes by the driver, `K − Σ deaths[s]` is the
-    /// number of source-`s` tokens lost to faults — the signal behind the
-    /// relaunch recovery loop.
-    deaths: Vec<u64>,
+    /// The nonzero `ξ_me^s`, by source `s`.
+    counts: StateMap<NodeId, u64>,
+    /// The nonzero walk completions observed *at this node*, by source:
+    /// absorptions (when this node is the target) and truncations
+    /// (remaining hit 0 here). Summed across nodes by the driver,
+    /// `K − Σ deaths[s]` is the number of source-`s` tokens lost to faults
+    /// — the signal behind the relaunch recovery loop.
+    deaths: StateMap<NodeId, u64>,
     /// Neighbors declared permanently dead (sorted). Tokens are re-sampled
     /// among the survivors; with no survivors left, queued tokens are
     /// truncated in place.
@@ -73,6 +81,48 @@ pub struct WalkProgram {
     started: bool,
     /// Node-owned forwarding buffers, reused round over round.
     scratch: ForwardScratch,
+}
+
+/// Hashes the walk state's integer keys with one SplitMix64 round. Every
+/// visit and every draw pays for a hash, and the keys are node ids and
+/// walk states the protocol derives itself, so SipHash's defence against
+/// crafted collisions would buy nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = splitmix64(self.0 ^ x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type StateMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
+
+/// The ticket key of walk state `(source, remaining)`: both in one word.
+/// Node ids fit 32 bits (asserted at construction, checked on decode).
+fn state_key(source: NodeId, remaining: u32) -> u64 {
+    (source as u64) << 32 | u64::from(remaining)
+}
+
+/// A map's entries as `(source, value)` by ascending source.
+fn sorted(map: &StateMap<NodeId, u64>) -> Vec<(NodeId, u64)> {
+    let mut row: Vec<(NodeId, u64)> = map.iter().map(|(&s, &c)| (s, c)).collect();
+    row.sort_unstable();
+    row
 }
 
 /// A parked token plus the neighbor index it has already rolled. The
@@ -99,10 +149,9 @@ impl Queued {
 /// the protocol state: empty between rounds, excluded from equality.
 #[derive(Debug, Clone, Default)]
 struct ForwardScratch {
-    /// One bucket per neighbor index; each bucket's `Vec` is moved into
-    /// the outgoing [`WalkBatch`] (the message owns its tokens), but the
-    /// outer `Vec` persists.
-    per_neighbor: Vec<Vec<WalkToken>>,
+    /// One batch per neighbor index, copied into the outgoing message and
+    /// reset to empty.
+    per_neighbor: Vec<WalkBatch>,
     /// Tokens held back by the congestion discipline this round; swapped
     /// with `queue` at the end of the distribution, so both buffers keep
     /// their capacity.
@@ -152,39 +201,13 @@ impl WalkProgram {
         discipline: CongestionDiscipline,
     ) -> WalkProgram {
         let k = lengths.len();
-        let mut counts = vec![0u64; n];
-        let mut deaths = vec![0u64; n];
-        let mut queue = Vec::new();
-        if me != target {
+        let mut program = WalkProgram::resume(me, n, target, lengths, len_bits, discipline);
+        program.k = k;
+        if me != target && k > 0 {
             // Birth visits: the r = 0 term of the visit expectation.
-            counts[me] += k as u64;
-            for l in lengths {
-                if l > 0 {
-                    queue.push(Queued::fresh(WalkToken {
-                        source: me,
-                        remaining: l,
-                    }));
-                } else {
-                    // A zero-length walk completes at birth.
-                    deaths[me] += 1;
-                }
-            }
+            program.counts.insert(me, k as u64);
         }
-        WalkProgram {
-            me,
-            target,
-            k,
-            len_bits,
-            discipline,
-            draw_seed: 0,
-            tickets: HashMap::new(),
-            queue,
-            counts,
-            deaths,
-            dead_neighbors: Vec::new(),
-            started: false,
-            scratch: ForwardScratch::default(),
-        }
+        program
     }
 
     /// Program for a *recovery sub-phase*: node `me` relaunches
@@ -200,7 +223,11 @@ impl WalkProgram {
         len_bits: u8,
         discipline: CongestionDiscipline,
     ) -> WalkProgram {
-        let mut deaths = vec![0u64; n];
+        assert!(
+            u32::try_from(n).is_ok(),
+            "ticket keys pack a node id into 32 bits"
+        );
+        let mut deaths = StateMap::default();
         let mut queue = Vec::new();
         if me != target {
             for l in lengths {
@@ -210,20 +237,23 @@ impl WalkProgram {
                         remaining: l,
                     }));
                 } else {
-                    deaths[me] += 1;
+                    // A zero-length walk completes at birth.
+                    *deaths.entry(me).or_insert(0) += 1;
                 }
             }
         }
         WalkProgram {
             me,
+            n,
             target,
             k: 0,
             len_bits,
             discipline,
+            batch_limit: 1,
             draw_seed: 0,
-            tickets: HashMap::new(),
+            tickets: StateMap::default(),
             queue,
-            counts: vec![0u64; n],
+            counts: StateMap::default(),
             deaths,
             dead_neighbors: Vec::new(),
             started: false,
@@ -240,6 +270,23 @@ impl WalkProgram {
     pub fn with_draw_seed(mut self, seed: u64) -> WalkProgram {
         self.draw_seed = seed;
         self
+    }
+
+    /// Sets how many tokens one message may carry under
+    /// [`CongestionDiscipline::Batched`], clamped to
+    /// `1..=`[`WalkBatch::CAPACITY`]; the driver passes
+    /// [`WalkBatch::fit`] of the run's budget net of the transport header.
+    /// Defaults to 1. A checkpoint image does not carry it, so a restored
+    /// program needs it set again.
+    #[must_use]
+    pub fn with_batch_limit(mut self, tokens: usize) -> WalkProgram {
+        self.set_batch_limit(tokens);
+        self
+    }
+
+    /// [`WalkProgram::with_batch_limit`] on a program in place.
+    pub(crate) fn set_batch_limit(&mut self, tokens: usize) {
+        self.batch_limit = tokens.clamp(1, WalkBatch::CAPACITY);
     }
 
     /// Pre-seeds the set of permanently dead neighbors (e.g. links declared
@@ -259,15 +306,17 @@ impl WalkProgram {
         &self.dead_neighbors
     }
 
-    /// The visit counts `ξ_me^s` harvested after the phase completes.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
+    /// The nonzero visit counts `ξ_me^s` harvested after the phase
+    /// completes, as `(s, ξ_me^s)` by ascending source.
+    pub fn counts(&self) -> Vec<(NodeId, u64)> {
+        sorted(&self.counts)
     }
 
-    /// Walk completions observed at this node, per source (absorptions
-    /// here if this node is the target, truncations otherwise).
-    pub fn deaths(&self) -> &[u64] {
-        &self.deaths
+    /// The nonzero walk completions observed at this node (absorptions
+    /// here if this node is the target, truncations otherwise), as
+    /// `(source, completions)` by ascending source.
+    pub fn deaths(&self) -> Vec<(NodeId, u64)> {
+        sorted(&self.deaths)
     }
 
     /// Tokens still parked here (0 after a completed run).
@@ -291,7 +340,10 @@ impl WalkProgram {
     /// of them gets which ticket never changes the visit-count multiset —
     /// the schedule-invariance property in the type docs.
     fn roll(&mut self, source: NodeId, remaining: u32, bound: usize) -> usize {
-        let t = self.tickets.entry((source, remaining)).or_insert(0);
+        let t = self
+            .tickets
+            .entry(state_key(source, remaining))
+            .or_insert(0);
         let ticket = *t;
         *t += 1;
         let mut h = self.draw_seed;
@@ -330,7 +382,7 @@ impl WalkProgram {
                 // walks can never move again. Truncate them in place so
                 // the death tally (and with it termination) stays exact.
                 for q in self.queue.drain(..) {
-                    self.deaths[q.token.source] += 1;
+                    *self.deaths.entry(q.token.source).or_insert(0) += 1;
                 }
                 return;
             }
@@ -338,16 +390,18 @@ impl WalkProgram {
         let live_len = self.scratch.live.len();
         let max_per_edge = match self.discipline {
             CongestionDiscipline::HoldAndResend => 1,
-            CongestionDiscipline::Batched => {
-                let budget = congest_sim::SimConfig::default().budget_bits(ctx.network_size());
-                let token = WalkBatch::token_bits(ctx.network_size(), self.len_bits);
-                ((budget.saturating_sub(4)) / token).max(1)
-            }
+            CongestionDiscipline::Batched => self.batch_limit,
         };
         if self.scratch.per_neighbor.len() < deg {
-            self.scratch.per_neighbor.resize_with(deg, Vec::new);
+            self.scratch
+                .per_neighbor
+                .resize(deg, WalkBatch::empty(self.len_bits));
         }
-        debug_assert!(self.scratch.per_neighbor.iter().all(Vec::is_empty));
+        debug_assert!(self
+            .scratch
+            .per_neighbor
+            .iter()
+            .all(|b| b.tokens().is_empty()));
         debug_assert!(self.scratch.keep.is_empty());
         // Roll a neighbor for each token that doesn't have one yet (paper
         // line 6, first half: "choose a random neighbor v") and bucket it,
@@ -367,7 +421,7 @@ impl WalkProgram {
                 }
             };
             let bucket = &mut self.scratch.per_neighbor[choice];
-            if bucket.len() < max_per_edge {
+            if bucket.tokens().len() < max_per_edge {
                 bucket.push(q.token);
             } else {
                 self.scratch.keep.push(Queued {
@@ -381,46 +435,52 @@ impl WalkProgram {
         std::mem::swap(&mut queue, &mut self.scratch.keep);
         self.queue = queue;
         for i in 0..deg {
-            if self.scratch.per_neighbor[i].is_empty() {
+            if self.scratch.per_neighbor[i].tokens().is_empty() {
                 continue;
             }
-            // The bucket's `Vec` moves into the message (the batch owns its
-            // tokens); only the outer arena is retained.
-            let tokens = std::mem::take(&mut self.scratch.per_neighbor[i]);
-            let to = ctx.neighbor(i);
-            ctx.send(
-                to,
-                WalkBatch {
-                    tokens,
-                    len_bits: self.len_bits,
-                },
+            let batch = std::mem::replace(
+                &mut self.scratch.per_neighbor[i],
+                WalkBatch::empty(self.len_bits),
             );
+            ctx.send(ctx.neighbor(i), batch);
         }
     }
 }
 
 // Checkpoint encoding (see `congest_sim::wire::WireState`): everything
-// but `scratch`, which is empty at every round boundary by construction.
-// The ticket map is written in sorted key order so two equal programs
-// always produce identical bytes — the hinge of the daemon's
-// checkpoint-resume bit-identity guarantee.
+// but `scratch`, which is empty at every round boundary by construction,
+// and `batch_limit`, which the driver sets again on restore. The image
+// keeps the dense layout: tickets sorted by `(source, remaining)` so two
+// equal programs always produce identical bytes — the hinge of the
+// daemon's checkpoint-resume bit-identity guarantee — and `counts` and
+// `deaths` as `n`-word rows.
 impl congest_sim::wire::WireState for WalkProgram {
     fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
+        let dense = |map: &StateMap<NodeId, u64>| {
+            let mut row = vec![0u64; self.n];
+            for (&s, &c) in map {
+                row[s] = c;
+            }
+            row
+        };
         self.me.encode_state(w);
         self.target.encode_state(w);
         self.k.encode_state(w);
         self.len_bits.encode_state(w);
         matches!(self.discipline, CongestionDiscipline::Batched).encode_state(w);
         self.draw_seed.encode_state(w);
-        let mut tickets: Vec<((NodeId, u32), u32)> =
-            self.tickets.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut tickets: Vec<((NodeId, u32), u32)> = self
+            .tickets
+            .iter()
+            .map(|(&key, &t)| (((key >> 32) as NodeId, key as u32), t))
+            .collect();
         tickets.sort_unstable();
         tickets.encode_state(w);
         let queue: Vec<(WalkToken, Option<u32>)> =
             self.queue.iter().map(|q| (q.token, q.choice)).collect();
         queue.encode_state(w);
-        self.counts.encode_state(w);
-        self.deaths.encode_state(w);
+        dense(&self.counts).encode_state(w);
+        dense(&self.deaths).encode_state(w);
         self.dead_neighbors.encode_state(w);
         self.started.encode_state(w);
     }
@@ -438,20 +498,45 @@ impl congest_sim::wire::WireState for WalkProgram {
         let draw_seed = u64::decode_state(r)?;
         let tickets: Vec<((NodeId, u32), u32)> = Vec::decode_state(r)?;
         let queue: Vec<(WalkToken, Option<u32>)> = Vec::decode_state(r)?;
+        let counts: Vec<u64> = Vec::decode_state(r)?;
+        let deaths: Vec<u64> = Vec::decode_state(r)?;
+        let n = counts.len();
+        // Every node id the state holds must name a node of the network
+        // the rows describe; anything else is a corrupt image.
+        let consistent = deaths.len() == n
+            && u32::try_from(n).is_ok()
+            && me < n
+            && target < n
+            && queue.iter().all(|(token, _)| token.source < n)
+            && tickets.iter().all(|&((source, _), _)| source < n);
+        if !consistent {
+            return None;
+        }
+        let sparse = |row: Vec<u64>| -> StateMap<NodeId, u64> {
+            row.into_iter()
+                .enumerate()
+                .filter(|&(_, c)| c != 0)
+                .collect()
+        };
         Some(WalkProgram {
             me,
+            n,
             target,
             k,
             len_bits,
             discipline,
+            batch_limit: 1,
             draw_seed,
-            tickets: tickets.into_iter().collect(),
+            tickets: tickets
+                .into_iter()
+                .map(|((source, remaining), t)| (state_key(source, remaining), t))
+                .collect(),
             queue: queue
                 .into_iter()
                 .map(|(token, choice)| Queued { token, choice })
                 .collect(),
-            counts: Vec::decode_state(r)?,
-            deaths: Vec::decode_state(r)?,
+            counts: sparse(counts),
+            deaths: sparse(deaths),
             dead_neighbors: Vec::decode_state(r)?,
             started: bool::decode_state(r)?,
             scratch: ForwardScratch::default(),
@@ -471,16 +556,16 @@ impl NodeProgram for WalkProgram {
         let mut absorbed = 0u64;
         let mut truncated = 0u64;
         for batch in inbox {
-            for token in &batch.msg.tokens {
+            for token in batch.msg.tokens() {
                 // Paper lines 7-16: absorb at the target, otherwise count
                 // the visit, decrement, and keep the walk if it has hops
                 // left.
                 if self.me == self.target {
-                    self.deaths[token.source] += 1;
+                    *self.deaths.entry(token.source).or_insert(0) += 1;
                     absorbed += 1;
                     continue; // absorbed
                 }
-                self.counts[token.source] += 1;
+                *self.counts.entry(token.source).or_insert(0) += 1;
                 if token.remaining > 1 {
                     self.queue.push(Queued::fresh(WalkToken {
                         source: token.source,
@@ -488,7 +573,7 @@ impl NodeProgram for WalkProgram {
                     }));
                 } else {
                     // Truncated here: this walk has completed its budget.
-                    self.deaths[token.source] += 1;
+                    *self.deaths.entry(token.source).or_insert(0) += 1;
                     truncated += 1;
                 }
             }
@@ -534,6 +619,7 @@ impl NodeProgram for WalkProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_sim::wire::{BitReader, BitWriter, WireState};
     use congest_sim::{SimConfig, Simulator};
     use rwbc_graph::generators::{complete, cycle, path, star};
 
@@ -547,11 +633,23 @@ mod tests {
     ) -> (Vec<Vec<u64>>, congest_sim::RunStats) {
         let n = g.node_count();
         let len_bits = crate::distributed::messages::len_field_bits(l);
-        let mut sim = Simulator::new(g, SimConfig::default().with_seed(seed), |v| {
-            WalkProgram::new(v, n, target, k, l, len_bits, discipline).with_draw_seed(seed)
+        let cfg = SimConfig::default().with_seed(seed);
+        let batch = WalkBatch::fit(cfg.budget_bits(n), n, len_bits);
+        let mut sim = Simulator::new(g, cfg, |v| {
+            WalkProgram::new(v, n, target, k, l, len_bits, discipline)
+                .with_draw_seed(seed)
+                .with_batch_limit(batch)
         });
         let stats = sim.run().unwrap();
-        let counts = (0..n).map(|v| sim.program(v).counts().to_vec()).collect();
+        let counts = (0..n)
+            .map(|v| {
+                let mut row = vec![0; n];
+                for (s, c) in sim.program(v).counts() {
+                    row[s] = c;
+                }
+                row
+            })
+            .collect();
         (counts, stats)
     }
 
@@ -641,6 +739,80 @@ mod tests {
                 let ratio = ta as f64 / tb as f64;
                 assert!((0.9..1.1).contains(&ratio), "node {v}: {ta} vs {tb}");
             }
+        }
+    }
+
+    /// The image of `p` with its `counts` and `deaths` rows replaced, in
+    /// `encode_state`'s field order.
+    fn image_with_rows(p: &WalkProgram, counts: &[u64], deaths: &[u64]) -> Vec<u8> {
+        let mut tickets: Vec<((NodeId, u32), u32)> = p
+            .tickets
+            .iter()
+            .map(|(&key, &t)| (((key >> 32) as NodeId, key as u32), t))
+            .collect();
+        tickets.sort_unstable();
+        let queue: Vec<(WalkToken, Option<u32>)> =
+            p.queue.iter().map(|q| (q.token, q.choice)).collect();
+        let mut w = BitWriter::new();
+        p.me.encode_state(&mut w);
+        p.target.encode_state(&mut w);
+        p.k.encode_state(&mut w);
+        p.len_bits.encode_state(&mut w);
+        matches!(p.discipline, CongestionDiscipline::Batched).encode_state(&mut w);
+        p.draw_seed.encode_state(&mut w);
+        tickets.encode_state(&mut w);
+        queue.encode_state(&mut w);
+        counts.to_vec().encode_state(&mut w);
+        deaths.to_vec().encode_state(&mut w);
+        p.dead_neighbors.encode_state(&mut w);
+        p.started.encode_state(&mut w);
+        w.finish().to_vec()
+    }
+
+    #[test]
+    fn decode_rejects_inconsistent_walk_state() {
+        // Node 1 of a 5-node network with target 4: three births, two
+        // tickets issued at the birth state, a visit from source 3 and a
+        // death of source 0.
+        let n = 5;
+        let mut p = WalkProgram::new(1, n, 4, 3, 6, 3, CongestionDiscipline::HoldAndResend);
+        p.roll(1, 6, 2);
+        p.roll(1, 6, 2);
+        p.counts.insert(3, 2);
+        p.deaths.insert(0, 1);
+        let (counts, deaths) = ([0, 3, 0, 2, 0], [1, 0, 0, 0, 0]);
+        let encode = |p: &WalkProgram| {
+            let mut w = BitWriter::new();
+            p.encode_state(&mut w);
+            w.finish().to_vec()
+        };
+        let decode = |bytes: &[u8]| WalkProgram::decode_state(&mut BitReader::new(bytes));
+        // The hand-built image is the real one, and it round-trips.
+        assert_eq!(image_with_rows(&p, &counts, &deaths), encode(&p));
+        let back = decode(&encode(&p)).expect("valid image");
+        assert_eq!(encode(&back), encode(&p));
+        // Rows of different lengths.
+        assert!(decode(&image_with_rows(&p, &counts, &deaths[..4])).is_none());
+        assert!(decode(&image_with_rows(&p, &counts[..4], &deaths)).is_none());
+        // A node id outside the network: this node, the target, a parked
+        // token's source, a ticket's source.
+        let edits: [fn(&mut WalkProgram); 4] = [
+            |p| p.me = 5,
+            |p| p.target = 5,
+            |p| {
+                p.queue.push(Queued::fresh(WalkToken {
+                    source: 5,
+                    remaining: 2,
+                }))
+            },
+            |p| {
+                p.tickets.insert(state_key(5, 2), 1);
+            },
+        ];
+        for edit in edits {
+            let mut bad = p.clone();
+            edit(&mut bad);
+            assert!(decode(&encode(&bad)).is_none());
         }
     }
 

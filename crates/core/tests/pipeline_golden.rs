@@ -16,7 +16,8 @@ use congest_sim::{
     FaultPlan, LinkCorruption, LinkOutage, NodeCrash, SimConfig, TraceEvent, Tracer,
 };
 use rwbc::distributed::{
-    approximate, approximate_traced, CountMode, DistributedConfig, DistributedRun,
+    approximate, approximate_traced, CongestionDiscipline, CountMode, DistributedConfig,
+    DistributedRun,
 };
 use rwbc::monte_carlo::TargetStrategy;
 use rwbc_graph::generators::{connected_gnp, fig1_graph, star};
@@ -162,6 +163,13 @@ fn crash(node: usize, round: usize) -> FaultPlan {
 #[test]
 fn clean_exact() {
     check(&gnp(18, 0.3, 77), &config(40, 30, 9), &Golden { fingerprint: (149, 11224, 181940), centrality_crc: 0x0504C9DB, target: 0, fixed_point_bits: 16, sketch_suppressed: 0, degradation: "DegradationReport { walks_lost: 0, walks_relaunched: 0, walk_subphases: 1, count_cells_missing: 0, dead_links_detected: [], dead_nodes_detected: [], components: [], target_redraws: 0, corrupt_frames_detected: 0, links_quarantined: 0 }", spans: &["+walk", "-walk:131", "+count", "-count:18"] });
+}
+
+#[test]
+fn clean_batched_exact() {
+    let mut c = config(40, 30, 9);
+    c.discipline = CongestionDiscipline::Batched;
+    check(&gnp(18, 0.3, 77), &c, &Golden { fingerprint: (68, 5919, 160720), centrality_crc: 0x0504C9DB, target: 0, fixed_point_bits: 16, sketch_suppressed: 0, degradation: "DegradationReport { walks_lost: 0, walks_relaunched: 0, walk_subphases: 1, count_cells_missing: 0, dead_links_detected: [], dead_nodes_detected: [], components: [], target_redraws: 0, corrupt_frames_detected: 0, links_quarantined: 0 }", spans: &["+walk", "-walk:50", "+count", "-count:18"] });
 }
 
 #[test]

@@ -47,6 +47,32 @@ fn strict_mode_passes_on_every_family_and_discipline() {
 }
 
 #[test]
+fn batched_walks_fit_the_runs_own_budget() {
+    // Batches are sized from the run's budget net of the transport's frame
+    // header: a narrower coefficient, or the reliable header at the default
+    // one, leaves room for fewer tokens than the default raw budget does.
+    let mut rng = StdRng::seed_from_u64(5);
+    let g = connected_gnp(64, 0.1, 100, &mut rng).unwrap();
+    let batched = DistributedConfig::builder()
+        .walks(8)
+        .length(20)
+        .seed(5)
+        .discipline(CongestionDiscipline::Batched)
+        .build()
+        .unwrap();
+    let mut narrow = batched.clone();
+    narrow.sim = SimConfig::default().with_bandwidth_coeff(4);
+    let mut framed = batched;
+    framed.reliable = true;
+    for (what, cfg) in [("coefficient 4", narrow), ("reliable", framed)] {
+        let run = approximate(&g, &cfg).expect(what);
+        assert!(run.congest_compliant(), "{what}");
+        assert_eq!(run.walk_stats.violations, 0, "{what}");
+        assert!(run.walk_stats.max_bits_edge_round <= run.walk_stats.budget_bits);
+    }
+}
+
+#[test]
 fn max_bits_stay_within_budget_with_margin_reported() {
     let g = grid_2d(5, 5).unwrap();
     let cfg = DistributedConfig::builder()
