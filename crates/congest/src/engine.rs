@@ -17,6 +17,10 @@ use crate::{Message, NodeProgram, RunStats, SimConfig, SimError};
 /// Per-node outgoing `(destination, message)` buffers for one round.
 type Outboxes<M> = Vec<Vec<(NodeId, M)>>;
 
+/// One destination group of a prepared outbox: `(destination, messages,
+/// bits)`, the unit the per-edge-direction budgets are charged on.
+type Group = (NodeId, usize, usize);
+
 /// Magic word opening every checkpoint image.
 const CHECKPOINT_MAGIC: u64 = 0xC4EC_5A7E;
 /// Bumped whenever the checkpoint layout changes incompatibly; only this
@@ -62,33 +66,27 @@ pub struct Simulator<'g, P: NodeProgram> {
     /// rounds allocate no inbox storage at all. Always empty between
     /// steps — checkpoints never see it.
     inboxes: Vec<Vec<Incoming<P::Msg>>>,
-    /// Persistent per-node outgoing buffers, drained by `commit` each
-    /// round and reused. Always empty between steps.
+    /// Persistent per-node outgoing buffers, drained by the commit spine
+    /// each round and reused. Always empty between steps.
     outboxes: Outboxes<P::Msg>,
-    /// Commit scratch: one `(destination, count, bits)` entry per
-    /// per-edge-direction message group of the sender being committed.
-    group_scratch: Vec<(NodeId, usize, usize)>,
     /// The worker count the round loop actually uses:
     /// [`SimConfig::effective_threads`] evaluated once for this graph.
-    /// 1 means every round runs sequentially.
+    /// 1 means every round runs on the calling thread.
     effective_threads: usize,
-    /// Per-sender `(destination, count, bits)` groups computed by wave 1
-    /// of the parallel commit fan-out and read by the accounting spine.
-    /// Persistent scratch — refilled each parallel round, empty (or
-    /// stale-but-about-to-be-cleared) between rounds, never
-    /// checkpointed.
-    sender_groups: Vec<Vec<(NodeId, usize, usize)>>,
+    /// Destination groups of prepared outboxes, in the slots
+    /// [`group_slots`] allocates. Persistent scratch — refilled each
+    /// round, never checkpointed.
+    sender_groups: Vec<Vec<Group>>,
     /// Per-worker scatter arenas (`workers × n` destination columns):
     /// wave 1 moves each worker's outgoing messages into its own arena,
     /// and the merge wave splices column `to` of every arena into
     /// `pending[to]` in worker order — ascending worker index is
     /// ascending sender range, so delivery order is bit-identical to a
-    /// sequential commit. Only used when the fault plan consumes no
+    /// one-worker round. Only used when the fault plan consumes no
     /// per-message randomness; persistent scratch, empty between
     /// rounds.
     worker_inboxes: Vec<Vec<Vec<Incoming<P::Msg>>>>,
-    /// Route delivery through the pre-optimization reference
-    /// implementation (testing only; see
+    /// Commit through the reference implementation (testing only; see
     /// [`Simulator::with_reference_delivery`]).
     reference_delivery: bool,
     in_flight: usize,
@@ -98,7 +96,7 @@ pub struct Simulator<'g, P: NodeProgram> {
     cut_set: HashSet<(NodeId, NodeId)>,
     /// Dedicated RNG for fault injection, independent of node coins. Only
     /// consulted when a probabilistic fault is enabled, so an empty
-    /// [`FaultPlan`](crate::FaultPlan) replays fault-free traces exactly.
+    /// [`FaultPlan`] replays fault-free traces exactly.
     fault_rng: StdRng,
     /// Optional event sink. `None` (the default) keeps every tracing
     /// hook behind a single branch, so untraced runs construct no
@@ -149,9 +147,8 @@ where
             delayed: (0..n).map(|_| Vec::new()).collect(),
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             outboxes: (0..n).map(|_| Vec::new()).collect(),
-            group_scratch: Vec::new(),
             effective_threads,
-            sender_groups: Vec::new(),
+            sender_groups: group_slots(n, effective_threads),
             worker_inboxes: Vec::new(),
             reference_delivery: false,
             in_flight: 0,
@@ -167,12 +164,13 @@ where
         }
     }
 
-    /// Routes delivery through the pre-optimization reference
-    /// implementation (per-group allocation, no buffer reuse). The
+    /// Commits every round through the reference implementation
+    /// (per-group allocation, a `has_edge` lookup per group, no buffer
+    /// reuse) instead of the prepare → book spine; the node callbacks
+    /// run exactly as they otherwise would, at any thread count. The
     /// observable execution — stats, traces, checkpoints, RNG streams —
-    /// is identical to the fast path; only allocation behavior differs.
-    /// Exists so the test suite can A/B the two paths; not useful
-    /// otherwise.
+    /// is identical to the normal path. Exists so the test suite can
+    /// check the commit against an oracle; not useful otherwise.
     #[doc(hidden)]
     pub fn with_reference_delivery(mut self, reference: bool) -> Self {
         self.reference_delivery = reference;
@@ -289,20 +287,7 @@ where
         if !self.started {
             self.started = true;
             self.trace_crash_transitions(0);
-            let mut outboxes = std::mem::take(&mut self.outboxes);
-            for (v, (outbox, rng)) in outboxes.iter_mut().zip(&mut self.rngs).enumerate() {
-                if self.config.faults.node_crashed(v, 0) {
-                    self.stats.crashed_node_rounds += 1;
-                    continue;
-                }
-                let mut ctx = Context::new(v, self.graph, rng, 0, outbox)
-                    .with_trace(self.node_trace.get_mut(v));
-                self.programs[v].on_start(&mut ctx);
-            }
-            self.drain_node_trace();
-            let committed = self.commit(&mut outboxes);
-            self.outboxes = outboxes;
-            committed?;
+            self.run_wave(true)?;
             if self.is_finished() {
                 return Ok(true);
             }
@@ -316,7 +301,6 @@ where
         self.stats.rounds = self.round;
         self.trace_crash_transitions(self.round);
 
-        let n = self.graph.node_count();
         // Swap in the double buffer: this round delivers out of
         // `inboxes` (last round's `pending`), while `pending` becomes
         // the emptied buffers from two rounds ago — capacity intact, so
@@ -357,44 +341,7 @@ where
                 inbox.sort_by_key(|m| m.from);
             }
         }
-
-        if !self.config.faults.crashes.is_empty() {
-            for v in 0..n {
-                if self.config.faults.node_crashed(v, self.round) {
-                    self.stats.crashed_node_rounds += 1;
-                }
-            }
-        }
-
-        // Both buffer sets are moved out for the duration of the round
-        // (the borrow checker cannot see that `programs`/`stats` and the
-        // buffers are disjoint fields) and moved back — empty but with
-        // their capacity — before returning, so every round reuses them.
-        let inboxes = std::mem::take(&mut self.inboxes);
-        let mut outboxes = std::mem::take(&mut self.outboxes);
-        let committed = if self.effective_threads <= 1 {
-            self.run_round_sequential(&inboxes, &mut outboxes);
-            self.drain_node_trace();
-            self.commit(&mut outboxes)
-        } else if self.reference_delivery {
-            // A/B testing path: compute the round in parallel, then
-            // deliver through the reference implementation on the spine.
-            self.run_round_parallel_compute(&inboxes, &mut outboxes)
-                .and_then(|()| {
-                    self.drain_node_trace();
-                    self.commit(&mut outboxes)
-                })
-        } else {
-            self.run_round_parallel(&inboxes, &mut outboxes)
-        };
-        self.inboxes = inboxes;
-        for inbox in &mut self.inboxes {
-            let used = inbox.len();
-            inbox.clear();
-            shrink_after_burst(inbox, used);
-        }
-        self.outboxes = outboxes;
-        committed?;
+        self.run_wave(false)?;
         Ok(self.is_finished())
     }
 
@@ -480,165 +427,52 @@ where
         }
     }
 
-    fn run_round_sequential(
-        &mut self,
-        inboxes: &[Vec<Incoming<P::Msg>>],
-        outboxes: &mut Outboxes<P::Msg>,
-    ) {
+    /// Runs one wave of node callbacks — `on_start` when `start`, else
+    /// `on_round` — and commits what they sent. Every round, the
+    /// `on_start` wave included, takes this one path.
+    ///
+    /// **Wave 1** ([`Simulator::run_callbacks`]) runs the callbacks over
+    /// sender chunks, inline with one worker and on scoped workers
+    /// otherwise. With several workers it also prepares every outbox
+    /// ([`prepare_outbox`]) and, when the fault plan draws no
+    /// per-message randomness, scatters the messages into per-worker
+    /// arenas ([`scatter_outbox`]).
+    ///
+    /// **Spine** ([`Simulator::commit_spine`], single-threaded) books
+    /// every sender in ascending order. With one worker it prepares each
+    /// outbox right before booking it, while the outbox is still in
+    /// cache.
+    ///
+    /// **Wave 2** (scatter only): merge workers chunked by destination
+    /// splice the arena columns into `pending` in worker order —
+    /// ascending sender — overlapped with the spine, which touches only
+    /// stats, trace and metrics.
+    ///
+    /// Under [`Simulator::with_reference_delivery`], wave 1 only runs the
+    /// callbacks and [`Simulator::commit_reference`] commits.
+    ///
+    /// A failed round clears all scratch, so a caller that keeps the
+    /// simulator alive can never re-commit stale sends. Side effects an
+    /// aborted round already applied (partial stats, partially merged
+    /// inboxes) may differ between thread counts; completed rounds never
+    /// differ.
+    fn run_wave(&mut self, start: bool) -> Result<(), SimError> {
         let n = self.graph.node_count();
-        for v in 0..n {
-            if self.config.faults.node_crashed(v, self.round) {
-                continue;
-            }
-            let mut ctx = Context::new(
-                v,
-                self.graph,
-                &mut self.rngs[v],
-                self.round,
-                &mut outboxes[v],
-            )
-            .with_trace(self.node_trace.get_mut(v));
-            self.programs[v].on_round(&mut ctx, &inboxes[v]);
-        }
-    }
-
-    /// Runs one round's node programs across worker threads *without*
-    /// touching delivery — the compute half of the old parallel path,
-    /// kept for the reference-delivery A/B harness: after it returns,
-    /// the spine commits through [`Simulator::commit_reference`]
-    /// exactly as a sequential run would.
-    fn run_round_parallel_compute(
-        &mut self,
-        inboxes: &[Vec<Incoming<P::Msg>>],
-        outboxes: &mut Outboxes<P::Msg>,
-    ) -> Result<(), SimError> {
-        let n = self.graph.node_count();
-        let threads = self.effective_threads;
-        let chunk = n.div_ceil(threads);
-        let graph = self.graph;
-        let round = self.round;
-
-        let programs = &mut self.programs;
-        let rngs = &mut self.rngs;
-        let faults = &self.config.faults;
-        let traced = !self.node_trace.is_empty();
-        let node_trace = &mut self.node_trace;
-        // Every handle is joined explicitly so the whole pool drains even
-        // when a worker panics; the first panic payload is captured and
-        // surfaced as a structured error instead of aborting the process.
-        let panicked = crossbeam::thread::scope(|scope| {
-            let prog_chunks = programs.chunks_mut(chunk);
-            let rng_chunks = rngs.chunks_mut(chunk);
-            let out_chunks = outboxes.chunks_mut(chunk);
-            let in_chunks = inboxes.chunks(chunk);
-            let mut trace_chunks = node_trace.chunks_mut(chunk);
-            let mut handles = Vec::new();
-            for (idx, (((progs, rngs), outs), ins)) in prog_chunks
-                .zip(rng_chunks)
-                .zip(out_chunks)
-                .zip(in_chunks)
-                .enumerate()
-            {
-                let base = idx * chunk;
-                // Workers buffer events per node; the engine drains the
-                // buffers in node order afterwards, so the trace never
-                // observes the thread layout. (`&mut []` is promoted to
-                // 'static, covering the untraced case where
-                // `node_trace` has no chunks to hand out.)
-                let traces: &mut [Vec<TraceEvent>] = if traced {
-                    trace_chunks
-                        .next()
-                        .expect("trace chunks align with program chunks")
-                } else {
-                    &mut []
-                };
-                handles.push(scope.spawn(move |_| {
-                    for (offset, prog) in progs.iter_mut().enumerate() {
-                        let v = base + offset;
-                        if faults.node_crashed(v, round) {
-                            continue;
-                        }
-                        let mut ctx =
-                            Context::new(v, graph, &mut rngs[offset], round, &mut outs[offset])
-                                .with_trace(traces.get_mut(offset));
-                        prog.on_round(&mut ctx, &ins[offset]);
-                    }
-                }));
-            }
-            let mut first: Option<Box<dyn std::any::Any + Send>> = None;
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    first.get_or_insert(payload);
+        if !self.config.faults.crashes.is_empty() {
+            for v in 0..n {
+                if self.config.faults.node_crashed(v, self.round) {
+                    self.stats.crashed_node_rounds += 1;
                 }
             }
-            first
-        });
-        match panicked {
-            Ok(None) => Ok(()),
-            // `&*payload` reborrows the boxed payload itself; a plain
-            // `&payload` would unsize the `Box` into a fresh trait object
-            // and every downcast would miss.
-            Ok(Some(payload)) => Err(SimError::WorkerPanic {
-                round,
-                payload: panic_payload_string(&*payload),
-            }),
-            Err(payload) => Err(SimError::WorkerPanic {
-                round,
-                payload: panic_payload_string(&*payload),
-            }),
         }
-    }
-
-    /// The parallel commit fan-out: one round computed, validated, and
-    /// delivered with per-worker scratch and no per-round allocation in
-    /// the steady state.
-    ///
-    /// **Wave 1** (workers, chunked by sender): run `on_round`, then
-    /// sort/group/validate the node's outbox ([`prepare_outbox`]) into
-    /// its persistent group scratch; when the fault plan consumes no
-    /// per-message randomness, also scatter the messages into the
-    /// worker's own arena ([`scatter_outbox`]).
-    ///
-    /// **Spine** (single-threaded, [`Simulator::commit_prepared`]):
-    /// books every group in ascending-sender order — budgets, stats,
-    /// cut meter, trace events, metrics, and (when per-message fault
-    /// randomness is in play) the actual routing with its RNG draws —
-    /// exactly the order the sequential fast path uses, which is what
-    /// keeps all observable output bit-identical at any thread count.
-    ///
-    /// **Wave 2** (workers, chunked by destination; scatter mode only):
-    /// splices arena columns into `pending` in worker order (ascending
-    /// sender), overlapped with the spine — the merge touches only
-    /// `pending`/arenas, the spine only stats/trace/metrics.
-    ///
-    /// Error paths abort the run: the first failure in ascending sender
-    /// order is reported (workers stop at their first failure and are
-    /// joined in chunk order), and all scratch is cleared so a caller
-    /// that keeps the simulator alive can never re-commit stale sends.
-    /// Side effects already applied by an aborted round (partial stats,
-    /// partially merged inboxes) may differ from the sequential path's
-    /// partial state; completed rounds never differ.
-    fn run_round_parallel(
-        &mut self,
-        inboxes: &[Vec<Incoming<P::Msg>>],
-        outboxes: &mut Outboxes<P::Msg>,
-    ) -> Result<(), SimError> {
-        let n = self.graph.node_count();
         let workers = self.effective_threads;
-        let chunk = n.div_ceil(workers);
-        let graph = self.graph;
-        let round = self.round;
-        let faults = &self.config.faults;
+        let prepared = workers > 1 && !self.reference_delivery;
         // Per-message fault randomness (drops, duplicates, delays,
         // corruption) must be drawn on the spine in deterministic
         // order. Without it, delivery is a pure function of the outage
         // schedule, and wave 1 can scatter messages straight into
         // per-worker arenas.
-        let scatter = !faults.uses_rng();
-
-        if self.sender_groups.len() != n {
-            self.sender_groups.resize_with(n, Vec::new);
-        }
+        let scatter = prepared && !self.config.faults.uses_rng();
         if scatter {
             if self.worker_inboxes.len() != workers {
                 self.worker_inboxes.resize_with(workers, Vec::new);
@@ -650,193 +484,250 @@ where
             }
         }
 
-        let wave1: Result<(), SimError> = {
-            let programs = &mut self.programs;
-            let rngs = &mut self.rngs;
-            let traced = !self.node_trace.is_empty();
-            let node_trace = &mut self.node_trace;
-            let sender_groups = &mut self.sender_groups;
-            let arenas = &mut self.worker_inboxes;
-            let scoped = crossbeam::thread::scope(|scope| {
-                let prog_chunks = programs.chunks_mut(chunk);
-                let rng_chunks = rngs.chunks_mut(chunk);
-                let out_chunks = outboxes.chunks_mut(chunk);
-                let in_chunks = inboxes.chunks(chunk);
-                let group_chunks = sender_groups.chunks_mut(chunk);
-                let mut trace_chunks = node_trace.chunks_mut(chunk);
-                let mut arena_iter = arenas.iter_mut();
-                let mut handles = Vec::new();
-                for (idx, ((((progs, rngs), outs), ins), grps)) in prog_chunks
-                    .zip(rng_chunks)
-                    .zip(out_chunks)
-                    .zip(in_chunks)
-                    .zip(group_chunks)
-                    .enumerate()
-                {
-                    let base = idx * chunk;
-                    // Workers buffer events per node; the engine drains
-                    // the buffers in node order afterwards, so the trace
-                    // never observes the thread layout. (`&mut []` is
-                    // promoted to 'static, covering the untraced case
-                    // where `node_trace` has no chunks to hand out.)
-                    let traces: &mut [Vec<TraceEvent>] = if traced {
-                        trace_chunks
-                            .next()
-                            .expect("trace chunks align with program chunks")
-                    } else {
-                        &mut []
-                    };
-                    let arena: &mut [Vec<Incoming<P::Msg>>] = if scatter {
-                        arena_iter.next().expect("one arena per worker")
-                    } else {
-                        &mut []
-                    };
-                    handles.push(scope.spawn(move |_| -> Result<(), SimError> {
-                        for (offset, prog) in progs.iter_mut().enumerate() {
-                            let v = base + offset;
-                            if !faults.node_crashed(v, round) {
-                                let mut ctx = Context::new(
-                                    v,
-                                    graph,
-                                    &mut rngs[offset],
-                                    round,
-                                    &mut outs[offset],
-                                )
-                                .with_trace(traces.get_mut(offset));
-                                prog.on_round(&mut ctx, &ins[offset]);
-                            }
-                            // Even a crashed node's (empty) outbox goes
-                            // through prepare: it clears the group
-                            // scratch left by an earlier round.
-                            prepare_outbox(graph, v, &mut outs[offset], &mut grps[offset])?;
-                            if scatter {
-                                scatter_outbox(
-                                    faults,
-                                    round,
-                                    v,
-                                    &mut outs[offset],
-                                    &grps[offset],
-                                    arena,
-                                );
-                            }
-                        }
-                        Ok(())
-                    }));
-                }
-                // Join in chunk order: chunks cover ascending sender
-                // ranges and each worker stops at its first failure, so
-                // the failure reported is the ascending-sender-order
-                // first — the same sender the sequential path would
-                // blame.
-                let mut first: Option<SimError> = None;
-                for handle in handles {
-                    match handle.join() {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => {
-                            first.get_or_insert(e);
-                        }
-                        Err(payload) => {
-                            first.get_or_insert(SimError::WorkerPanic {
-                                round,
-                                payload: panic_payload_string(&*payload),
-                            });
-                        }
-                    }
-                }
-                match first {
-                    None => Ok(()),
-                    Some(e) => Err(e),
-                }
-            });
-            match scoped {
-                Ok(result) => result,
-                Err(payload) => Err(SimError::WorkerPanic {
-                    round,
-                    payload: panic_payload_string(&*payload),
-                }),
-            }
-        };
-        if let Err(e) = wave1 {
-            self.clear_parallel_scratch(outboxes);
-            return Err(e);
-        }
+        // Both buffer sets are moved out for the duration of the wave
+        // (the borrow checker cannot see that `programs`/`stats` and the
+        // buffers are disjoint fields) and moved back — empty but with
+        // their capacity — before returning, so every round reuses them.
+        let inboxes = std::mem::take(&mut self.inboxes);
+        let mut outboxes = std::mem::take(&mut self.outboxes);
+        let wave1 = self.run_callbacks(&inboxes, &mut outboxes, start, prepared, scatter);
         self.drain_node_trace();
-
-        let groups = std::mem::take(&mut self.sender_groups);
-        let result = if scatter {
-            let mut pending = std::mem::take(&mut self.pending);
-            let mut arenas = std::mem::take(&mut self.worker_inboxes);
-            let scoped = crossbeam::thread::scope(|scope| {
-                // Transpose the arenas: merge worker `i` owns
-                // destination slice `i` of *every* arena, so each
-                // `pending[to]` column is appended from arena 0, 1, …
-                // in order — ascending sender, the delivery order the
-                // next round's inbox sort expects to already hold.
-                let mut slices: Vec<ArenaSlices<'_, P::Msg>> = (0..workers)
-                    .map(|_| Vec::with_capacity(arenas.len()))
-                    .collect();
-                for arena in arenas.iter_mut() {
-                    for (i, cols) in arena.chunks_mut(chunk).enumerate() {
-                        slices[i].push(cols);
-                    }
-                }
-                let mut handles = Vec::new();
-                for (pend, mut cols) in pending.chunks_mut(chunk).zip(slices) {
-                    handles.push(scope.spawn(move |_| {
-                        for (rel, dst) in pend.iter_mut().enumerate() {
-                            for arena_cols in cols.iter_mut() {
-                                let col = &mut arena_cols[rel];
-                                let used = col.len();
-                                dst.append(col);
-                                shrink_after_burst(col, used);
-                            }
-                        }
-                    }));
-                }
-                // The spine runs concurrently with the merge: it
-                // touches stats/trace/metrics only, the merge touches
-                // `pending`/arenas only.
-                let spine = self.commit_prepared(outboxes, &groups, false);
-                let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-                for handle in handles {
-                    if let Err(payload) = handle.join() {
-                        panic.get_or_insert(payload);
-                    }
-                }
-                (spine, panic)
-            });
-            self.pending = pending;
-            self.worker_inboxes = arenas;
-            match scoped {
-                Ok((spine, None)) => spine,
-                Ok((spine, Some(payload))) => spine.and(Err(SimError::WorkerPanic {
-                    round,
-                    payload: panic_payload_string(&*payload),
-                })),
-                Err(payload) => Err(SimError::WorkerPanic {
-                    round,
-                    payload: panic_payload_string(&*payload),
-                }),
-            }
+        let result = if self.reference_delivery {
+            wave1.and_then(|()| self.commit_reference(&mut outboxes))
         } else {
-            // Per-message fault randomness in play: the spine routes
-            // every message itself, drawing from the fault RNG in the
-            // sequential order.
-            self.commit_prepared(outboxes, &groups, true)
+            let mut groups = std::mem::take(&mut self.sender_groups);
+            let result = if scatter && wave1.is_ok() {
+                self.merge_while_booking(&mut outboxes, &mut groups)
+            } else {
+                self.commit_spine(&mut outboxes, &mut groups, wave1, prepared, !scatter)
+            };
+            self.sender_groups = groups;
+            result
         };
-        self.sender_groups = groups;
         if result.is_err() {
-            self.clear_parallel_scratch(outboxes);
+            self.clear_scratch(&mut outboxes);
         }
+        self.inboxes = inboxes;
+        for inbox in &mut self.inboxes {
+            let used = inbox.len();
+            inbox.clear();
+            shrink_after_burst(inbox, used);
+        }
+        self.outboxes = outboxes;
         result
     }
 
-    /// Discards everything a failed parallel round left behind —
-    /// undrained outboxes, destination groups, scattered arena columns —
-    /// so a caller that keeps the simulator alive can never re-commit
-    /// stale sends (the same guarantee [`Simulator::commit`] gives the
-    /// sequential path).
-    fn clear_parallel_scratch(&mut self, outboxes: &mut Outboxes<P::Msg>) {
+    /// Wave 1: runs every live node's callback over sender chunks,
+    /// inline with one worker and on scoped workers otherwise, each on
+    /// its own slices of programs, RNGs, outboxes and trace buffers.
+    /// With `prepared`, each worker then prepares its senders' outboxes
+    /// into their group slots, and with `scatter` moves the messages
+    /// into its own arena.
+    ///
+    /// A worker stops at its first failure and workers are joined in
+    /// chunk order, so the error returned is the lowest failing sender's.
+    /// A panic on a scoped worker comes back as [`SimError::WorkerPanic`].
+    fn run_callbacks(
+        &mut self,
+        inboxes: &[Vec<Incoming<P::Msg>>],
+        outboxes: &mut Outboxes<P::Msg>,
+        start: bool,
+        prepared: bool,
+        scatter: bool,
+    ) -> Result<(), SimError> {
+        let graph = self.graph;
+        let round = self.round;
+        let faults = &self.config.faults;
+        let work = move |base: usize,
+                         progs: &mut [P],
+                         rngs: &mut [StdRng],
+                         outs: &mut [Vec<(NodeId, P::Msg)>],
+                         ins: &[Vec<Incoming<P::Msg>>],
+                         groups: &mut [Vec<Group>],
+                         traces: &mut [Vec<TraceEvent>],
+                         arena: &mut [Vec<Incoming<P::Msg>>]|
+              -> Result<(), SimError> {
+            for (offset, prog) in progs.iter_mut().enumerate() {
+                let v = base + offset;
+                if !faults.node_crashed(v, round) {
+                    let mut ctx =
+                        Context::new(v, graph, &mut rngs[offset], round, &mut outs[offset])
+                            .with_trace(traces.get_mut(offset));
+                    if start {
+                        prog.on_start(&mut ctx);
+                    } else {
+                        prog.on_round(&mut ctx, &ins[offset]);
+                    }
+                }
+                if prepared {
+                    // Even a crashed node's (empty) outbox is prepared:
+                    // that clears its slot of an earlier round's groups.
+                    prepare_outbox(graph, v, &mut outs[offset], &mut groups[offset])?;
+                    if scatter {
+                        scatter_outbox(faults, round, v, &mut outs[offset], &groups[offset], arena);
+                    }
+                }
+            }
+            Ok(())
+        };
+
+        let workers = self.effective_threads;
+        if workers <= 1 {
+            return work(
+                0,
+                &mut self.programs,
+                &mut self.rngs,
+                outboxes,
+                inboxes,
+                &mut self.sender_groups,
+                &mut self.node_trace,
+                &mut [],
+            );
+        }
+        let chunk = graph.node_count().div_ceil(workers);
+        // Workers buffer events per node; the engine drains the buffers
+        // in node order afterwards, so the trace never observes the
+        // thread layout. A worker gets `&mut []` (promoted to 'static)
+        // for every per-node slice the wave does not use: trace buffers
+        // when untraced, group slots unless prepared, an arena unless
+        // scattering.
+        let traced = !self.node_trace.is_empty();
+        let mut trace_chunks = self.node_trace.chunks_mut(chunk);
+        let mut group_chunks = self.sender_groups.chunks_mut(chunk);
+        let mut arenas = self.worker_inboxes.iter_mut();
+        let programs = &mut self.programs;
+        let rngs = &mut self.rngs;
+        let scoped = crossbeam::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
+            for (idx, (((progs, rngs), outs), ins)) in programs
+                .chunks_mut(chunk)
+                .zip(rngs.chunks_mut(chunk))
+                .zip(outboxes.chunks_mut(chunk))
+                .zip(inboxes.chunks(chunk))
+                .enumerate()
+            {
+                let traces: &mut [Vec<TraceEvent>] = if traced {
+                    trace_chunks
+                        .next()
+                        .expect("trace chunks align with program chunks")
+                } else {
+                    &mut []
+                };
+                let groups: &mut [Vec<Group>] = if prepared {
+                    group_chunks
+                        .next()
+                        .expect("group chunks align with program chunks")
+                } else {
+                    &mut []
+                };
+                let arena: &mut [Vec<Incoming<P::Msg>>] = if scatter {
+                    arenas.next().expect("one arena per worker")
+                } else {
+                    &mut []
+                };
+                handles.push(scope.spawn(move |_| {
+                    work(idx * chunk, progs, rngs, outs, ins, groups, traces, arena)
+                }));
+            }
+            // Every handle is joined, in chunk order, so the whole pool
+            // drains even when a worker panics, and the first error
+            // reported is the lowest sender's.
+            let mut first: Option<SimError> = None;
+            for handle in handles {
+                let joined = handle.join().unwrap_or_else(|payload| {
+                    // `&*payload` reborrows the boxed payload itself; a
+                    // plain `&payload` would unsize the `Box` into a
+                    // fresh trait object and every downcast would miss.
+                    Err(SimError::WorkerPanic {
+                        round,
+                        payload: panic_payload_string(&*payload),
+                    })
+                });
+                if let Err(e) = joined {
+                    first.get_or_insert(e);
+                }
+            }
+            first.map_or(Ok(()), Err)
+        });
+        scoped.unwrap_or_else(|payload| {
+            Err(SimError::WorkerPanic {
+                round,
+                payload: panic_payload_string(&*payload),
+            })
+        })
+    }
+
+    /// Wave 2 of a scattering round, overlapped with the spine: merge
+    /// workers own destination chunks and append every arena's column
+    /// for each destination to `pending`, arena 0 first, while the spine
+    /// books the groups wave 1 prepared. The merge touches only
+    /// `pending` and the arenas, the spine only stats, trace and
+    /// metrics.
+    fn merge_while_booking(
+        &mut self,
+        outboxes: &mut Outboxes<P::Msg>,
+        groups: &mut [Vec<Group>],
+    ) -> Result<(), SimError> {
+        let round = self.round;
+        let chunk = self.graph.node_count().div_ceil(self.effective_threads);
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut arenas = std::mem::take(&mut self.worker_inboxes);
+        let scoped = crossbeam::thread::scope(|scope| {
+            // Transpose the arenas: merge worker `i` owns destination
+            // slice `i` of *every* arena, so each `pending[to]` column is
+            // appended from arena 0, 1, … in order — ascending sender,
+            // the delivery order the next round's inbox sort expects to
+            // already hold.
+            let mut slices: Vec<ArenaSlices<'_, P::Msg>> = (0..self.effective_threads)
+                .map(|_| Vec::with_capacity(arenas.len()))
+                .collect();
+            for arena in arenas.iter_mut() {
+                for (i, cols) in arena.chunks_mut(chunk).enumerate() {
+                    slices[i].push(cols);
+                }
+            }
+            let mut handles = Vec::new();
+            for (pend, mut cols) in pending.chunks_mut(chunk).zip(slices) {
+                handles.push(scope.spawn(move |_| {
+                    for (rel, dst) in pend.iter_mut().enumerate() {
+                        for arena_cols in cols.iter_mut() {
+                            let col = &mut arena_cols[rel];
+                            let used = col.len();
+                            dst.append(col);
+                            shrink_after_burst(col, used);
+                        }
+                    }
+                }));
+            }
+            let spine = self.commit_spine(outboxes, groups, Ok(()), true, false);
+            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    panic.get_or_insert(payload);
+                }
+            }
+            (spine, panic)
+        });
+        self.pending = pending;
+        self.worker_inboxes = arenas;
+        match scoped {
+            Ok((spine, None)) => spine,
+            Ok((spine, Some(payload))) => spine.and(Err(SimError::WorkerPanic {
+                round,
+                payload: panic_payload_string(&*payload),
+            })),
+            Err(payload) => Err(SimError::WorkerPanic {
+                round,
+                payload: panic_payload_string(&*payload),
+            }),
+        }
+    }
+
+    /// Discards everything a failed round left behind — undrained
+    /// outboxes, destination groups, scattered arena columns — so a
+    /// caller that keeps the simulator alive can never re-commit stale
+    /// sends.
+    fn clear_scratch(&mut self, outboxes: &mut Outboxes<P::Msg>) {
         for outbox in outboxes.iter_mut() {
             outbox.clear();
         }
@@ -850,79 +741,106 @@ where
         }
     }
 
-    /// The accounting spine of the parallel commit fan-out: books every
-    /// sender's pre-computed destination groups in ascending-sender
-    /// order — message-count and bit-budget checks, statistics, cut
-    /// metering, `EdgeTraffic`/link-down events, the `Round` event and
-    /// metrics — exactly the order [`Simulator::commit_fast`] uses, so
-    /// all observable output is bit-identical to a sequential run.
+    /// The commit spine: books every sender in ascending order through
+    /// [`Simulator::book_sender`], then emits the round's summary. It
+    /// runs single-threaded and makes every fault decision in
+    /// deterministic `(from, to, send order)` order, so the thread count
+    /// never changes stats, trace, metrics or which messages a fault
+    /// plan affects.
     ///
-    /// With `route` set (the fault plan consumes per-message
-    /// randomness), the spine also drains each outbox and routes every
-    /// message through [`Simulator::route_one`], preserving the fault
-    /// RNG draw order; otherwise wave 1 has already scattered the
-    /// messages into worker arenas and only `in_flight` advances here.
-    fn commit_prepared(
+    /// With `prepared`, wave 1 already grouped and checked each outbox
+    /// into `groups[from]`; otherwise the spine prepares each outbox into
+    /// the one slot `groups[0]` just before booking it. With `route`, the
+    /// spine also routes the messages; otherwise wave 1 scattered them.
+    ///
+    /// A send to a non-neighbor — `wave1`'s error or this pass's — fails
+    /// the round only after every group the sequential order meets
+    /// before it is booked: the earlier senders', and the groups its own
+    /// sender addressed to lower destinations. So the error is the first
+    /// one in sequential order at every thread count.
+    fn commit_spine(
         &mut self,
         outboxes: &mut Outboxes<P::Msg>,
-        groups: &[Vec<(NodeId, usize, usize)>],
+        groups: &mut [Vec<Group>],
+        wave1: Result<(), SimError>,
+        prepared: bool,
         route: bool,
     ) -> Result<(), SimError> {
-        let send_round = self.round;
+        let (senders, failure) = match wave1 {
+            Ok(()) => (outboxes.len(), Ok(())),
+            Err(e @ SimError::NotNeighbor { from, .. }) => (from + 1, Err(e)),
+            Err(e) => return Err(e),
+        };
         let edge_detail = self
             .tracer
             .as_deref()
             .is_some_and(|t| t.wants_edge_traffic());
         let mut counters = RoundCounters::default();
-        for (from, sender) in groups.iter().enumerate() {
-            if sender.is_empty() {
-                continue;
-            }
-            if route {
-                let outbox = &mut outboxes[from];
-                let used = outbox.len();
-                let mut queue = outbox.drain(..);
-                for &(to, count, bits) in sender {
-                    let deliver = self.account_group(
-                        from,
-                        to,
-                        count,
-                        bits,
-                        send_round,
-                        edge_detail,
-                        &mut counters,
-                    )?;
-                    if deliver {
-                        for _ in 0..count {
-                            let (_, msg) = queue.next().expect("group sizes cover the outbox");
-                            self.route_one(from, to, send_round, msg);
-                        }
-                    } else {
-                        for _ in 0..count {
-                            queue.next();
-                        }
-                    }
-                }
-                drop(queue);
-                shrink_after_burst(outbox, used);
+        for (from, outbox) in outboxes.iter_mut().enumerate().take(senders) {
+            let (slot, checked) = if prepared {
+                (from, Ok(()))
             } else {
-                for &(to, count, bits) in sender {
-                    let deliver = self.account_group(
-                        from,
-                        to,
-                        count,
-                        bits,
-                        send_round,
-                        edge_detail,
-                        &mut counters,
-                    )?;
-                    if deliver {
-                        self.in_flight += count;
-                    }
+                (0, prepare_outbox(self.graph, from, outbox, &mut groups[0]))
+            };
+            self.book_sender(
+                from,
+                outbox,
+                &groups[slot],
+                route,
+                edge_detail,
+                &mut counters,
+            )?;
+            checked?;
+        }
+        failure?;
+        self.emit_round_event(self.round, &counters);
+        Ok(())
+    }
+
+    /// Books one sender's destination groups in ascending destination
+    /// order: each group's checks and bookkeeping
+    /// ([`Simulator::account_group`]), then, with `route`, its messages
+    /// in send order through [`Simulator::route_one`], which keeps the
+    /// fault RNG's draw order. Without `route`, wave 1 has already
+    /// scattered the messages and only `in_flight` advances. The only
+    /// booking loop besides [`Simulator::commit_reference`].
+    fn book_sender(
+        &mut self,
+        from: NodeId,
+        outbox: &mut Vec<(NodeId, P::Msg)>,
+        groups: &[Group],
+        route: bool,
+        edge_detail: bool,
+        counters: &mut RoundCounters,
+    ) -> Result<(), SimError> {
+        let send_round = self.round;
+        // A sender with nothing to book keeps its outbox's capacity.
+        if groups.is_empty() {
+            return Ok(());
+        }
+        if !route {
+            for &(to, count, bits) in groups {
+                if self.account_group(from, to, count, bits, send_round, edge_detail, counters)? {
+                    self.in_flight += count;
+                }
+            }
+            return Ok(());
+        }
+        let used = outbox.len();
+        let mut queue = outbox.drain(..);
+        for &(to, count, bits) in groups {
+            let deliver =
+                self.account_group(from, to, count, bits, send_round, edge_detail, counters)?;
+            for _ in 0..count {
+                let (_, msg) = queue.next().expect("group sizes cover the outbox");
+                // A downed link loses the whole group (already booked).
+                if deliver {
+                    self.route_one(from, to, send_round, msg);
                 }
             }
         }
-        self.emit_round_event(send_round, &counters);
+        drop(queue);
+        shrink_after_burst(outbox, used);
         Ok(())
     }
 
@@ -1109,9 +1027,8 @@ where
             delayed,
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             outboxes: (0..n).map(|_| Vec::new()).collect(),
-            group_scratch: Vec::new(),
             effective_threads,
-            sender_groups: Vec::new(),
+            sender_groups: group_slots(n, effective_threads),
             worker_inboxes: Vec::new(),
             reference_delivery: false,
             in_flight,
@@ -1127,136 +1044,11 @@ where
         })
     }
 
-    /// Validates and books one round's worth of outgoing traffic, moving it
-    /// into `pending` (or `delayed`) for later delivery. Every outbox is
-    /// left drained (empty, capacity retained) on success.
-    ///
-    /// Runs single-threaded, and every fault decision is made here in
-    /// deterministic `(from, to, send order)` order — the thread count can
-    /// never change which messages a fault plan affects.
-    fn commit(&mut self, outboxes: &mut Outboxes<P::Msg>) -> Result<(), SimError> {
-        let result = if self.reference_delivery {
-            self.commit_reference(outboxes)
-        } else {
-            self.commit_fast(outboxes)
-        };
-        if result.is_err() {
-            // Terminal error: discard whatever was left undrained so a
-            // caller that keeps the simulator alive can never re-commit
-            // stale sends (the pre-refactor path consumed the buffers
-            // by value, dropping them on error).
-            for outbox in outboxes.iter_mut() {
-                outbox.clear();
-            }
-        }
-        result
-    }
-
-    /// Fast-path delivery: destination groups are located by index in a
-    /// single scan, their accounting reads messages in place, and one
-    /// forward `drain` then routes them out — no per-group buffer, no
-    /// outbox reallocation. Event order, fault-RNG draw order, stats,
-    /// and delivery order are identical to [`Simulator::commit_reference`]
-    /// (property-tested in `tests/engine_fast_path.rs`).
-    fn commit_fast(&mut self, outboxes: &mut Outboxes<P::Msg>) -> Result<(), SimError> {
-        let mut groups = std::mem::take(&mut self.group_scratch);
-        let result = self.commit_fast_inner(outboxes, &mut groups);
-        groups.clear();
-        self.group_scratch = groups;
-        result
-    }
-
-    fn commit_fast_inner(
-        &mut self,
-        outboxes: &mut Outboxes<P::Msg>,
-        groups: &mut Vec<(NodeId, usize, usize)>,
-    ) -> Result<(), SimError> {
-        let n = self.graph.node_count();
-        let send_round = self.round;
-        let edge_detail = self
-            .tracer
-            .as_deref()
-            .is_some_and(|t| t.wants_edge_traffic());
-        let mut counters = RoundCounters::default();
-        for (from, outbox) in outboxes.iter_mut().enumerate() {
-            if outbox.is_empty() {
-                continue;
-            }
-            // Group by destination to charge per-edge-direction budgets.
-            // The sort is stable, preserving each destination's send
-            // order — and is skipped entirely when the program already
-            // sent in ascending-destination order (the common case:
-            // programs iterate their neighbor lists), since a stable
-            // sort allocates.
-            if !outbox.windows(2).all(|w| w[0].0 <= w[1].0) {
-                outbox.sort_by_key(|(to, _)| *to);
-            }
-            // Pass 1, by reference: destination-group boundaries and bit
-            // totals into the reusable scratch.
-            groups.clear();
-            let mut i = 0;
-            while i < outbox.len() {
-                let to = outbox[i].0;
-                let start = i;
-                let mut bits = 0usize;
-                while i < outbox.len() && outbox[i].0 == to {
-                    bits += outbox[i].1.bit_size(n);
-                    i += 1;
-                }
-                groups.push((to, i - start, bits));
-            }
-            // Pass 2: one forward drain. Each group's accounting runs
-            // immediately before its messages are consumed, preserving
-            // the reference path's exact event and fault-draw order.
-            // Neighbor validation merge-walks the sorted neighbor slice
-            // against the (sorted) groups: O(deg + groups) per sender
-            // instead of a `has_edge` binary search per group — which a
-            // broadcast-heavy round pays per *message*.
-            let neigh: &[NodeId] = self.graph.neighbor_slice(from);
-            let mut ni = 0usize;
-            let used = outbox.len();
-            let mut queue = outbox.drain(..);
-            for &(to, count, bits) in groups.iter() {
-                while ni < neigh.len() && neigh[ni] < to {
-                    ni += 1;
-                }
-                if ni >= neigh.len() || neigh[ni] != to {
-                    return Err(SimError::NotNeighbor { from, to });
-                }
-                let deliver = self.account_group(
-                    from,
-                    to,
-                    count,
-                    bits,
-                    send_round,
-                    edge_detail,
-                    &mut counters,
-                )?;
-                if deliver {
-                    for _ in 0..count {
-                        let (_, msg) = queue.next().expect("group sizes cover the outbox");
-                        self.route_one(from, to, send_round, msg);
-                    }
-                } else {
-                    // Link down: the whole group is lost (already
-                    // accounted); skip its messages.
-                    for _ in 0..count {
-                        queue.next();
-                    }
-                }
-            }
-            drop(queue);
-            shrink_after_burst(outbox, used);
-        }
-        self.emit_round_event(send_round, &counters);
-        Ok(())
-    }
-
-    /// The pre-optimization delivery path: rebuilds each sender's outbox
-    /// by value and allocates a fresh `Vec` per destination group, as the
-    /// engine did before the fast path landed. Kept (in release builds
-    /// too) purely so the test suite can A/B the two implementations —
-    /// see [`Simulator::with_reference_delivery`].
+    /// The reference commit: rebuilds each sender's outbox by value and
+    /// allocates a fresh `Vec` per destination group, as the engine did
+    /// before the prepare → book spine landed. Kept (in release builds
+    /// too) purely as the oracle the test suite compares the spine
+    /// against — see [`Simulator::with_reference_delivery`].
     fn commit_reference(&mut self, outboxes: &mut Outboxes<P::Msg>) -> Result<(), SimError> {
         let n = self.graph.node_count();
         let send_round = self.round;
@@ -1309,9 +1101,8 @@ where
     /// group was dropped, with no randomness consumed).
     ///
     /// The caller has already validated that `(from, to)` is an edge —
-    /// the reference path with a per-group `has_edge`, the fast path by
-    /// merge-walking the sorted neighbor slice alongside the sorted
-    /// destination groups.
+    /// the reference commit with a per-group `has_edge`, everything else
+    /// through [`prepare_outbox`].
     #[allow(clippy::too_many_arguments)]
     fn account_group(
         &mut self,
@@ -1555,24 +1346,37 @@ fn write_section(w: &mut BitWriter, body: impl FnOnce(&mut BitWriter)) {
     w.write_bytes(&bytes);
 }
 
+/// The destination-group slots for a graph of `n` nodes: one per sender
+/// when several workers prepare outboxes in wave 1, else one slot the
+/// spine reuses for every sender. Allocated with the simulator, not at
+/// the first wave: allocating this small block after the programs' first
+/// allocations raised the peak RSS of a reliable BA n = 512 solve from
+/// 80 to 83 MiB under glibc malloc (heap placement, not size).
+fn group_slots(n: usize, workers: usize) -> Vec<Vec<Group>> {
+    let slots = if workers > 1 { n } else { 1 };
+    (0..slots).map(|_| Vec::new()).collect()
+}
+
 /// One merge worker's view of every wave-1 scatter arena: for each
 /// arena (ascending sender chunk), the slice of destination columns
 /// this worker owns.
 type ArenaSlices<'a, M> = Vec<&'a mut [Vec<Incoming<M>>]>;
 
-/// Wave 1 of the parallel commit fan-out, per sender: sorts the outbox
-/// by destination when needed (stable — each destination's send order
-/// is preserved), records per-destination `(to, count, bits)` groups
-/// into the sender's persistent scratch, and merge-walks the sorted
-/// neighbor slice against the (sorted) groups to reject sends to
-/// non-neighbors — the same sort/group/validate work
-/// [`Simulator::commit_fast`] does inline, hoisted off the spine so
-/// workers do it concurrently.
+/// Prepares one sender's outbox for booking — the only code that sorts,
+/// groups and neighbor-checks sends. Sorts the outbox by destination
+/// when needed (stable, so each destination's send order is kept — and
+/// skipped when the program already sent in ascending order, since a
+/// stable sort allocates), records one `(to, count, bits)` group per
+/// destination into `groups`, and merge-walks the sorted neighbor slice
+/// against the groups: O(deg + groups) per sender instead of a
+/// `has_edge` search per group. On a send to a non-neighbor, `groups`
+/// keeps only the groups ahead of it, which the spine books before it
+/// reports the error.
 fn prepare_outbox<M: Message>(
     graph: &Graph,
     from: NodeId,
     outbox: &mut [(NodeId, M)],
-    groups: &mut Vec<(NodeId, usize, usize)>,
+    groups: &mut Vec<Group>,
 ) -> Result<(), SimError> {
     groups.clear();
     if outbox.is_empty() {
@@ -1595,15 +1399,20 @@ fn prepare_outbox<M: Message>(
     }
     let neigh: &[NodeId] = graph.neighbor_slice(from);
     let mut ni = 0usize;
-    for &(to, _, _) in groups.iter() {
+    let bad = groups.iter().position(|&(to, _, _)| {
         while ni < neigh.len() && neigh[ni] < to {
             ni += 1;
         }
-        if ni >= neigh.len() || neigh[ni] != to {
-            return Err(SimError::NotNeighbor { from, to });
+        ni >= neigh.len() || neigh[ni] != to
+    });
+    match bad {
+        None => Ok(()),
+        Some(k) => {
+            let to = groups[k].0;
+            groups.truncate(k);
+            Err(SimError::NotNeighbor { from, to })
         }
     }
-    Ok(())
 }
 
 /// Drains one prepared outbox into a worker's scratch arena (wave 1,
@@ -1617,7 +1426,7 @@ fn scatter_outbox<M: Message>(
     round: usize,
     from: NodeId,
     outbox: &mut Vec<(NodeId, M)>,
-    groups: &[(NodeId, usize, usize)],
+    groups: &[Group],
     arena: &mut [Vec<Incoming<M>>],
 ) {
     let used = outbox.len();

@@ -53,8 +53,7 @@
 //! **declared dead**: retransmission stops, buffered payloads are
 //! abandoned (counted in
 //! [`RunStats::undeliverable_messages`](crate::RunStats::undeliverable_messages)),
-//! the wrapped program is told via
-//! [`NodeProgram::on_neighbor_down`](crate::NodeProgram::on_neighbor_down),
+//! the wrapped program is told via [`NodeProgram::on_neighbor_down`],
 //! and the channel counts as quiescent for termination. Declarations are
 //! irrevocable — frames later arriving from a declared-dead peer are
 //! ignored.
@@ -441,9 +440,8 @@ impl<P: NodeProgram> Reliable<P> {
         self
     }
 
-    /// Attaches live-metrics handles (see
-    /// [`ReliableMetrics`](crate::metrics::ReliableMetrics)). Clone the
-    /// same handle bundle into every node's wrapper: increments are
+    /// Attaches live-metrics handles (see [`ReliableMetrics`]). Clone
+    /// the same handle bundle into every node's wrapper: increments are
     /// commutative atomic additions, so process-wide totals at any
     /// quiescent point are independent of the worker-thread layout.
     #[must_use]

@@ -27,9 +27,9 @@
 //! for its replay. Use [`TraceEvent::strip_wall_clock`] before
 //! comparing traces.
 //!
-//! Sinks: [`MemoryTracer`] collects events in memory;
-//! [`JsonlTracer`](jsonl::JsonlTracer) streams them as line-delimited
-//! JSON (one event per line, stable schema — see [`jsonl`]).
+//! Sinks: [`MemoryTracer`] collects events in memory; [`JsonlTracer`]
+//! streams them as line-delimited JSON (one event per line, stable
+//! schema — see [`jsonl`]).
 //! [`profile::TraceProfile`] aggregates either form into per-round
 //! rows, log-bucketed histograms, hottest edges, and a phase timing
 //! breakdown.

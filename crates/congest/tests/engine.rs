@@ -186,6 +186,88 @@ fn send_to_non_neighbor_rejected() {
     ));
 }
 
+/// The `(from, to, bits)` sends of one scripted round.
+type Script = [(NodeId, NodeId, usize)];
+
+/// Sends its scripted `(to, bits)` messages in round 1, in script order.
+struct Scripted {
+    sends: Vec<(NodeId, usize)>,
+}
+
+impl NodeProgram for Scripted {
+    type Msg = Fat;
+
+    fn on_start(&mut self, _ctx: &mut Context<'_, Fat>) {}
+
+    fn on_round(&mut self, ctx: &mut Context<'_, Fat>, _inbox: &[Incoming<Fat>]) {
+        for (to, bits) in self.sends.drain(..) {
+            ctx.send(to, Fat { bits });
+        }
+    }
+
+    fn is_terminated(&self) -> bool {
+        false
+    }
+}
+
+/// A round that breaks several rules fails with the first error the
+/// sequential order meets: senders ascending, each sender's destinations
+/// ascending, and each destination's neighbor check before its budget
+/// checks. Every thread count and the reference delivery path agree.
+#[test]
+fn first_error_in_sequential_order_at_every_thread_count() {
+    let g = path(64).unwrap();
+    let budget = SimConfig::default().budget_bits(64);
+    let over = budget + 1;
+    let shapes: [(&Script, SimError); 3] = [
+        (
+            &[(1, 2, over), (40, 10, 1)],
+            SimError::BandwidthExceeded {
+                from: 1,
+                to: 2,
+                round: 1,
+                bits: over,
+                budget,
+            },
+        ),
+        (
+            &[(5, 4, over), (5, 30, 1)],
+            SimError::BandwidthExceeded {
+                from: 5,
+                to: 4,
+                round: 1,
+                bits: over,
+                budget,
+            },
+        ),
+        (
+            &[(5, 1, 1), (5, 6, over)],
+            SimError::NotNeighbor { from: 5, to: 1 },
+        ),
+    ];
+    let paths = [(1, false), (2, false), (4, false), (1, true), (4, true)];
+    for (sends, expected) in &shapes {
+        for (threads, reference) in paths {
+            let cfg = SimConfig::default()
+                .with_threads(threads)
+                .with_granularity(1);
+            let mut sim = Simulator::new(&g, cfg, |me| Scripted {
+                sends: sends
+                    .iter()
+                    .filter(|&&(from, _, _)| from == me)
+                    .map(|&(_, to, bits)| (to, bits))
+                    .collect(),
+            })
+            .with_reference_delivery(reference);
+            assert_eq!(
+                sim.run().unwrap_err(),
+                *expected,
+                "t = {threads}, reference = {reference}, sends {sends:?}"
+            );
+        }
+    }
+}
+
 /// Never terminates: ping-pongs a token forever.
 struct PingPong {
     me: NodeId,

@@ -91,8 +91,7 @@ pub enum CountMode {
     /// Sketch-compressed counting: sources hash into `2^precision`
     /// buckets and nodes exchange bucket aggregates — `2^precision`
     /// rounds and a `B × degree` receive store instead of `n × degree`,
-    /// at the accuracy cost bounded by
-    /// [`stacked_error_bound`](sketch::stacked_error_bound).
+    /// at the accuracy cost bounded by [`stacked_error_bound`].
     Sketch {
         /// Bucket-count exponent, in
         /// [`MIN_SKETCH_PRECISION`]`..=`[`MAX_SKETCH_PRECISION`].

@@ -200,7 +200,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Same as [`Client::once`] failures, surfaced directly.
+    /// [`ClientError::Io`] when the daemon cannot be reached and
+    /// [`ClientError::Protocol`] on malformed traffic, from the single
+    /// attempt, surfaced directly.
     pub fn health(&self) -> Result<Response, ClientError> {
         self.once(&RequestEnvelope {
             deadline_ms: 0,
@@ -226,7 +228,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Same as [`Client::once`] failures, surfaced directly.
+    /// [`ClientError::Io`] when the daemon cannot be reached and
+    /// [`ClientError::Protocol`] on malformed traffic, from the single
+    /// attempt, surfaced directly.
     pub fn metrics(&self) -> Result<Response, ClientError> {
         self.once(&RequestEnvelope {
             deadline_ms: 0,

@@ -11,9 +11,9 @@
 //!   the connection thread waits at most that long for the worker and
 //!   then answers a typed [`Response::Timeout`]. Workers drop requests
 //!   whose deadline already expired in the queue.
-//! * **No silent staleness.** Every served value carries
-//!   [`SloFlags`](crate::protocol::SloFlags) derived from the solve's
-//!   `DegradationReport` plus the resumed-from-checkpoint bit.
+//! * **No silent staleness.** Every served value carries [`SloFlags`]
+//!   derived from the solve's `DegradationReport` plus the
+//!   resumed-from-checkpoint bit.
 //! * **Clean drain.** `Drain`/`Shutdown` stop admission, flush a final
 //!   solve checkpoint, close the JSONL trace, and unblock the accept
 //!   loop so the process exits. Clients connected before the drain,

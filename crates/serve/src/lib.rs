@@ -19,12 +19,12 @@
 //! * admin **drain/shutdown** that flushes a final checkpoint and
 //!   closes the JSONL trace cleanly;
 //! * health/readiness wired to the solve's `DegradationReport` — a
-//!   degraded result is served with explicit
-//!   [`SloFlags`](protocol::SloFlags), never silently;
+//!   degraded result is served with explicit [`SloFlags`], never
+//!   silently;
 //! * **live telemetry**: a zero-dependency metrics registry spanning the
 //!   request path, the background solve, and the CONGEST engine, scraped
-//!   via [`Request::Metrics`](protocol::Request::Metrics) (rendered as
-//!   versioned JSON or Prometheus text), multi-window **SLO burn rates**
+//!   via [`Request::Metrics`] (rendered as versioned JSON or
+//!   Prometheus text), multi-window **SLO burn rates**
 //!   ([`slo`]), a crash-safe **flight recorder** dumped next to the
 //!   checkpoint, and a plain-terminal dashboard ([`top`]).
 //!
