@@ -268,7 +268,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         Json::parse(&String::from_utf8_lossy(b)).is_ok()
     }));
 
-    let bench_corpus: Vec<Vec<u8>> = vec![br#"{"schema_version":1,"scenario":"clean-er-n128-t1","mode":"clean","topology":"er","n":128,"threads":1,"params":{"walks":4,"length":64,"seed":42},"warmup":0,"trials":1,"wall_clock_ms":{"median":1.5,"p95":1.5,"min":1.5,"max":1.5,"samples":[1.5]},"rounds":100,"total_messages":1000,"total_bits":9000,"peak_rss_bytes":null}"#.to_vec()];
+    let bench_corpus: Vec<Vec<u8>> = vec![br#"{"schema_version":3,"scenario":"clean-er-n128-t1","mode":"clean","topology":"er","n":128,"threads":1,"params":{"walks":4,"length":64,"seed":42},"warmup":0,"trials":1,"wall_clock_ms":{"median":1.5,"p95":1.5,"min":1.5,"max":1.5,"samples":[1.5]},"rounds":100,"total_messages":1000,"total_bits":9000,"peak_rss_bytes":null,"host_parallelism":1,"effective_threads":1,"granularity":16,"oversubscribed":false,"count_mode":"exact","sketch_suppressed":0,"phase_breakdown":{"walk":{"rounds":60,"messages":800,"bits":7000},"count":{"rounds":40,"messages":200,"bits":2000},"collect":null}}"#.to_vec()];
     codecs.push(fuzz_codec(
         "bench-json",
         &bench_corpus,
@@ -473,9 +473,9 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         |b| rwbc::distributed::StepSolver::restore(&corpus_graph, step_cfg.clone(), b).is_ok(),
     ));
 
-    // A mid-count exact StepSolver image: phase tag 2 and a
-    // CountProgram engine image, whose dense cell table the decoder
-    // turns back into the program's sparse store.
+    // A mid-count exact StepSolver image: phase tag 1 and a
+    // CountProgram engine image holding the program's own pairs and
+    // cells as it stores them.
     let mut exact_solver =
         rwbc::distributed::StepSolver::new(&corpus_graph, step_cfg.clone()).expect("step solver");
     while exact_solver.phase() != rwbc::distributed::SolvePhase::Count {
@@ -517,8 +517,8 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         |b| SketchCountMsg::decode(b, 8, 17).is_some(),
     ));
 
-    // A mid-count sketch-mode StepSolver image: the v2 checkpoint
-    // layout with phase tag 3 and a SketchCountProgram engine image.
+    // A mid-count sketch-mode StepSolver image: phase tag 3 and a
+    // SketchCountProgram engine image.
     let sketch_cfg = DistributedConfig::builder()
         .walks(2)
         .length(16)

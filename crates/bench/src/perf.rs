@@ -48,18 +48,14 @@ use rwbc_graph::Graph;
 /// Version 3 added `count_mode`, `sketch_suppressed`, and the
 /// `phase_breakdown` object (walk vs count vs collect traffic), so the
 /// sketch-compression claim is auditable per phase rather than only in
-/// the pipeline totals.
+/// the pipeline totals. [`validate_bench_json`] and the serve artifact
+/// validator accept this version only.
 pub const SCHEMA_VERSION: i64 = 3;
 
 /// Sketch precision the `sketch` bench mode runs with: 2⁸ = 256 buckets
 /// keeps the count phase at 256 rounds at every matrix size while the
 /// frame (8 index bits + value bits) stays far inside the budget.
 pub const SKETCH_BENCH_PRECISION: u8 = 8;
-
-/// Oldest schema version [`validate_bench_json`] still accepts —
-/// committed version-1 artifacts (which predate the execution-
-/// environment fields) remain valid.
-pub const MIN_SCHEMA_VERSION: i64 = 1;
 
 /// Fault regime of a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -636,7 +632,7 @@ pub fn validate_bench_json(doc: &Json) -> Result<(), String> {
     let version = req(doc, "schema_version")?
         .as_u64()
         .ok_or("`schema_version` is not an integer")?;
-    if !(MIN_SCHEMA_VERSION as u64..=SCHEMA_VERSION as u64).contains(&version) {
+    if version != SCHEMA_VERSION as u64 {
         return Err(format!("unsupported schema_version {version}"));
     }
     req(doc, "scenario")?
@@ -708,53 +704,49 @@ pub fn validate_bench_json(doc: &Json) -> Result<(), String> {
         Json::Null | Json::Int(_) => {}
         _ => return Err("`peak_rss_bytes` is not an integer or null".into()),
     }
-    if version >= 2 {
-        for key in ["effective_threads", "granularity"] {
-            let v = req(doc, key)?
-                .as_u64()
-                .ok_or_else(|| format!("`{key}` is not a non-negative integer"))?;
-            if v == 0 {
-                return Err(format!("`{key}` must be positive"));
-            }
-        }
-        match req(doc, "host_parallelism")? {
-            Json::Null | Json::Int(_) => {}
-            _ => return Err("`host_parallelism` is not an integer or null".into()),
-        }
-        req(doc, "oversubscribed")?
-            .as_bool()
-            .ok_or("`oversubscribed` is not a boolean")?;
-    }
-    if version >= 3 {
-        let cm = req(doc, "count_mode")?
-            .as_str()
-            .ok_or("`count_mode` is not a string")?;
-        if cm != "exact" && !cm.starts_with("sketch-p") {
-            return Err(format!("unknown count_mode `{cm}`"));
-        }
-        req(doc, "sketch_suppressed")?
+    for key in ["effective_threads", "granularity"] {
+        let v = req(doc, key)?
             .as_u64()
-            .ok_or("`sketch_suppressed` is not a non-negative integer")?;
-        let breakdown = req(doc, "phase_breakdown")?;
-        let check_traffic = |v: &Json, phase: &str| -> Result<(), String> {
-            for key in ["rounds", "messages", "bits"] {
-                v.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                    format!("`phase_breakdown.{phase}.{key}` is not a non-negative integer")
-                })?;
-            }
-            Ok(())
-        };
-        for phase in ["walk", "count"] {
-            let v = breakdown
-                .get(phase)
-                .ok_or_else(|| format!("missing field `phase_breakdown.{phase}`"))?;
-            check_traffic(v, phase)?;
+            .ok_or_else(|| format!("`{key}` is not a non-negative integer"))?;
+        if v == 0 {
+            return Err(format!("`{key}` must be positive"));
         }
-        match breakdown.get("collect") {
-            Some(Json::Null) => {}
-            Some(v) => check_traffic(v, "collect")?,
-            None => return Err("missing field `phase_breakdown.collect`".into()),
+    }
+    match req(doc, "host_parallelism")? {
+        Json::Null | Json::Int(_) => {}
+        _ => return Err("`host_parallelism` is not an integer or null".into()),
+    }
+    req(doc, "oversubscribed")?
+        .as_bool()
+        .ok_or("`oversubscribed` is not a boolean")?;
+    let cm = req(doc, "count_mode")?
+        .as_str()
+        .ok_or("`count_mode` is not a string")?;
+    if cm != "exact" && !cm.starts_with("sketch-p") {
+        return Err(format!("unknown count_mode `{cm}`"));
+    }
+    req(doc, "sketch_suppressed")?
+        .as_u64()
+        .ok_or("`sketch_suppressed` is not a non-negative integer")?;
+    let breakdown = req(doc, "phase_breakdown")?;
+    let check_traffic = |v: &Json, phase: &str| -> Result<(), String> {
+        for key in ["rounds", "messages", "bits"] {
+            v.get(key).and_then(Json::as_u64).ok_or_else(|| {
+                format!("`phase_breakdown.{phase}.{key}` is not a non-negative integer")
+            })?;
         }
+        Ok(())
+    };
+    for phase in ["walk", "count"] {
+        let v = breakdown
+            .get(phase)
+            .ok_or_else(|| format!("missing field `phase_breakdown.{phase}`"))?;
+        check_traffic(v, phase)?;
+    }
+    match breakdown.get("collect") {
+        Some(Json::Null) => {}
+        Some(v) => check_traffic(v, "collect")?,
+        None => return Err("missing field `phase_breakdown.collect`".into()),
     }
     Ok(())
 }
@@ -838,7 +830,7 @@ mod tests {
         assert!(validate_bench_json(&broken).is_err());
 
         // Missing top-level field.
-        let doc = Json::parse(r#"{"schema_version":1}"#).unwrap();
+        let doc = Json::parse(&format!(r#"{{"schema_version":{SCHEMA_VERSION}}}"#)).unwrap();
         assert!(validate_bench_json(&doc).is_err());
 
         // Unknown mode string.
@@ -873,40 +865,22 @@ mod tests {
     }
 
     #[test]
-    fn validator_accepts_committed_v1_artifacts() {
-        // A v2 document with the execution-environment fields stripped
-        // and the version stamp rewound is exactly the shape of the
-        // artifacts committed before the sweep existed.
+    fn validator_rejects_other_schema_versions() {
         let scenario = Scenario::new(Mode::Clean, Topology::Torus, 9, 1);
-        let result = run_scenario(&scenario, 0, 1);
-        let v2_only = [
-            "host_parallelism",
-            "effective_threads",
-            "granularity",
-            "oversubscribed",
-        ];
-        let mut fields = match result.to_json() {
+        let mut fields = match run_scenario(&scenario, 0, 1).to_json() {
             Json::Obj(f) => f,
             _ => unreachable!(),
         };
-        fields.retain(|(k, _)| !v2_only.contains(&k.as_str()));
-        for (k, v) in &mut fields {
-            if k == "schema_version" {
-                *v = Json::Int(1);
+        validate_bench_json(&Json::Obj(fields.clone())).expect("current version");
+        for version in [1, 2, SCHEMA_VERSION + 1] {
+            for (k, v) in &mut fields {
+                if k == "schema_version" {
+                    *v = Json::Int(version);
+                }
             }
+            let err = validate_bench_json(&Json::Obj(fields.clone())).unwrap_err();
+            assert!(err.contains("schema_version"), "{err}");
         }
-        validate_bench_json(&Json::Obj(fields.clone())).expect("v1 stays valid");
-        // But the same shape stamped as v2 is incomplete.
-        for (k, v) in &mut fields {
-            if k == "schema_version" {
-                *v = Json::Int(2);
-            }
-        }
-        assert!(validate_bench_json(&Json::Obj(fields)).is_err());
-        // And versions outside [MIN, CURRENT] are rejected outright.
-        let future =
-            Json::parse(&format!(r#"{{"schema_version":{}}}"#, SCHEMA_VERSION + 1)).unwrap();
-        assert!(validate_bench_json(&future).is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use rwbc_serve::protocol::{
 };
 use rwbc_serve::{Client, ServeStats};
 
-use crate::perf::{MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+use crate::perf::SCHEMA_VERSION;
 
 /// Traffic shape of a replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -583,7 +583,7 @@ pub fn validate_serve_bench_json(doc: &Json) -> Result<(), String> {
     let version = req(doc, "schema_version")?
         .as_u64()
         .ok_or("`schema_version` is not an integer")?;
-    if !(MIN_SCHEMA_VERSION as u64..=SCHEMA_VERSION as u64).contains(&version) {
+    if version != SCHEMA_VERSION as u64 {
         return Err(format!("unsupported schema_version {version}"));
     }
     let kind = req(doc, "kind")?.as_str().ok_or("`kind` is not a string")?;
@@ -708,63 +708,60 @@ pub fn validate_serve_bench_json(doc: &Json) -> Result<(), String> {
         }
         _ => return Err("`solve` is not an object or null".into()),
     }
-    // Optional (absent in pre-telemetry artifacts). When present, the
-    // cumulative counters must be monotone non-decreasing across the
+    // The cumulative counters must be monotone non-decreasing across the
     // series, and at any instant the finished-request counters cannot
     // exceed admissions (mid-flight requests make `<`, never `>`).
-    if let Some(series) = doc.get("metrics_timeseries") {
-        let Json::Arr(samples) = series else {
-            return Err("`metrics_timeseries` is not an array".into());
-        };
-        let counters = [
-            "at_ms",
-            "uptime_ms",
-            "requests_total",
-            "answered_total",
-            "timed_out_total",
-            "shed_total",
-        ];
-        let mut prev = [0u64; 6];
-        for (i, sample) in samples.iter().enumerate() {
-            for (slot, key) in counters.iter().enumerate() {
-                let v = sample.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                    format!("`metrics_timeseries[{i}].{key}` is not a non-negative integer")
-                })?;
-                if v < prev[slot] {
-                    return Err(format!(
-                        "`metrics_timeseries[{i}].{key}` regressed: {v} < {}",
-                        prev[slot]
-                    ));
-                }
-                prev[slot] = v;
-            }
-            for key in ["queue_depth", "engine_rounds"] {
-                sample.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                    format!("`metrics_timeseries[{i}].{key}` is not a non-negative integer")
-                })?;
-            }
-            for key in ["burn_fast", "burn_slow"] {
-                match sample.get(key) {
-                    Some(Json::Float(b)) if b.is_finite() && *b >= 0.0 => {}
-                    Some(Json::Int(b)) if *b >= 0 => {}
-                    _ => {
-                        return Err(format!(
-                            "`metrics_timeseries[{i}].{key}` is not a finite non-negative number"
-                        ))
-                    }
-                }
-            }
-            let total = sample.get("requests_total").and_then(Json::as_u64).unwrap();
-            let finished = ["answered_total", "timed_out_total", "shed_total"]
-                .iter()
-                .map(|k| sample.get(k).and_then(Json::as_u64).unwrap())
-                .sum::<u64>();
-            if finished > total {
+    let Json::Arr(samples) = req(doc, "metrics_timeseries")? else {
+        return Err("`metrics_timeseries` is not an array".into());
+    };
+    let counters = [
+        "at_ms",
+        "uptime_ms",
+        "requests_total",
+        "answered_total",
+        "timed_out_total",
+        "shed_total",
+    ];
+    let mut prev = [0u64; 6];
+    for (i, sample) in samples.iter().enumerate() {
+        for (slot, key) in counters.iter().enumerate() {
+            let v = sample.get(key).and_then(Json::as_u64).ok_or_else(|| {
+                format!("`metrics_timeseries[{i}].{key}` is not a non-negative integer")
+            })?;
+            if v < prev[slot] {
                 return Err(format!(
-                    "`metrics_timeseries[{i}]`: {finished} finished requests exceed \
-                     {total} admitted"
+                    "`metrics_timeseries[{i}].{key}` regressed: {v} < {}",
+                    prev[slot]
                 ));
             }
+            prev[slot] = v;
+        }
+        for key in ["queue_depth", "engine_rounds"] {
+            sample.get(key).and_then(Json::as_u64).ok_or_else(|| {
+                format!("`metrics_timeseries[{i}].{key}` is not a non-negative integer")
+            })?;
+        }
+        for key in ["burn_fast", "burn_slow"] {
+            match sample.get(key) {
+                Some(Json::Float(b)) if b.is_finite() && *b >= 0.0 => {}
+                Some(Json::Int(b)) if *b >= 0 => {}
+                _ => {
+                    return Err(format!(
+                        "`metrics_timeseries[{i}].{key}` is not a finite non-negative number"
+                    ))
+                }
+            }
+        }
+        let total = sample.get("requests_total").and_then(Json::as_u64).unwrap();
+        let finished = ["answered_total", "timed_out_total", "shed_total"]
+            .iter()
+            .map(|k| sample.get(k).and_then(Json::as_u64).unwrap())
+            .sum::<u64>();
+        if finished > total {
+            return Err(format!(
+                "`metrics_timeseries[{i}]`: {finished} finished requests exceed \
+                 {total} admitted"
+            ));
         }
     }
     Ok(())
@@ -824,6 +821,20 @@ mod tests {
         validate_serve_bench_json(&doc).expect("schema self-consistency");
         let reparsed = Json::parse(&doc.to_json()).expect("parse");
         validate_serve_bench_json(&reparsed).expect("schema after round-trip");
+        // Only the current schema version, with its time series, is valid.
+        let Json::Obj(fields) = reparsed else {
+            unreachable!("the artifact is an object")
+        };
+        let mut older = fields.clone();
+        for (k, v) in &mut older {
+            if k == "schema_version" {
+                *v = Json::Int(SCHEMA_VERSION - 1);
+            }
+        }
+        assert!(validate_serve_bench_json(&Json::Obj(older)).is_err());
+        let mut untimed = fields;
+        untimed.retain(|(k, _)| k != "metrics_timeseries");
+        assert!(validate_serve_bench_json(&Json::Obj(untimed)).is_err());
         daemon.drain();
         daemon.wait();
     }
@@ -854,7 +865,7 @@ mod tests {
     #[test]
     fn validator_rejects_inconsistent_outcome_sums() {
         let doc = Json::parse(
-            r#"{"schema_version":1,"kind":"serve","scenario":"serve-er-n8-t1",
+            r#"{"schema_version":3,"kind":"serve","scenario":"serve-er-n8-t1",
                 "n":8,"threads":1,"params":{"walks":4,"length":64,"seed":42},
                 "load":{"mode":"closed","clients":1,"rate_hz":null,
                         "duration_ms":10,"deadline_ms":100},
@@ -863,7 +874,7 @@ mod tests {
                 "throughput_rps":1.0,
                 "latency_us":{"p50":1,"p99":1,"mean":1.0,"max":1,
                               "histogram":[[1,1,1]]},
-                "solve":null}"#,
+                "solve":null,"metrics_timeseries":[]}"#,
         )
         .expect("parse");
         let err = validate_serve_bench_json(&doc).unwrap_err();

@@ -205,15 +205,6 @@ impl CountProgram {
         }
     }
 
-    /// The own counts as a dense `n`-word row.
-    fn dense_own(&self) -> Vec<u64> {
-        let mut row = vec![0; self.n];
-        for &(s, q) in &self.own {
-            row[s as usize] = q;
-        }
-        row
-    }
-
     fn send_next(&mut self, ctx: &mut Context<'_, CountMsg>) {
         if self.sent < self.n {
             let scaled = match self.own.get(self.cursor) {
@@ -337,23 +328,15 @@ impl CountProgram {
 // Checkpoint encoding: everything but `neighbor_ids`, a lazily-filled
 // topology cache that `on_round` rebuilds on first use after a restore —
 // excluding it keeps the bytes of a restored-and-resumed run identical to
-// an uninterrupted one — and `cursor`, which `sent` implies. The image
-// keeps the dense layout: the own potentials and counts as `n`-word rows,
-// then the `n × degree` cell table row-major (`cols[source * degree +
-// slot]`).
+// an uninterrupted one — and `cursor`, which `sent` implies. The own
+// counts and the cells are written as held: `(source, q)` pairs by
+// ascending source and `(slot, source, value)` triples in arrival order.
 impl congest_sim::wire::WireState for CountProgram {
     fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
-        let own_scaled = self.dense_own();
-        let own: Vec<f64> = own_scaled.iter().map(|&q| self.own_value(q)).collect();
-        let mut cols = vec![0.0f64; self.n * self.degree];
-        for c in &self.cells {
-            cols[c.source as usize * self.degree + c.slot as usize] = c.value;
-        }
         self.me.encode_state(w);
         self.n.encode_state(w);
-        own.encode_state(w);
-        own_scaled.encode_state(w);
-        cols.encode_state(w);
+        self.own.encode_state(w);
+        self.cells.encode_state(w);
         self.degree.encode_state(w);
         self.value_bits.encode_state(w);
         self.fractional_bits.encode_state(w);
@@ -370,17 +353,12 @@ impl congest_sim::wire::WireState for CountProgram {
     }
 
     fn decode_state(r: &mut congest_sim::wire::BitReader<'_>) -> Option<CountProgram> {
-        let me = usize::decode_state(r)?;
-        let n = usize::decode_state(r)?;
-        let own = Vec::<f64>::decode_state(r)?;
-        let own_scaled = Vec::<u64>::decode_state(r)?;
-        let cols = Vec::<f64>::decode_state(r)?;
         let mut p = CountProgram {
-            me,
-            n,
-            own: Vec::new(),
+            me: usize::decode_state(r)?,
+            n: usize::decode_state(r)?,
+            own: Vec::decode_state(r)?,
             cursor: 0,
-            cells: Vec::new(),
+            cells: Vec::decode_state(r)?,
             degree: usize::decode_state(r)?,
             value_bits: u8::decode_state(r)?,
             fractional_bits: u8::decode_state(r)?,
@@ -396,11 +374,10 @@ impl congest_sim::wire::WireState for CountProgram {
             betweenness: Option::decode_state(r)?,
             neighbor_ids: Vec::new(),
         };
-        let consistent = me < n
-            && u32::try_from(n).is_ok()
-            && own.len() == n
-            && own_scaled.len() == n
-            && n.checked_mul(p.degree) == Some(cols.len())
+        let consistent = p.me < p.n
+            && u32::try_from(p.n).is_ok()
+            && p.own.windows(2).all(|w| w[0].0 < w[1].0)
+            && p.own.iter().all(|&(s, q)| q != 0 && (s as usize) < p.n)
             && p.received_per_neighbor.len() == p.degree
             && p.live.len() == p.degree
             && p.fractional_bits < 32
@@ -408,30 +385,43 @@ impl congest_sim::wire::WireState for CountProgram {
         if !consistent {
             return None;
         }
-        p.own = (0u32..).zip(own_scaled).filter(|&(_, q)| q != 0).collect();
-        p.cursor = p.own.partition_point(|&(s, _)| (s as usize) < p.sent);
-        // Row-major order is arrival order per slot. A cell can only hold
-        // a source its neighbor has already delivered; anything else is a
+        // A cell is nonzero, and holds a source its neighbor has already
+        // delivered, above the slot's previous one; anything else is a
         // corrupt image.
-        for (i, &value) in cols.iter().enumerate() {
-            if value != 0.0 {
-                let (source, slot) = (i / p.degree, i % p.degree);
-                let delivered = if p.strict_delivery {
-                    p.received_per_neighbor[slot]
-                } else {
-                    p.received_rounds
-                };
-                if source >= delivered {
-                    return None;
-                }
-                p.cells.push(Cell {
-                    slot: slot as u32,
-                    source: source as u32,
-                    value,
-                });
+        let mut next = vec![0usize; p.degree];
+        for c in &p.cells {
+            let (slot, source) = (c.slot as usize, c.source as usize);
+            if slot >= p.degree || c.value == 0.0 || source < next[slot] {
+                return None;
             }
+            let delivered = if p.strict_delivery {
+                p.received_per_neighbor[slot]
+            } else {
+                p.received_rounds
+            };
+            if source >= delivered.min(p.n) {
+                return None;
+            }
+            next[slot] = source + 1;
         }
+        p.cursor = p.own.partition_point(|&(s, _)| (s as usize) < p.sent);
         Some(p)
+    }
+}
+
+impl congest_sim::wire::WireState for Cell {
+    fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
+        self.slot.encode_state(w);
+        self.source.encode_state(w);
+        self.value.encode_state(w);
+    }
+
+    fn decode_state(r: &mut congest_sim::wire::BitReader<'_>) -> Option<Cell> {
+        Some(Cell {
+            slot: u32::decode_state(r)?,
+            source: u32::decode_state(r)?,
+            value: f64::decode_state(r)?,
+        })
     }
 }
 
@@ -528,7 +518,10 @@ mod tests {
             }
         }
         p.combine();
-        let own: Vec<f64> = p.dense_own().iter().map(|&q| p.own_value(q)).collect();
+        let mut own = vec![0.0; N];
+        for &(s, q) in &p.own {
+            own[s as usize] = p.own_value(q);
+        }
         let inv_scale = 1.0 / f64::from(1u32 << F);
         let cols: Vec<Vec<f64>> = expected
             .iter()
@@ -588,63 +581,49 @@ mod tests {
         }
     }
 
-    /// The image of `p` with its cell table replaced by `cols` and its
-    /// degree field by `degree`, in `encode_state`'s field order.
-    fn image_with(p: &CountProgram, cols: Vec<f64>, degree: usize) -> Vec<u8> {
-        let own_scaled = p.dense_own();
-        let own: Vec<f64> = own_scaled.iter().map(|&q| p.own_value(q)).collect();
-        let mut w = BitWriter::new();
-        p.me.encode_state(&mut w);
-        p.n.encode_state(&mut w);
-        own.encode_state(&mut w);
-        own_scaled.encode_state(&mut w);
-        cols.encode_state(&mut w);
-        degree.encode_state(&mut w);
-        p.value_bits.encode_state(&mut w);
-        p.fractional_bits.encode_state(&mut w);
-        p.k.encode_state(&mut w);
-        p.sent.encode_state(&mut w);
-        p.received_rounds.encode_state(&mut w);
-        p.received_per_neighbor.encode_state(&mut w);
-        p.strict_delivery.encode_state(&mut w);
-        p.missing.encode_state(&mut w);
-        p.dead_peers.encode_state(&mut w);
-        p.live.encode_state(&mut w);
-        p.effective_n.encode_state(&mut w);
-        p.betweenness.encode_state(&mut w);
-        w.finish().to_vec()
-    }
-
     #[test]
     fn decode_rejects_inconsistent_cell_tables() {
+        // Two lockstep rounds: sources 0 and 1 delivered, five cells.
         let mut p = hand_program(false);
         p.receive(&inbox(&[(1, 5), (3, 7), (5, 2)]));
-        let mut cols = vec![0.0; N * NEIGHBORS.len()];
-        for c in &p.cells {
-            cols[c.source as usize * NEIGHBORS.len() + c.slot as usize] = c.value;
+        p.receive(&inbox(&[(1, 4), (5, 1)]));
+        let decode = |p: &CountProgram| CountProgram::decode_state(&mut BitReader::new(&encode(p)));
+        assert!(decode(&p).is_some());
+        let edits: [fn(&mut CountProgram); 10] = [
+            // Own pairs out of order, repeated, zero or naming no node.
+            |p| p.own.swap(0, 1),
+            |p| p.own[1].0 = p.own[0].0,
+            |p| p.own[0].1 = 0,
+            |p| p.own.push((N as u32, 1)),
+            // A cell past the last slot, and a zero cell.
+            |p| p.cells[0].slot = NEIGHBORS.len() as u32,
+            |p| p.cells[0].value = 0.0,
+            // A source repeated or descending within its slot.
+            |p| p.cells.push(p.cells[4]),
+            |p| p.cells.push(p.cells[0]),
+            // A source its neighbor has not delivered yet, and one past
+            // the network however many rounds the image claims.
+            |p| {
+                p.cells.push(Cell {
+                    slot: 1,
+                    source: 2,
+                    value: 1.0,
+                })
+            },
+            |p| {
+                p.received_rounds = N + 1;
+                p.cells.push(Cell {
+                    slot: 1,
+                    source: N as u32,
+                    value: 1.0,
+                });
+            },
+        ];
+        for edit in edits {
+            let mut bad = p.clone();
+            edit(&mut bad);
+            assert!(decode(&bad).is_none(), "{:?} / {:?}", bad.own, bad.cells);
         }
-        let decode = |bytes: &[u8]| CountProgram::decode_state(&mut BitReader::new(bytes));
-        // The hand-built image is the real one, and it decodes.
-        assert_eq!(image_with(&p, cols.clone(), NEIGHBORS.len()), encode(&p));
-        assert!(decode(&encode(&p)).is_some());
-        // A table one cell short or long of n · degree.
-        assert!(decode(&image_with(&p, cols[1..].to_vec(), 3)).is_none());
-        let mut long = cols.clone();
-        long.push(0.0);
-        assert!(decode(&image_with(&p, long, 3)).is_none());
-        // Degree 0: only an empty table fits (and the per-slot vectors
-        // must be empty too).
-        assert!(decode(&image_with(&p, cols.clone(), 0)).is_none());
-        let mut isolated = hand_program(false);
-        isolated.degree = 0;
-        isolated.received_per_neighbor.clear();
-        isolated.live.clear();
-        assert!(decode(&image_with(&isolated, Vec::new(), 0)).is_some());
-        assert!(decode(&image_with(&isolated, vec![0.0], 0)).is_none());
-        // A nonzero cell for a source no neighbor has delivered yet.
-        let mut early = cols;
-        early[NEIGHBORS.len()] = 1.0;
-        assert!(decode(&image_with(&p, early, 3)).is_none());
     }
 
     /// Runs phase 2 alone with synthetic integer counts and returns the

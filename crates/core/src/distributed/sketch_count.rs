@@ -54,7 +54,6 @@ pub struct SketchCountProgram {
     suppressed: u64,
     dead_peers: Vec<NodeId>,
     live: Vec<bool>,
-    effective_n: usize,
     betweenness: Option<f64>,
     /// Cached neighbor ids (ascending), filled on first use; excluded
     /// from checkpoints like the exact program's cache.
@@ -107,27 +106,9 @@ impl SketchCountProgram {
             suppressed: 0,
             dead_peers: Vec::new(),
             live: vec![true; degree],
-            effective_n: n,
             betweenness: None,
             neighbor_ids: Vec::new(),
         }
-    }
-
-    /// Pre-seeds permanently dead neighbors (their columns stay zero and
-    /// are excluded from the strict-delivery completion check).
-    #[must_use]
-    pub fn with_dead_neighbors(mut self, mut peers: Vec<NodeId>) -> SketchCountProgram {
-        peers.sort_unstable();
-        peers.dedup();
-        self.dead_peers = peers;
-        self
-    }
-
-    /// Overrides the node count used by the final normalization.
-    #[must_use]
-    pub fn with_effective_n(mut self, n_eff: usize) -> SketchCountProgram {
-        self.effective_n = n_eff.max(2);
-        self
     }
 
     /// Switches to strict-delivery mode: every bucket is broadcast and
@@ -224,7 +205,7 @@ impl SketchCountProgram {
             let me_bucket = bucket_of(self.me, self.sketch.precision);
             let inner =
                 node_net_flow_weighted_strided(me_bucket, &own, &flat, self.degree, &weights);
-            let nf = self.effective_n as f64;
+            let nf = self.n as f64;
             self.betweenness = Some((inner + (nf - 1.0)) / (nf * (nf - 1.0) / 2.0));
             if ctx.tracing() {
                 ctx.trace(TraceEvent::App {
@@ -257,12 +238,11 @@ impl congest_sim::wire::WireState for SketchCountProgram {
         self.suppressed.encode_state(w);
         self.dead_peers.encode_state(w);
         self.live.encode_state(w);
-        self.effective_n.encode_state(w);
         self.betweenness.encode_state(w);
     }
 
     fn decode_state(r: &mut congest_sim::wire::BitReader<'_>) -> Option<SketchCountProgram> {
-        Some(SketchCountProgram {
+        let p = SketchCountProgram {
             me: usize::decode_state(r)?,
             n: usize::decode_state(r)?,
             sketch: VisitSketch::decode_state(r)?,
@@ -278,10 +258,17 @@ impl congest_sim::wire::WireState for SketchCountProgram {
             suppressed: u64::decode_state(r)?,
             dead_peers: Vec::decode_state(r)?,
             live: Vec::decode_state(r)?,
-            effective_n: usize::decode_state(r)?,
             betweenness: Option::decode_state(r)?,
             neighbor_ids: Vec::new(),
-        })
+        };
+        let consistent = p.me < p.n
+            && u32::try_from(p.n).is_ok()
+            && p.bucket_count().checked_mul(p.degree) == Some(p.cols.len())
+            && p.received_per_neighbor.len() == p.degree
+            && p.live.len() == p.degree
+            && p.fractional_bits < 32
+            && p.k > 0;
+        consistent.then_some(p)
     }
 }
 
@@ -468,6 +455,43 @@ mod tests {
             err(&fine),
             err(&coarse)
         );
+    }
+
+    #[test]
+    fn decode_rejects_inconsistent_state() {
+        let g = cycle(5).unwrap();
+        let counts: Vec<(NodeId, u64)> = (0..5).map(|s| (s, (s * 3 + 1) as u64)).collect();
+        let p = SketchCountProgram::new(1, 5, g.degree(1), &counts, 2, 3, 24, 8);
+        let decode = |p: &SketchCountProgram| {
+            let mut w = BitWriter::new();
+            p.encode_state(&mut w);
+            SketchCountProgram::decode_state(&mut BitReader::new(&w.finish()))
+        };
+        assert!(decode(&p).is_some());
+        let edits: [fn(&mut SketchCountProgram); 9] = [
+            // This node outside the network, or a network of more than
+            // 2^32 nodes.
+            |p| p.me = p.n,
+            |p| p.n = 1 << 32,
+            // A bucket table one cell short or long of B · degree.
+            |p| p.cols.truncate(1),
+            |p| p.cols.push(0),
+            // Per-slot vectors of the wrong length.
+            |p| {
+                p.received_per_neighbor.pop();
+            },
+            |p| p.live.push(true),
+            // A fixed-point width past 31 bits, and no walks per node.
+            |p| p.fractional_bits = 32,
+            |p| p.k = 0,
+            // A degree whose table size overflows `usize`.
+            |p| p.degree = usize::MAX,
+        ];
+        for edit in edits {
+            let mut bad = p.clone();
+            edit(&mut bad);
+            assert!(decode(&bad).is_none());
+        }
     }
 
     #[test]

@@ -55,8 +55,11 @@ use crate::{Centrality, RwbcError};
 pub const STEP_CHECKPOINT_MAGIC: u64 = 0x5E12_C4EC;
 /// Step-checkpoint format version, the only one [`StepSolver::restore`]
 /// accepts. Version 2 added the sketch count phase (tag 3) and the
-/// `count_mode` / `sketch_suppressed` fields of done images.
-pub const STEP_CHECKPOINT_VERSION: u64 = 2;
+/// `count_mode` / `sketch_suppressed` fields of done images. Version 3
+/// writes the walk and exact count programs' state as they hold it
+/// (sorted nonzero rows and cells) and drops the sketch program's
+/// `effective_n`.
+pub const STEP_CHECKPOINT_VERSION: u64 = 3;
 
 /// Which pipeline stage a [`StepSolver`] is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1368,8 +1371,9 @@ mod tests {
     }
 
     /// A mid-count-phase exact image, pinned by its CRC-32: the image
-    /// keeps the dense `n × degree` cell table however the count phase
-    /// stores its cells, so these bytes must not move.
+    /// holds each program's nonzero own pairs and its cells in arrival
+    /// order, as the count phase stores them, so these bytes must not
+    /// move unless the format version does.
     #[test]
     fn exact_count_phase_image_is_pinned() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -1391,7 +1395,7 @@ mod tests {
         let image = solver.checkpoint().unwrap();
         assert_eq!(
             (image.len(), crc32(&image)),
-            (16_470, 0x996A_45FF),
+            (10_614, 0xE835_2692),
             "exact count-phase image changed"
         );
         let mut restored = StepSolver::restore(&g, c, &image).unwrap();
@@ -1422,17 +1426,16 @@ mod tests {
     }
 
     /// Mid-walk images under both disciplines, pinned by CRC-32: the image
-    /// keeps the dense visit-count and death rows, the sorted ticket list
-    /// and every in-flight batch as a token list, however the walk phase
-    /// stores them.
+    /// holds the sorted nonzero visit-count and death rows, the sorted
+    /// ticket list and every in-flight batch as a token list.
     #[test]
     fn walk_phase_images_are_pinned() {
         use crate::distributed::CongestionDiscipline;
         let mut rng = StdRng::seed_from_u64(5);
         let g = connected_gnp(16, 0.3, 100, &mut rng).unwrap();
         for (discipline, pin) in [
-            (CongestionDiscipline::HoldAndResend, (9_643, 0xCB78_2598)),
-            (CongestionDiscipline::Batched, (10_363, 0xB6AF_C81B)),
+            (CongestionDiscipline::HoldAndResend, (7_083, 0xB4F1_565A)),
+            (CongestionDiscipline::Batched, (8_395, 0xAFEC_4C51)),
         ] {
             let c = DistributedConfig::builder()
                 .walks(6)
@@ -1534,7 +1537,7 @@ mod tests {
             solver.step().unwrap();
         }
         assert_eq!(solver.phase(), SolvePhase::Count);
-        assert_image_pinned(&g, c, solver, (11_909, 0xCBC0_C0E1), "sketch count-phase");
+        assert_image_pinned(&g, c, solver, (11_781, 0x05E3_7C15), "sketch count-phase");
     }
 
     #[test]
@@ -1649,7 +1652,7 @@ mod tests {
         assert!(StepSolver::restore(&g, sketch.clone(), &exact_img).is_err());
         assert!(StepSolver::restore(&g, exact.clone(), &sketch_img).is_err());
         // A done sketch image also refuses an exact config (and the other
-        // way round), via the v2 metadata.
+        // way round), via the count mode in its metadata.
         let done_img = |c: &DistributedConfig| {
             let mut solver = StepSolver::new(&g, c.clone()).unwrap();
             solver.run_to_completion().unwrap();
@@ -1668,7 +1671,7 @@ mod tests {
         let mut image = solver.checkpoint().unwrap();
         // The version is a big-endian u64 at bytes 8..16.
         assert_eq!(image[8..16], STEP_CHECKPOINT_VERSION.to_be_bytes());
-        for version in [1, STEP_CHECKPOINT_VERSION + 1] {
+        for version in [1, 2, STEP_CHECKPOINT_VERSION + 1] {
             image[8..16].copy_from_slice(&version.to_be_bytes());
             match StepSolver::restore(&g, c.clone(), &image) {
                 Err(RwbcError::Sim(SimError::CorruptCheckpoint { reason })) => {

@@ -449,20 +449,13 @@ impl WalkProgram {
 
 // Checkpoint encoding (see `congest_sim::wire::WireState`): everything
 // but `scratch`, which is empty at every round boundary by construction,
-// and `batch_limit`, which the driver sets again on restore. The image
-// keeps the dense layout: tickets sorted by `(source, remaining)` so two
-// equal programs always produce identical bytes — the hinge of the
-// daemon's checkpoint-resume bit-identity guarantee — and `counts` and
-// `deaths` as `n`-word rows.
+// and `batch_limit`, which the driver sets again on restore. Tickets are
+// sorted by `(source, remaining)`, and `counts` and `deaths` written as
+// their sorted nonzero rows after `n`, so two equal programs always
+// produce identical bytes — the hinge of the daemon's checkpoint-resume
+// bit-identity guarantee.
 impl congest_sim::wire::WireState for WalkProgram {
     fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
-        let dense = |map: &StateMap<NodeId, u64>| {
-            let mut row = vec![0u64; self.n];
-            for (&s, &c) in map {
-                row[s] = c;
-            }
-            row
-        };
         self.me.encode_state(w);
         self.target.encode_state(w);
         self.k.encode_state(w);
@@ -479,8 +472,9 @@ impl congest_sim::wire::WireState for WalkProgram {
         let queue: Vec<(WalkToken, Option<u32>)> =
             self.queue.iter().map(|q| (q.token, q.choice)).collect();
         queue.encode_state(w);
-        dense(&self.counts).encode_state(w);
-        dense(&self.deaths).encode_state(w);
+        self.n.encode_state(w);
+        self.counts().encode_state(w);
+        self.deaths().encode_state(w);
         self.dead_neighbors.encode_state(w);
         self.started.encode_state(w);
     }
@@ -498,26 +492,25 @@ impl congest_sim::wire::WireState for WalkProgram {
         let draw_seed = u64::decode_state(r)?;
         let tickets: Vec<((NodeId, u32), u32)> = Vec::decode_state(r)?;
         let queue: Vec<(WalkToken, Option<u32>)> = Vec::decode_state(r)?;
-        let counts: Vec<u64> = Vec::decode_state(r)?;
-        let deaths: Vec<u64> = Vec::decode_state(r)?;
-        let n = counts.len();
-        // Every node id the state holds must name a node of the network
-        // the rows describe; anything else is a corrupt image.
-        let consistent = deaths.len() == n
-            && u32::try_from(n).is_ok()
+        let n = usize::decode_state(r)?;
+        let counts: Vec<(NodeId, u64)> = Vec::decode_state(r)?;
+        let deaths: Vec<(NodeId, u64)> = Vec::decode_state(r)?;
+        // Every node id the state holds must name a node of the network,
+        // and a row holds nonzero tallies by strictly ascending source;
+        // anything else is a corrupt image.
+        let row_ok = |row: &[(NodeId, u64)]| {
+            row.windows(2).all(|w| w[0].0 < w[1].0) && row.iter().all(|&(s, c)| c != 0 && s < n)
+        };
+        let consistent = u32::try_from(n).is_ok()
             && me < n
             && target < n
             && queue.iter().all(|(token, _)| token.source < n)
-            && tickets.iter().all(|&((source, _), _)| source < n);
+            && tickets.iter().all(|&((source, _), _)| source < n)
+            && row_ok(&counts)
+            && row_ok(&deaths);
         if !consistent {
             return None;
         }
-        let sparse = |row: Vec<u64>| -> StateMap<NodeId, u64> {
-            row.into_iter()
-                .enumerate()
-                .filter(|&(_, c)| c != 0)
-                .collect()
-        };
         Some(WalkProgram {
             me,
             n,
@@ -535,8 +528,8 @@ impl congest_sim::wire::WireState for WalkProgram {
                 .into_iter()
                 .map(|(token, choice)| Queued { token, choice })
                 .collect(),
-            counts: sparse(counts),
-            deaths: sparse(deaths),
+            counts: counts.into_iter().collect(),
+            deaths: deaths.into_iter().collect(),
             dead_neighbors: Vec::decode_state(r)?,
             started: bool::decode_state(r)?,
             scratch: ForwardScratch::default(),
@@ -744,7 +737,11 @@ mod tests {
 
     /// The image of `p` with its `counts` and `deaths` rows replaced, in
     /// `encode_state`'s field order.
-    fn image_with_rows(p: &WalkProgram, counts: &[u64], deaths: &[u64]) -> Vec<u8> {
+    fn image_with_rows(
+        p: &WalkProgram,
+        counts: &[(NodeId, u64)],
+        deaths: &[(NodeId, u64)],
+    ) -> Vec<u8> {
         let mut tickets: Vec<((NodeId, u32), u32)> = p
             .tickets
             .iter()
@@ -762,6 +759,7 @@ mod tests {
         p.draw_seed.encode_state(&mut w);
         tickets.encode_state(&mut w);
         queue.encode_state(&mut w);
+        p.n.encode_state(&mut w);
         counts.to_vec().encode_state(&mut w);
         deaths.to_vec().encode_state(&mut w);
         p.dead_neighbors.encode_state(&mut w);
@@ -780,7 +778,7 @@ mod tests {
         p.roll(1, 6, 2);
         p.counts.insert(3, 2);
         p.deaths.insert(0, 1);
-        let (counts, deaths) = ([0, 3, 0, 2, 0], [1, 0, 0, 0, 0]);
+        let (counts, deaths) = ([(1, 3), (3, 2)], [(0, 1)]);
         let encode = |p: &WalkProgram| {
             let mut w = BitWriter::new();
             p.encode_state(&mut w);
@@ -791,9 +789,18 @@ mod tests {
         assert_eq!(image_with_rows(&p, &counts, &deaths), encode(&p));
         let back = decode(&encode(&p)).expect("valid image");
         assert_eq!(encode(&back), encode(&p));
-        // Rows of different lengths.
-        assert!(decode(&image_with_rows(&p, &counts, &deaths[..4])).is_none());
-        assert!(decode(&image_with_rows(&p, &counts[..4], &deaths)).is_none());
+        // A row out of order, repeating a source, holding a zero or
+        // naming a source outside the network.
+        let bad_rows: [&[(NodeId, u64)]; 4] = [
+            &[(3, 2), (1, 3)],
+            &[(1, 3), (1, 2)],
+            &[(1, 3), (3, 0)],
+            &[(1, 3), (5, 2)],
+        ];
+        for bad in bad_rows {
+            assert!(decode(&image_with_rows(&p, bad, &deaths)).is_none());
+            assert!(decode(&image_with_rows(&p, &counts, bad)).is_none());
+        }
         // A node id outside the network: this node, the target, a parked
         // token's source, a ticket's source.
         let edits: [fn(&mut WalkProgram); 4] = [
