@@ -30,7 +30,9 @@ use rand::SeedableRng;
 use congest_sim::trace::jsonl::{decode_event, decode_trace, encode_event};
 use congest_sim::trace::TRACE_SCHEMA_VERSION;
 use congest_sim::{FaultPlan, JsonlTracer, NodeCrash, SimConfig, TraceEvent};
-use rwbc::distributed::{approximate_traced, collect_and_solve_traced, DistributedConfig};
+use rwbc::distributed::{
+    approximate_traced, collect_and_solve_traced, DistributedConfig, Transport,
+};
 use rwbc::lower_bound::LowerBoundInstance;
 use rwbc::monte_carlo::TargetStrategy;
 use rwbc_bench::suite::e6::m_for;
@@ -153,7 +155,11 @@ fn record_approximate(
         .length(l)
         .seed(seed)
         .target(TargetStrategy::Fixed(0))
-        .reliable(reliable)
+        .transport(if reliable {
+            Transport::Reliable { checksums: false }
+        } else {
+            Transport::default()
+        })
         .build()
         .map_err(|e| e.to_string())?;
     let mut faults = faults;
@@ -166,8 +172,7 @@ fn record_approximate(
             crash_round: 30,
             recover_round: None,
         });
-        cfg.partition_tolerant = true;
-        cfg.walk_retries = 3;
+        cfg.transport = Transport::PartitionTolerant { retries: 3 };
     }
     cfg.sim = SimConfig::default()
         .with_seed(seed)

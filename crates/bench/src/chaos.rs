@@ -39,7 +39,7 @@ use congest_sim::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rwbc::distributed::messages::{CountMsg, WalkBatch, WalkToken};
-use rwbc::distributed::{approximate, CountMode, DistributedConfig, SketchCountMsg};
+use rwbc::distributed::{approximate, CountMode, DistributedConfig, SketchCountMsg, Transport};
 use rwbc::monte_carlo::TargetStrategy;
 use rwbc_graph::generators::connected_gnp;
 use rwbc_graph::Graph;
@@ -835,8 +835,11 @@ impl ChaosWorkload {
             .length(self.length)
             .seed(self.seed)
             .target(TargetStrategy::Fixed(0))
-            .reliable(self.reliable)
-            .checksums(self.reliable)
+            .transport(if self.reliable {
+                Transport::Reliable { checksums: true }
+            } else {
+                Transport::default()
+            })
             .build()
             .expect("chaos workload params");
         cfg.sim = SimConfig::default()

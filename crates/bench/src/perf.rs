@@ -34,7 +34,7 @@ use congest_sim::trace::json::Json;
 use congest_sim::{FaultPlan, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rwbc::distributed::{approximate, CountMode, DistributedConfig, PhaseBreakdown};
+use rwbc::distributed::{approximate, CountMode, DistributedConfig, PhaseBreakdown, Transport};
 use rwbc::monte_carlo::TargetStrategy;
 use rwbc_graph::generators::{barabasi_albert, connected_gnp, torus_2d};
 use rwbc_graph::Graph;
@@ -193,9 +193,12 @@ impl Scenario {
             .walks(self.walks)
             .length(self.length)
             .seed(self.seed)
-            .target(TargetStrategy::Fixed(0))
-            .reliable(matches!(self.mode, Mode::Reliable | Mode::Corrupt))
-            .checksums(self.mode == Mode::Corrupt);
+            .target(TargetStrategy::Fixed(0));
+        if matches!(self.mode, Mode::Reliable | Mode::Corrupt) {
+            builder = builder.transport(Transport::Reliable {
+                checksums: self.mode == Mode::Corrupt,
+            });
+        }
         if self.mode == Mode::Sketch {
             builder = builder.count_mode(CountMode::Sketch {
                 precision: SKETCH_BENCH_PRECISION,
@@ -424,15 +427,7 @@ pub fn run_scenario(scenario: &Scenario, warmup: usize, trials: usize) -> BenchR
         let start = Instant::now();
         let run = approximate(&graph, &config).expect("scenario run");
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        let election = run.election_stats.as_ref();
-        let rounds = run.total_rounds();
-        let messages = run.walk_stats.total_messages
-            + run.count_stats.total_messages
-            + election.map_or(0, |s| s.total_messages);
-        let bits = run.walk_stats.total_bits
-            + run.count_stats.total_bits
-            + election.map_or(0, |s| s.total_bits);
-        let fp = (rounds, messages, bits);
+        let fp = run.fingerprint();
         exec_echo = (run.walk_stats.effective_threads, run.walk_stats.granularity);
         breakdown = run.phase_breakdown();
         count_mode = run.count_mode;

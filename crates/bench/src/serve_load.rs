@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use congest_sim::splitmix64;
 use congest_sim::trace::json::Json;
 use congest_sim::trace::LogHistogram;
 use rwbc_serve::protocol::{
@@ -178,14 +179,6 @@ pub struct ReplayReport {
     /// Mid-replay metrics scrapes, oldest first (empty when scraping
     /// was disabled or every scrape failed).
     pub metrics_timeseries: Vec<MetricsSample>,
-}
-
-/// SplitMix64, for the deterministic workload mix.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The `i`-th request of the deterministic mix: mostly single-node

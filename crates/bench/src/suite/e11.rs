@@ -10,7 +10,7 @@
 
 use congest_sim::{FaultPlan, NodeCrash, SimConfig};
 use rwbc::accuracy::mean_relative_error;
-use rwbc::distributed::{approximate, DistributedConfig, DistributedRun};
+use rwbc::distributed::{approximate, DistributedConfig, DistributedRun, Transport};
 use rwbc::exact::newman;
 use rwbc::monte_carlo::TargetStrategy;
 use rwbc_graph::Graph;
@@ -44,7 +44,11 @@ fn chaos_config(seed: u64, reliable: bool, faults: FaultPlan) -> DistributedConf
         .length(100)
         .seed(seed)
         .target(TargetStrategy::Fixed(0))
-        .reliable(reliable)
+        .transport(if reliable {
+            Transport::Reliable { checksums: false }
+        } else {
+            Transport::default()
+        })
         .build()
         .expect("params");
     // The constant-size reliable header needs headroom on tiny n; the

@@ -10,7 +10,7 @@
 //! the network is simply gone.
 
 use congest_sim::{FaultPlan, NodeCrash, SimConfig};
-use rwbc::distributed::{approximate, DistributedConfig, DistributedRun};
+use rwbc::distributed::{approximate, DistributedConfig, DistributedRun, Transport};
 use rwbc::exact::newman;
 use rwbc::monte_carlo::TargetStrategy;
 use rwbc_graph::{Graph, NodeId};
@@ -49,10 +49,9 @@ fn perm_config(seed: u64, walks: usize, length: usize, faults: FaultPlan) -> Dis
         .length(length)
         .seed(seed)
         .target(TargetStrategy::Fixed(0))
-        .partition_tolerant(true)
+        .transport(Transport::PartitionTolerant { retries: 3 })
         .build()
         .expect("params");
-    cfg.walk_retries = 3;
     cfg.sim = SimConfig::default()
         .with_bandwidth_coeff(16)
         .with_faults(faults);

@@ -15,7 +15,7 @@
 
 use congest_sim::{FaultPlan, LinkCorruption, SimConfig};
 use rwbc::accuracy::mean_relative_error;
-use rwbc::distributed::{approximate, DistributedRun};
+use rwbc::distributed::{approximate, DistributedRun, Transport};
 use rwbc::exact::newman;
 use rwbc::monte_carlo::TargetStrategy;
 use rwbc::Centrality;
@@ -62,8 +62,11 @@ fn corrupt_config(
         .length(length)
         .seed(seed)
         .target(TargetStrategy::Fixed(0))
-        .reliable(checksums)
-        .checksums(checksums)
+        .transport(if checksums {
+            Transport::Reliable { checksums: true }
+        } else {
+            Transport::default()
+        })
         .build()
         .expect("params");
     cfg.sim = SimConfig::default()

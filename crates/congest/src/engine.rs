@@ -11,7 +11,7 @@ use crate::node::{Context, Incoming};
 use crate::rng::node_rng;
 use crate::stats::ordered;
 use crate::trace::{DropReason, TraceEvent, Tracer};
-use crate::wire::{crc32, BitReader, BitWriter, WireState};
+use crate::wire::{read_section, write_section, BitReader, BitWriter, WireState};
 use crate::{Message, NodeProgram, RunStats, SimConfig, SimError};
 
 /// Per-node outgoing `(destination, message)` buffers for one round.
@@ -872,32 +872,31 @@ where
         self.config.seed.encode_state(&mut w);
         self.round.encode_state(&mut w);
         self.started.encode_state(&mut w);
-        write_section(&mut w, |sw| self.stats.encode_state(sw));
-        write_section(&mut w, |sw| {
-            for rng in &self.rngs {
-                for word in rng.state() {
-                    word.encode_state(sw);
-                }
+        let mut sw = BitWriter::new();
+        self.stats.encode_state(&mut sw);
+        write_section(&mut w, &sw.finish());
+        let mut sw = BitWriter::new();
+        for rng in &self.rngs {
+            for word in rng.state() {
+                word.encode_state(&mut sw);
             }
-            for word in self.fault_rng.state() {
-                word.encode_state(sw);
+        }
+        for word in self.fault_rng.state() {
+            word.encode_state(&mut sw);
+        }
+        write_section(&mut w, &sw.finish());
+        let mut sw = BitWriter::new();
+        for prog in &self.programs {
+            prog.encode_state(&mut sw);
+        }
+        write_section(&mut w, &sw.finish());
+        for boxes in [&self.pending, &self.delayed] {
+            let mut sw = BitWriter::new();
+            for inbox in boxes {
+                inbox.encode_state(&mut sw);
             }
-        });
-        write_section(&mut w, |sw| {
-            for prog in &self.programs {
-                prog.encode_state(sw);
-            }
-        });
-        write_section(&mut w, |sw| {
-            for inbox in &self.pending {
-                inbox.encode_state(sw);
-            }
-        });
-        write_section(&mut w, |sw| {
-            for inbox in &self.delayed {
-                inbox.encode_state(sw);
-            }
-        });
+            write_section(&mut w, &sw.finish());
+        }
         w.finish()
     }
 
@@ -946,27 +945,6 @@ where
         }
         let round = usize::decode_state(&mut r).ok_or_else(|| corrupt("truncated header"))?;
         let started = bool::decode_state(&mut r).ok_or_else(|| corrupt("truncated header"))?;
-        // Each section is length-framed and CRC-guarded; the checksum is
-        // verified before any decoding touches the payload, so a flipped
-        // bit is caught at its section.
-        let read_section = |r: &mut BitReader<'_>, what: &str| -> Result<Vec<u8>, SimError> {
-            let len = r
-                .read_bits(64)
-                .ok_or_else(|| corrupt(&format!("truncated {what} section header")))?;
-            let len = usize::try_from(len)
-                .map_err(|_| corrupt(&format!("oversized {what} section length")))?;
-            let sum = r
-                .read_bits(32)
-                .ok_or_else(|| corrupt(&format!("truncated {what} section header")))?
-                as u32;
-            let bytes = r
-                .read_bytes(len)
-                .ok_or_else(|| corrupt(&format!("truncated {what} section")))?;
-            if crc32(&bytes) != sum {
-                return Err(corrupt(&format!("{what} section failed its checksum")));
-            }
-            Ok(bytes)
-        };
         let read_rng = |r: &mut BitReader<'_>| -> Option<StdRng> {
             let mut words = [0u64; 4];
             for w in &mut words {
@@ -1332,18 +1310,6 @@ where
             });
         }
     }
-}
-
-/// Frames one checkpoint section: the body is encoded into its own
-/// [`BitWriter`], then embedded as `u64 byte length + u32 CRC-32 +
-/// payload bytes`. Restore verifies the checksum before decoding.
-fn write_section(w: &mut BitWriter, body: impl FnOnce(&mut BitWriter)) {
-    let mut sw = BitWriter::new();
-    body(&mut sw);
-    let bytes = sw.finish();
-    w.write_bits(bytes.len() as u64, 64);
-    w.write_bits(u64::from(crc32(&bytes)), 32);
-    w.write_bytes(&bytes);
 }
 
 /// The destination-group slots for a graph of `n` nodes: one per sender

@@ -66,11 +66,11 @@ pub use fault::{CorruptionKind, FaultPlan, LinkCorruption, LinkOutage, NodeCrash
 pub use message::{bits_for_count, bits_for_node_id, Message};
 pub use metrics::{
     Counter, EngineMetrics, Gauge, Histogram, LogHistogram, MetricsSnapshot, Registry,
-    ReliableMetrics, METRICS_SCHEMA_VERSION,
+    METRICS_SCHEMA_VERSION,
 };
 pub use node::{Context, Incoming, NodeProgram};
 pub use reliable::{Reliable, ReliableMsg, DEFAULT_DEATH_THRESHOLD, FRAME_CHECKSUM_BITS};
-pub use rng::node_rng;
+pub use rng::{node_rng, splitmix64};
 pub use stats::{CutMeter, PhaseTraffic, ReliabilityStats, RunStats};
 pub use trace::{
     FlightRecorder, JsonlTracer, MemoryTracer, NoopTracer, TraceEvent, Tracer,

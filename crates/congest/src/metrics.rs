@@ -779,35 +779,6 @@ impl EngineMetrics {
     }
 }
 
-/// Live handles for the [`Reliable`](crate::Reliable) delivery wrapper.
-/// Increments are commutative, so per-node wrappers running on worker
-/// threads keep totals thread-count-invariant at quiescence.
-#[derive(Debug, Clone)]
-pub struct ReliableMetrics {
-    /// Payload retransmissions (`reliable_retransmissions_total`).
-    pub retransmissions: Counter,
-    /// Frames rejected by checksum (`reliable_crc_rejects_total`).
-    pub crc_rejects: Counter,
-    /// Channels declared dead / quarantined
-    /// (`reliable_quarantines_total`).
-    pub quarantines: Counter,
-    /// Duplicate deliveries suppressed
-    /// (`reliable_duplicates_suppressed_total`).
-    pub duplicates_suppressed: Counter,
-}
-
-impl ReliableMetrics {
-    /// Registers the reliable layer's metric family in `registry`.
-    pub fn register(registry: &Registry) -> ReliableMetrics {
-        ReliableMetrics {
-            retransmissions: registry.counter("reliable_retransmissions_total"),
-            crc_rejects: registry.counter("reliable_crc_rejects_total"),
-            quarantines: registry.counter("reliable_quarantines_total"),
-            duplicates_suppressed: registry.counter("reliable_duplicates_suppressed_total"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -113,7 +113,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::fault::CorruptionKind;
-use crate::metrics::ReliableMetrics;
 use crate::node::{Context, Incoming};
 use crate::stats::ReliabilityStats;
 use crate::trace::TraceEvent;
@@ -379,11 +378,6 @@ pub struct Reliable<P: NodeProgram> {
     /// [`Reliable::absorb`] and restored after the inner program consumed
     /// the slice. Always empty between rounds.
     delivered_scratch: Vec<Incoming<P::Msg>>,
-    /// Optional live-metrics handles, shared by every per-node wrapper
-    /// (see [`Reliable::with_metrics`]). The per-node `u64` fields above
-    /// stay the source of truth for [`ReliabilityStats`]; the handles
-    /// mirror each event into process-wide counters as it happens.
-    metrics: Option<ReliableMetrics>,
 }
 
 impl<P: NodeProgram> Reliable<P> {
@@ -413,7 +407,6 @@ impl<P: NodeProgram> Reliable<P> {
             undeliverable: 0,
             outbox_scratch: Vec::new(),
             delivered_scratch: Vec::new(),
-            metrics: None,
         }
     }
 
@@ -437,16 +430,6 @@ impl<P: NodeProgram> Reliable<P> {
     #[must_use]
     pub fn with_checksums(mut self) -> Reliable<P> {
         self.checksums = true;
-        self
-    }
-
-    /// Attaches live-metrics handles (see [`ReliableMetrics`]). Clone
-    /// the same handle bundle into every node's wrapper: increments are
-    /// commutative atomic additions, so process-wide totals at any
-    /// quiescent point are independent of the worker-thread layout.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: ReliableMetrics) -> Reliable<P> {
-        self.metrics = Some(metrics);
         self
     }
 
@@ -543,9 +526,6 @@ impl<P: NodeProgram> Reliable<P> {
         c.idle_rounds = 0;
         if detected {
             self.dead_links_declared += 1;
-            if let Some(m) = &self.metrics {
-                m.quarantines.inc();
-            }
         }
         let peer = self.channels[ch].peer;
         if let Some(ctx) = ctx {
@@ -668,9 +648,6 @@ impl<P: NodeProgram> Reliable<P> {
             if self.checksums {
                 if frame.msg.crc != Some(frame.msg.content_crc(n)) {
                     self.corrupt_frames_detected += 1;
-                    if let Some(m) = &self.metrics {
-                        m.crc_rejects.inc();
-                    }
                     if ctx.tracing() {
                         let (round, node) = (ctx.round(), ctx.id());
                         ctx.trace(TraceEvent::CorruptFrameDetected {
@@ -723,9 +700,6 @@ impl<P: NodeProgram> Reliable<P> {
                     // Behind the window: a retransmission of something
                     // already delivered (or a fault-injected duplicate).
                     self.duplicates_suppressed += 1;
-                    if let Some(m) = &self.metrics {
-                        m.duplicates_suppressed.inc();
-                    }
                     if ctx.tracing() {
                         let (round, node) = (ctx.round(), ctx.id());
                         ctx.trace(TraceEvent::DuplicateSuppressed {
@@ -773,9 +747,6 @@ impl<P: NodeProgram> Reliable<P> {
                 let (seq, slot) = *self.channels[ch].unacked.front().expect("checked nonempty");
                 let msg = self.slots[slot].clone().expect("slot held by unacked");
                 self.retransmissions += 1;
-                if let Some(m) = &self.metrics {
-                    m.retransmissions.inc();
-                }
                 if ctx.tracing() {
                     let (round, node) = (ctx.round(), ctx.id());
                     ctx.trace(TraceEvent::Retransmission {

@@ -27,8 +27,13 @@ pub fn node_rng(master_seed: u64, node: usize) -> StdRng {
     ))
 }
 
-/// SplitMix64 finalizer.
-fn splitmix64(mut z: u64) -> u64 {
+/// The SplitMix64 finalizer, a bijective avalanche mix: the one copy
+/// behind the node streams, the walk draws, the sketch's source hash and
+/// the serve clients' jitter. `#[inline]` lets other crates inline it:
+/// the release profile has no LTO, and every walk draw calls it four
+/// times.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -24,6 +24,8 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+use crate::SimError;
+
 /// State that can round-trip through the bit-exact wire encoding.
 ///
 /// This is the serialization contract behind [`Simulator::checkpoint`] /
@@ -403,6 +405,41 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update_bytes(data);
     crc.finish()
+}
+
+/// Appends one checkpoint section: `u64 byte length + u32 CRC-32 +
+/// payload bytes`.
+pub fn write_section(w: &mut BitWriter, body: &[u8]) {
+    w.write_bits(body.len() as u64, 64);
+    w.write_bits(u64::from(crc32(body)), 32);
+    w.write_bytes(body);
+}
+
+/// Reads back one section written by [`write_section`], verifying its
+/// checksum before any of the payload is decoded, so a flipped bit is
+/// caught at its section. `what` names the section in the error.
+///
+/// # Errors
+///
+/// [`SimError::CorruptCheckpoint`] when the section is truncated or fails
+/// its checksum.
+pub fn read_section(r: &mut BitReader<'_>, what: &str) -> Result<Vec<u8>, SimError> {
+    let corrupt = |reason: String| SimError::CorruptCheckpoint { reason };
+    let len = r
+        .read_bits(64)
+        .ok_or_else(|| corrupt(format!("truncated {what} section header")))?;
+    let len =
+        usize::try_from(len).map_err(|_| corrupt(format!("oversized {what} section length")))?;
+    let sum = r
+        .read_bits(32)
+        .ok_or_else(|| corrupt(format!("truncated {what} section header")))? as u32;
+    let bytes = r
+        .read_bytes(len)
+        .ok_or_else(|| corrupt(format!("truncated {what} section")))?;
+    if crc32(&bytes) != sum {
+        return Err(corrupt(format!("{what} section failed its checksum")));
+    }
+    Ok(bytes)
 }
 
 #[cfg(test)]

@@ -1,16 +1,14 @@
 //! Property-based tests on the live-metrics layer: snapshot content is
 //! bit-identical across thread counts, attaching metrics perturbs
-//! nothing observable, and the reliable layer's live counters agree
-//! with its end-of-run statistics.
+//! nothing observable, and the engine's live counters agree with its
+//! end-of-run statistics.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use congest_sim::algorithms::Flood;
-use congest_sim::{
-    EngineMetrics, FaultPlan, Registry, Reliable, ReliableMetrics, SimConfig, Simulator,
-};
+use congest_sim::{EngineMetrics, FaultPlan, Registry, Reliable, SimConfig, Simulator};
 use rwbc_graph::generators::random_tree;
 use rwbc_graph::Graph;
 
@@ -45,9 +43,8 @@ proptest! {
         drop_p in 0.0f64..0.3,
         dup_p in 0.0f64..0.2,
     ) {
-        // Engine updates land on the single-threaded commit spine and
-        // reliable-layer updates are commutative, so a fixed
-        // (graph, seed, plan) must produce a bit-identical registry
+        // Engine updates land on the single-threaded commit spine, so a
+        // fixed (graph, seed, plan) must produce a bit-identical registry
         // snapshot at 1 and 8 threads once the run is quiescent.
         let faults = FaultPlan::default()
             .with_drop_probability(drop_p)
@@ -55,7 +52,6 @@ proptest! {
         let run = |threads: usize| {
             let registry = Registry::new();
             let engine = EngineMetrics::register(&registry);
-            let reliable = ReliableMetrics::register(&registry);
             let cfg = SimConfig::default()
                 .with_seed(seed)
                 .with_threads(threads)
@@ -63,10 +59,8 @@ proptest! {
                 // the smallest (64-node) generated graphs.
                 .with_granularity(4)
                 .with_faults(faults.clone());
-            let mut sim = Simulator::new(&g, cfg, |v| {
-                Reliable::new(Flood::new(v, 0)).with_metrics(reliable.clone())
-            })
-            .with_metrics(engine);
+            let mut sim = Simulator::new(&g, cfg, |v| Reliable::new(Flood::new(v, 0)))
+                .with_metrics(engine);
             let stats = sim.run().unwrap();
             (stats, registry.snapshot())
         };
@@ -126,36 +120,4 @@ proptest! {
         // Everything was delivered: nothing is left in flight.
         prop_assert_eq!(snap.gauge("engine_inbox_depth"), Some(0));
     }
-}
-
-#[test]
-fn reliable_counters_mirror_fold_stats() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let g = random_tree(48, &mut rng).unwrap();
-    let registry = Registry::new();
-    let handles = ReliableMetrics::register(&registry);
-    let faults = FaultPlan::default().with_drop_probability(0.25);
-    let cfg = SimConfig::default().with_seed(3).with_faults(faults);
-    let mut sim = Simulator::new(&g, cfg, |v| {
-        Reliable::new(Flood::new(v, 0)).with_metrics(handles.clone())
-    });
-    let stats = sim.run().unwrap();
-    assert!(stats.dropped > 0, "faults should have fired");
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.counter("reliable_retransmissions_total"),
-        Some(stats.retransmissions)
-    );
-    assert_eq!(
-        snap.counter("reliable_duplicates_suppressed_total"),
-        Some(stats.duplicates_suppressed)
-    );
-    assert_eq!(
-        snap.counter("reliable_quarantines_total"),
-        Some(stats.dead_links_declared)
-    );
-    assert_eq!(
-        snap.counter("reliable_crc_rejects_total"),
-        Some(stats.corrupt_frames_detected)
-    );
 }

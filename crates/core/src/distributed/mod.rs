@@ -99,6 +99,58 @@ pub enum CountMode {
     },
 }
 
+/// How every walk and count message travels, fixed for the whole solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    /// Bare messages, the paper's model. Faults lose them: after the
+    /// network drains, sources whose tokens went missing (per-source
+    /// death tally short of `K`) relaunch the difference, up to
+    /// `walk_retries` times.
+    Raw {
+        /// Walk-relaunch recovery sub-phases.
+        walk_retries: usize,
+    },
+    /// Behind the [`Reliable`](congest_sim::Reliable) delivery adapter:
+    /// every walk token and count message survives the configured
+    /// [`FaultPlan`](congest_sim::FaultPlan) (drops, duplicates and
+    /// delays are repaired by retransmission), at the price of extra
+    /// rounds and the per-message header bits. Phase 2 then awaits every
+    /// count cell by position.
+    Reliable {
+        /// Seal every frame with a CRC-32 ([`Reliable::with_checksums`])
+        /// and arm the failure detector: frames corrupted in flight are
+        /// discarded (then repaired by retransmission) instead of
+        /// silently skewing the estimate, and links that corrupt
+        /// persistently are quarantined. The seal costs
+        /// [`Reliable::CHECKSUM_BITS`] bits per frame, which the phase-2
+        /// fixed-point fit reserves off the budget.
+        ///
+        /// [`Reliable::with_checksums`]: congest_sim::Reliable::with_checksums
+        /// [`Reliable::CHECKSUM_BITS`]: congest_sim::Reliable#associatedconstant.CHECKSUM_BITS
+        checksums: bool,
+    },
+    /// Tolerates **permanent** node and link failures behind
+    /// [`Reliable::with_failure_detection`]: dead channels are declared
+    /// instead of retried forever, surviving nodes patch their
+    /// live-neighbor sets, in-flight walks are re-sampled away from dead
+    /// links, and when the failures partition the graph the computation
+    /// restricts itself to the surviving giant component (re-drawing the
+    /// absorbing target there if it died).
+    ///
+    /// [`Reliable::with_failure_detection`]: congest_sim::Reliable::with_failure_detection
+    PartitionTolerant {
+        /// Bound on the walk-relaunch sub-phases and on the extra count
+        /// passes (at least 1 of each is allowed).
+        retries: usize,
+    },
+}
+
+impl Default for Transport {
+    fn default() -> Transport {
+        Transport::Raw { walk_retries: 0 }
+    }
+}
+
 /// Configuration for [`approximate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistributedConfig {
@@ -114,52 +166,17 @@ pub struct DistributedConfig {
     pub seed: u64,
     /// Edge-contention rule.
     pub discipline: CongestionDiscipline,
-    /// Fractional bits of the phase-2 fixed-point counts (clamped to fit
-    /// the budget; the value actually used is reported in the run).
-    pub fixed_point_bits: u8,
-    /// When `true`, both phases run behind the
-    /// [`Reliable`](congest_sim::Reliable) delivery adapter: every walk
-    /// token and count message survives the configured
-    /// [`FaultPlan`](congest_sim::FaultPlan) (drops, duplicates, delays are
-    /// repaired by retransmission), at the price of extra rounds and the
-    /// per-message header bits. Phase 2 then uses strict-delivery
-    /// (position-indexed) count attribution.
-    pub reliable: bool,
-    /// When `true` (requires `reliable`), the delivery adapter seals every
-    /// frame with a CRC-32 ([`Reliable::with_checksums`]) and arms the
-    /// failure detector: frames corrupted in flight by the
-    /// [`FaultPlan`](congest_sim::FaultPlan) are detected and discarded
-    /// (then repaired by retransmission) instead of silently skewing the
-    /// estimate, and links that corrupt persistently are quarantined. The
-    /// seal costs [`Reliable::CHECKSUM_BITS`] extra bits per frame, which
-    /// the phase-2 fixed-point fitting reserves off the budget.
-    ///
-    /// [`Reliable::with_checksums`]: congest_sim::Reliable::with_checksums
-    /// [`Reliable::CHECKSUM_BITS`]: congest_sim::Reliable#associatedconstant.CHECKSUM_BITS
-    pub checksums: bool,
-    /// Recovery sub-phases for the *unreliable* walk phase: after the
-    /// network drains, sources whose tokens went missing (per-source death
-    /// tally short of `K`) relaunch the difference, up to this many times.
-    /// Ignored when `reliable` is set (nothing is ever lost there).
-    pub walk_retries: usize,
-    /// Tolerates **permanent** node and link failures. Both phases run
-    /// behind [`Reliable::with_failure_detection`]: dead channels are
-    /// declared instead of retried forever, surviving nodes patch their
-    /// live-neighbor sets, in-flight walks are re-sampled away from dead
-    /// links, and when the failures partition the graph the computation
-    /// restricts itself to the surviving giant component (re-drawing the
-    /// absorbing target there if it died). Takes precedence over
-    /// `reliable`; `walk_retries` bounds the relaunch sub-phases
-    /// (minimum 1).
-    ///
-    /// [`Reliable::with_failure_detection`]: congest_sim::Reliable::with_failure_detection
-    pub partition_tolerant: bool,
+    /// How walk and count messages travel, and what recovers the faults
+    /// of [`SimConfig::faults`](congest_sim::SimConfig).
+    pub transport: Transport,
     /// Phase-2 count representation ([`CountMode::Exact`] by default;
     /// [`CountMode::Sketch`] compresses traffic and memory at a bounded
-    /// accuracy cost). Sketch mode composes with `reliable`/`checksums`
-    /// but not with `partition_tolerant`.
+    /// accuracy cost). Sketch mode composes with every transport but
+    /// [`Transport::PartitionTolerant`].
     pub count_mode: CountMode,
-    /// Simulator settings (bandwidth coefficient, thread count, cut, ...).
+    /// Simulator settings (bandwidth coefficient, thread count, faults,
+    /// cut, ...). Its `seed` is not used: every phase's simulator runs
+    /// under its own seed derived from [`DistributedConfig::seed`].
     pub sim: SimConfig,
 }
 
@@ -177,11 +194,7 @@ impl DistributedConfig {
             elect_target: false,
             seed: 0,
             discipline: CongestionDiscipline::default(),
-            fixed_point_bits: 16,
-            reliable: false,
-            checksums: false,
-            walk_retries: 0,
-            partition_tolerant: false,
+            transport: Transport::default(),
             count_mode: CountMode::default(),
             sim: SimConfig::default(),
         })
@@ -202,11 +215,7 @@ pub struct DistributedConfigBuilder {
     elect_target: bool,
     seed: u64,
     discipline: CongestionDiscipline,
-    fixed_point_bits: Option<u8>,
-    reliable: bool,
-    checksums: bool,
-    walk_retries: usize,
-    partition_tolerant: bool,
+    transport: Transport,
     count_mode: CountMode,
     sim: Option<SimConfig>,
 }
@@ -254,41 +263,10 @@ impl DistributedConfigBuilder {
         self
     }
 
-    /// Sets the fixed-point fractional bits for phase 2.
+    /// Sets the transport (see [`Transport`]).
     #[must_use]
-    pub fn fixed_point_bits(mut self, f: u8) -> Self {
-        self.fixed_point_bits = Some(f);
-        self
-    }
-
-    /// Runs both phases behind the reliable-delivery adapter.
-    #[must_use]
-    pub fn reliable(mut self, reliable: bool) -> Self {
-        self.reliable = reliable;
-        self
-    }
-
-    /// Seals delivery-layer frames with CRC-32 checksums (see
-    /// [`DistributedConfig::checksums`]). Implies nothing without
-    /// `reliable(true)`.
-    #[must_use]
-    pub fn checksums(mut self, checksums: bool) -> Self {
-        self.checksums = checksums;
-        self
-    }
-
-    /// Sets the number of walk-relaunch recovery sub-phases.
-    #[must_use]
-    pub fn walk_retries(mut self, retries: usize) -> Self {
-        self.walk_retries = retries;
-        self
-    }
-
-    /// Tolerates permanent node/link failures (see
-    /// [`DistributedConfig::partition_tolerant`]).
-    #[must_use]
-    pub fn partition_tolerant(mut self, tolerant: bool) -> Self {
-        self.partition_tolerant = tolerant;
+    pub fn transport(mut self, transport: Transport) -> Self {
+        self.transport = transport;
         self
     }
 
@@ -327,7 +305,7 @@ impl DistributedConfigBuilder {
                     ),
                 });
             }
-            if self.partition_tolerant {
+            if matches!(self.transport, Transport::PartitionTolerant { .. }) {
                 return Err(RwbcError::InvalidParameter {
                     reason: "sketch count mode does not compose with partition tolerance \
                              (the survivor-graph combine needs exact per-source columns)"
@@ -341,11 +319,7 @@ impl DistributedConfigBuilder {
             elect_target: self.elect_target,
             seed: self.seed,
             discipline: self.discipline,
-            fixed_point_bits: self.fixed_point_bits.unwrap_or(16),
-            reliable: self.reliable,
-            checksums: self.checksums,
-            walk_retries: self.walk_retries,
-            partition_tolerant: self.partition_tolerant,
+            transport: self.transport,
             count_mode: self.count_mode,
             sim: self.sim.unwrap_or_default(),
         })
@@ -385,10 +359,10 @@ pub struct DegradationReport {
     /// walk tally.
     pub target_redraws: usize,
     /// Frames the checksummed delivery layer caught and discarded
-    /// (requires [`DistributedConfig::checksums`]). Detected corruption
-    /// is *repaired* by retransmission, so this counter measures faults
-    /// survived, not damage suffered — it does not disqualify a run from
-    /// [`DegradationReport::is_clean`].
+    /// (requires [`Transport::Reliable`] with `checksums`). Detected
+    /// corruption is *repaired* by retransmission, so this counter
+    /// measures faults survived, not damage suffered — it does not
+    /// disqualify a run from [`DegradationReport::is_clean`].
     pub corrupt_frames_detected: u64,
     /// Links the delivery layer declared dead during a checksummed
     /// reliable run — persistently corrupting (or persistently lossy)
@@ -443,8 +417,8 @@ pub struct DistributedRun {
     pub walk_stats: congest_sim::RunStats,
     /// Phase-2 (Algorithm 2) round/traffic statistics.
     pub count_stats: congest_sim::RunStats,
-    /// Fractional bits actually used for the fixed-point counts (may be
-    /// clamped below the configured value to fit the budget).
+    /// Fractional bits actually used for the fixed-point counts: 16, or
+    /// fewer where the budget cannot hold 16.
     pub fixed_point_bits: u8,
     /// The phase-2 representation this run used (echoed from the config).
     pub count_mode: CountMode,
@@ -476,6 +450,19 @@ impl DistributedRun {
         self.election_stats.as_ref().map_or(0, |s| s.rounds)
             + self.walk_stats.rounds
             + self.count_stats.rounds
+    }
+
+    /// `(total rounds, total messages, total bits)` over every phase, the
+    /// election included: the fingerprint the crash-recovery tests and
+    /// the bench artifacts compare bit for bit.
+    pub fn fingerprint(&self) -> (usize, u64, u64) {
+        let phases = self
+            .election_stats
+            .iter()
+            .chain([&self.walk_stats, &self.count_stats]);
+        phases.fold((0, 0, 0), |(r, m, b), s| {
+            (r + s.rounds, m + s.total_messages, b + s.total_bits)
+        })
     }
 
     /// The per-phase traffic attribution (walk vs count vs collect).
@@ -738,7 +725,7 @@ mod tests {
             .length(40)
             .seed(3)
             .target(TargetStrategy::Fixed(0))
-            .partition_tolerant(true)
+            .transport(Transport::PartitionTolerant { retries: 0 })
             .build()
             .unwrap();
         cfg.sim = SimConfig::default().with_bandwidth_coeff(16);
@@ -764,10 +751,9 @@ mod tests {
             .length(60)
             .seed(9)
             .target(TargetStrategy::Fixed(0))
-            .partition_tolerant(true)
+            .transport(Transport::PartitionTolerant { retries: 3 })
             .build()
             .unwrap();
-        cfg.walk_retries = 3;
         cfg.sim = SimConfig::default().with_bandwidth_coeff(16).with_faults(
             FaultPlan::default().with_node_crash(NodeCrash {
                 node: victim,
@@ -812,10 +798,9 @@ mod tests {
             .length(50)
             .seed(11)
             .target(TargetStrategy::Fixed(0))
-            .partition_tolerant(true)
+            .transport(Transport::PartitionTolerant { retries: 3 })
             .build()
             .unwrap();
-        cfg.walk_retries = 3;
         cfg.sim = SimConfig::default().with_bandwidth_coeff(16).with_faults(
             FaultPlan::default().with_node_crash(NodeCrash {
                 node: 0,
@@ -841,10 +826,9 @@ mod tests {
             .length(60)
             .seed(13)
             .target(TargetStrategy::Fixed(0))
-            .partition_tolerant(true)
+            .transport(Transport::PartitionTolerant { retries: 2 })
             .build()
             .unwrap();
-        cfg.walk_retries = 2;
         cfg.sim = SimConfig::default().with_bandwidth_coeff(16).with_faults(
             FaultPlan::default().with_link_outage(LinkOutage {
                 u,
@@ -874,8 +858,7 @@ mod tests {
                 .length(40)
                 .seed(21)
                 .target(TargetStrategy::Fixed(0))
-                .reliable(true)
-                .checksums(true)
+                .transport(Transport::Reliable { checksums: true })
                 .build()
                 .unwrap();
             cfg.sim = SimConfig::default()
@@ -962,7 +945,7 @@ mod tests {
                 .length(40)
                 .seed(17)
                 .target(TargetStrategy::Fixed(0))
-                .reliable(true)
+                .transport(Transport::Reliable { checksums: false })
                 .count_mode(CountMode::Sketch { precision: 4 })
                 .build()
                 .unwrap();
@@ -1008,7 +991,7 @@ mod tests {
             DistributedConfig::builder()
                 .walks(4)
                 .length(4)
-                .partition_tolerant(true)
+                .transport(Transport::PartitionTolerant { retries: 0 })
                 .count_mode(CountMode::Sketch { precision: 8 })
                 .build(),
             Err(RwbcError::InvalidParameter { .. })
@@ -1019,7 +1002,7 @@ mod tests {
             .length(4)
             .build()
             .unwrap();
-        cfg.partition_tolerant = true;
+        cfg.transport = Transport::PartitionTolerant { retries: 0 };
         cfg.count_mode = CountMode::Sketch { precision: 8 };
         let g = star(4).unwrap();
         assert!(matches!(
@@ -1041,13 +1024,12 @@ mod tests {
         let mut cfg = DistributedConfig::builder()
             .walks(8)
             .length(20)
-            .fixed_point_bits(60)
             .seed(4)
             .build()
             .unwrap();
-        cfg.sim = SimConfig::default().with_bandwidth_coeff(10);
+        cfg.sim = SimConfig::default().with_bandwidth_coeff(6);
         let run = approximate(&g, &cfg).unwrap();
-        assert!(run.fixed_point_bits < 60);
+        assert!(run.fixed_point_bits < 16);
         assert!(run.congest_compliant());
     }
 }

@@ -35,7 +35,7 @@
 //! and [`stacked_error_bound`] stacks it on the paper's `(1 − ε)` term.
 
 use congest_sim::wire::{BitReader, BitWriter, Crc32, WireState};
-use congest_sim::{bits_for_count, CorruptionKind, Message};
+use congest_sim::{bits_for_count, splitmix64, CorruptionKind, Message};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rwbc_graph::NodeId;
@@ -49,16 +49,6 @@ pub const MAX_SKETCH_PRECISION: u8 = 16;
 /// Version tag leading every serialized [`VisitSketch`]; bump when the
 /// layout changes so stale frames are rejected instead of misread.
 const SKETCH_WIRE_VERSION: u8 = 1;
-
-/// SplitMix64 finalizer: the source-id hash behind both the bucket index
-/// and the occupancy rank. Sequential ids disperse uniformly.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The bucket source `s` hashes into under precision `p`.
 pub fn bucket_of(source: NodeId, precision: u8) -> usize {

@@ -9,20 +9,21 @@
 //!
 //! 0. the target election, when `elect_target` is set;
 //! 1. walk sub-phases: the first launches every walk, later ones relaunch
-//!    the walks faults ate (`walk_retries`). Under partition tolerance
-//!    each sub-phase also rebuilds the survivor graph, restricts the run
-//!    to its giant component and redraws a lost target;
+//!    the walks faults ate (the transport's retries). Under
+//!    [`Transport::PartitionTolerant`] each sub-phase also rebuilds the
+//!    survivor graph, restricts the run to its giant component and
+//!    redraws a lost target;
 //! 2. count passes: one, or under partition tolerance another while a
 //!    pass discovers new dead links.
 //!
 //! The `step` that drains a simulator harvests it and builds the next.
-//! The transport (raw, reliable, checksummed or failure-detecting) is
-//! fixed per solve and carries walk and count programs alike.
+//! The config's [`Transport`] is fixed per solve and carries walk and
+//! count programs alike.
 //!
 //! [`StepSolver::checkpoint`] / [`StepSolver::restore`] cover the *clean
-//! single-sub-phase* subset — no `reliable`, `checksums`, `elect_target`,
-//! `walk_retries` or `partition_tolerant` — which is all the `rwbc-serve`
-//! daemon builds; other configs get a typed error. Within it, the engine's
+//! single-sub-phase* subset — the default raw transport with no walk
+//! retries, and no `elect_target` — which is all the `rwbc-serve` daemon
+//! builds; other configs get a typed error. Within it, the engine's
 //! schedule-invariant draws make a checkpoint → kill → restore → finish
 //! execution reproduce the uninterrupted run at any thread count.
 
@@ -30,7 +31,7 @@ use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use congest_sim::wire::{crc32, BitReader, BitWriter, WireState};
+use congest_sim::wire::{read_section, write_section, BitReader, BitWriter, WireState};
 use congest_sim::{
     EngineMetrics, NodeProgram, Reliable, RunStats, SimConfig, SimError, Simulator, Tracer,
     DEFAULT_DEATH_THRESHOLD,
@@ -45,7 +46,8 @@ use crate::distributed::messages::{count_field_bits, len_field_bits, WalkBatch};
 use crate::distributed::sketch::sketch_field_bits;
 use crate::distributed::{
     span_end, span_start, ComponentCoverage, CountMode, CountProgram, DegradationReport,
-    DistributedConfig, DistributedRun, ElectTargetProgram, SketchCountProgram, WalkProgram,
+    DistributedConfig, DistributedRun, ElectTargetProgram, SketchCountProgram, Transport,
+    WalkProgram,
 };
 use crate::monte_carlo::TargetStrategy;
 use crate::{Centrality, RwbcError};
@@ -75,43 +77,23 @@ pub enum SolvePhase {
     Failed,
 }
 
-/// How every walk and count message travels, fixed for the whole solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Transport {
-    /// Bare messages: faults lose them, and raw recovery relaunches walks.
-    Raw,
-    /// Behind the [`Reliable`] adapter, which repairs losses. With
-    /// `checksums` it also seals frames and quarantines links that
-    /// corrupt persistently.
-    Reliable { checksums: bool },
-    /// Behind the adapter with failure detection: permanently dead links
-    /// are declared, carried into later sub-phases and routed around.
-    Tolerant,
-}
+/// Fractional bits of the phase-2 fixed-point counts, before the budget
+/// fit clamps them.
+const FIXED_POINT_BITS: u8 = 16;
 
 impl Transport {
-    fn of(config: &DistributedConfig) -> Transport {
-        if config.partition_tolerant {
-            Transport::Tolerant
-        } else if config.reliable {
-            Transport::Reliable {
-                checksums: config.checksums,
-            }
-        } else {
-            Transport::Raw
-        }
-    }
-
     /// Bits the transport adds to a count frame, which the fixed-point
     /// fit reserves off the budget.
     fn header_bits(self) -> usize {
         let header = Reliable::<CountProgram>::HEADER_BITS;
         match self {
-            Transport::Raw => 0,
+            Transport::Raw { .. } => 0,
             Transport::Reliable { checksums: true } => {
                 header + Reliable::<CountProgram>::CHECKSUM_BITS
             }
-            Transport::Reliable { checksums: false } | Transport::Tolerant => header,
+            Transport::Reliable { checksums: false } | Transport::PartitionTolerant { .. } => {
+                header
+            }
         }
     }
 }
@@ -134,7 +116,9 @@ impl<'g, P: NodeProgram + Send> Net<'g, P> {
         mut program: impl FnMut(NodeId, Vec<NodeId>) -> P,
     ) -> Net<'g, P> {
         match transport {
-            Transport::Raw => Net::Raw(Simulator::new(graph, cfg, |v| program(v, Vec::new()))),
+            Transport::Raw { .. } => {
+                Net::Raw(Simulator::new(graph, cfg, |v| program(v, Vec::new())))
+            }
             Transport::Reliable { checksums } => Net::Framed(Simulator::new(graph, cfg, |v| {
                 let framed = Reliable::new(program(v, Vec::new()));
                 if checksums {
@@ -145,7 +129,7 @@ impl<'g, P: NodeProgram + Send> Net<'g, P> {
                     framed
                 }
             })),
-            Transport::Tolerant => Net::Framed(Simulator::new(graph, cfg, |v| {
+            Transport::PartitionTolerant { .. } => Net::Framed(Simulator::new(graph, cfg, |v| {
                 let dead: Vec<NodeId> = graph
                     .neighbors(v)
                     .filter(|&u| dead_links.contains(&ordered_pair(v, u)))
@@ -320,7 +304,6 @@ macro_rules! on_net {
 pub struct StepSolver<'g> {
     graph: &'g Graph,
     config: DistributedConfig,
-    transport: Transport,
     fixed_point_bits: u8,
     value_bits: u8,
     /// Draws the `Random` target first, then every redraw.
@@ -370,18 +353,14 @@ fn invalid(reason: String) -> RwbcError {
 fn not_checkpointable() -> RwbcError {
     invalid(
         "StepSolver checkpoints cover only the clean single-sub-phase pipeline \
-         (no reliable / checksums / partition_tolerant / elect_target / walk_retries)"
+         (the raw transport without walk retries, and no elect_target)"
             .to_string(),
     )
 }
 
 /// Whether checkpoints cover `config`: the clean single-sub-phase subset.
 fn checkpointable(config: &DistributedConfig) -> bool {
-    !(config.reliable
-        || config.checksums
-        || config.partition_tolerant
-        || config.elect_target
-        || config.walk_retries != 0)
+    config.transport == Transport::Raw { walk_retries: 0 } && !config.elect_target
 }
 
 /// Normalizes an undirected link for the detected-dead set.
@@ -420,34 +399,6 @@ fn merge(total: &mut Option<RunStats>, stats: RunStats) {
         None => *total = Some(stats),
         Some(t) => t.absorb(&stats),
     }
-}
-
-/// Appends one length-framed, CRC-guarded section (same framing as the
-/// engine's checkpoint sections: `u64 byte length + u32 CRC-32 + payload`).
-fn write_section(w: &mut BitWriter, body: &[u8]) {
-    w.write_bits(body.len() as u64, 64);
-    w.write_bits(u64::from(crc32(body)), 32);
-    w.write_bytes(body);
-}
-
-/// Reads back one section written by [`write_section`], verifying the
-/// checksum before the payload is decoded.
-fn read_section(r: &mut BitReader<'_>, what: &str) -> Result<Vec<u8>, RwbcError> {
-    let len = r
-        .read_bits(64)
-        .ok_or_else(|| corrupt(&format!("truncated {what} section header")))?;
-    let len =
-        usize::try_from(len).map_err(|_| corrupt(&format!("oversized {what} section length")))?;
-    let sum = r
-        .read_bits(32)
-        .ok_or_else(|| corrupt(&format!("truncated {what} section header")))? as u32;
-    let bytes = r
-        .read_bytes(len)
-        .ok_or_else(|| corrupt(&format!("truncated {what} section")))?;
-    if crc32(&bytes) != sum {
-        return Err(corrupt(&format!("{what} section failed its checksum")));
-    }
-    Ok(bytes)
 }
 
 impl<'g> StepSolver<'g> {
@@ -507,7 +458,9 @@ impl<'g> StepSolver<'g> {
                 }
             }
         };
-        if config.partition_tolerant && matches!(config.count_mode, CountMode::Sketch { .. }) {
+        if matches!(config.transport, Transport::PartitionTolerant { .. })
+            && matches!(config.count_mode, CountMode::Sketch { .. })
+        {
             return Err(invalid(
                 "sketch count mode does not compose with partition tolerance \
                  (the survivor-graph combine needs exact per-source columns)"
@@ -518,13 +471,12 @@ impl<'g> StepSolver<'g> {
         // the transport adds to every frame. In sketch mode the frame also
         // carries the bucket index, and the value field widens to the
         // worst-case bucket aggregate.
-        let transport = Transport::of(&config);
         let k = config.params.walks_per_node;
         let l = config.params.walk_length;
         let budget = config
             .sim
             .budget_bits(n)
-            .saturating_sub(transport.header_bits());
+            .saturating_sub(config.transport.header_bits());
         let frame_bits = |f: u8| -> usize {
             match config.count_mode {
                 CountMode::Exact => count_field_bits(k, l, f) as usize,
@@ -533,7 +485,7 @@ impl<'g> StepSolver<'g> {
                 }
             }
         };
-        let mut f = config.fixed_point_bits;
+        let mut f = FIXED_POINT_BITS;
         while f > 1 && frame_bits(f) > budget {
             f -= 1;
         }
@@ -549,7 +501,6 @@ impl<'g> StepSolver<'g> {
         };
         Ok(StepSolver {
             graph,
-            transport,
             fixed_point_bits: f,
             value_bits,
             seeder,
@@ -587,6 +538,11 @@ impl<'g> StepSolver<'g> {
         );
     }
 
+    /// Whether the solve runs under [`Transport::PartitionTolerant`].
+    fn tolerant(&self) -> bool {
+        matches!(self.config.transport, Transport::PartitionTolerant { .. })
+    }
+
     /// Lends the tracer and the metrics handles to a new phase's simulator.
     fn lend<P: NodeProgram + Send>(&mut self, mut net: Net<'g, P>) -> Net<'g, P> {
         if let Some(tracer) = self.tracer.take() {
@@ -604,7 +560,7 @@ impl<'g> StepSolver<'g> {
     fn walk_sim(&self, attempt: usize) -> (SimConfig, u64) {
         let seed = (self.config.seed ^ 0x9E37_79B9).wrapping_add(attempt as u64 * 0x5851_F42D);
         let mut cfg = self.config.sim.clone().with_seed(seed);
-        if attempt > 0 && self.transport == Transport::Tolerant {
+        if attempt > 0 && self.tolerant() {
             // Scheduled transients already fired in the first sub-phase;
             // only standing damage carries over into recovery.
             cfg.faults = cfg.faults.collapse_permanent();
@@ -620,7 +576,7 @@ impl<'g> StepSolver<'g> {
             .sim
             .clone()
             .with_seed(self.config.seed ^ 0x7F4A_7C15);
-        if self.transport == Transport::Tolerant {
+        if self.tolerant() {
             cfg.faults = cfg.faults.collapse_permanent();
         }
         cfg
@@ -630,10 +586,10 @@ impl<'g> StepSolver<'g> {
     /// count pass. The reliable transport loses no walk, so it needs no
     /// relaunch.
     fn last_attempt(&self) -> usize {
-        match self.transport {
-            Transport::Raw => self.config.walk_retries,
+        match self.config.transport {
+            Transport::Raw { walk_retries } => walk_retries,
             Transport::Reliable { .. } => 0,
-            Transport::Tolerant => self.config.walk_retries.max(1),
+            Transport::PartitionTolerant { retries } => retries.max(1),
         }
     }
 
@@ -693,7 +649,7 @@ impl<'g> StepSolver<'g> {
         let net = Net::new(
             self.graph,
             cfg,
-            self.transport,
+            self.config.transport,
             &self.dead_links,
             |v, dead| {
                 let walks = if attempt == 0 {
@@ -724,7 +680,7 @@ impl<'g> StepSolver<'g> {
             .config
             .sim
             .budget_bits(n)
-            .saturating_sub(self.transport.header_bits());
+            .saturating_sub(self.config.transport.header_bits());
         WalkBatch::fit(payload, n, len_field_bits(self.config.params.walk_length))
     }
 
@@ -734,7 +690,7 @@ impl<'g> StepSolver<'g> {
     fn end_walk(&mut self, mut net: Net<'g, WalkProgram>) -> Result<(), RwbcError> {
         self.tracer = net.take_tracer();
         let n = self.graph.node_count();
-        let tolerant = self.transport == Transport::Tolerant;
+        let tolerant = self.tolerant();
         self.degradation.walk_subphases += 1;
         if self.counts.is_empty() {
             self.counts = vec![Vec::new(); n];
@@ -845,38 +801,50 @@ impl<'g> StepSolver<'g> {
         let n = self.graph.node_count();
         let k = self.config.params.walks_per_node;
         let (f, value_bits) = (self.fixed_point_bits, self.value_bits);
-        let tolerant = self.transport == Transport::Tolerant;
+        let tolerant = self.tolerant();
         let giant_size = if tolerant { self.find_giant()? } else { n };
         // Behind the adapter every cell is awaited by position (and every
         // sketch bucket sent): there, silence could be a pending
         // retransmission.
-        let strict = self.transport != Transport::Raw;
+        let strict = !matches!(self.config.transport, Transport::Raw { .. });
         let graph = self.graph;
         let cfg = self.count_sim();
         self.state = match self.config.count_mode {
             CountMode::Exact => {
-                let net = Net::new(graph, cfg, self.transport, &self.dead_links, |v, dead| {
-                    CountProgram::new(v, n, graph.degree(v), &self.counts[v], k, value_bits, f)
-                        .with_strict_delivery(strict)
-                        .with_effective_n(if self.in_giant[v] { giant_size } else { 2 })
-                        .with_dead_neighbors(dead)
-                });
+                let net = Net::new(
+                    graph,
+                    cfg,
+                    self.config.transport,
+                    &self.dead_links,
+                    |v, dead| {
+                        CountProgram::new(v, n, graph.degree(v), &self.counts[v], k, value_bits, f)
+                            .with_strict_delivery(strict)
+                            .with_effective_n(if self.in_giant[v] { giant_size } else { 2 })
+                            .with_dead_neighbors(dead)
+                    },
+                );
                 PhaseState::Count(CountNet::Exact(self.lend(net)))
             }
             CountMode::Sketch { precision } => {
-                let net = Net::new(graph, cfg, self.transport, &self.dead_links, |v, _| {
-                    SketchCountProgram::new(
-                        v,
-                        n,
-                        graph.degree(v),
-                        &self.counts[v],
-                        k,
-                        precision,
-                        value_bits,
-                        f,
-                    )
-                    .with_strict_delivery(strict)
-                });
+                let net = Net::new(
+                    graph,
+                    cfg,
+                    self.config.transport,
+                    &self.dead_links,
+                    |v, _| {
+                        SketchCountProgram::new(
+                            v,
+                            n,
+                            graph.degree(v),
+                            &self.counts[v],
+                            k,
+                            precision,
+                            value_bits,
+                            f,
+                        )
+                        .with_strict_delivery(strict)
+                    },
+                );
                 PhaseState::Count(CountNet::Sketch(self.lend(net)))
             }
         };
@@ -891,11 +859,11 @@ impl<'g> StepSolver<'g> {
     fn end_count<P: CountSeam>(&mut self, mut net: Net<'g, P>) -> Result<(), RwbcError> {
         self.tracer = net.take_tracer();
         let n = self.graph.node_count();
-        let tolerant = self.transport == Transport::Tolerant;
+        let tolerant = self.tolerant();
         // The reliable transport leaves both tallies at 0: it repairs every
         // loss but those on quarantined links (reported as such), and it
         // sends every bucket.
-        if !matches!(self.transport, Transport::Reliable { .. }) {
+        if !matches!(self.config.transport, Transport::Reliable { .. }) {
             self.degradation.count_cells_missing =
                 (0..n).map(|v| net.program(v).cells_missing()).sum();
             self.sketch_suppressed = (0..n).map(|v| net.program(v).broadcasts_suppressed()).sum();
@@ -941,7 +909,7 @@ impl<'g> StepSolver<'g> {
         let walk_stats = self.walk_stats.take().expect("the walk phase ran");
         let count_stats = self.count_stats.take().expect("a count pass ran");
         let mut degradation = std::mem::take(&mut self.degradation);
-        if self.transport == Transport::Tolerant {
+        if self.tolerant() {
             // The detected-failure report, including links only the count
             // phase exercised.
             let dead = &self.dead_links;
@@ -1092,16 +1060,9 @@ impl<'g> StepSolver<'g> {
         }
     }
 
-    /// `(total rounds, total messages, total bits)` of the finished run —
-    /// the fingerprint the crash-recovery tests compare bit-for-bit.
+    /// [`DistributedRun::fingerprint`] of the finished run.
     pub fn fingerprint(&self) -> Option<(usize, u64, u64)> {
-        self.result().map(|run| {
-            (
-                run.total_rounds(),
-                run.walk_stats.total_messages + run.count_stats.total_messages,
-                run.walk_stats.total_bits + run.count_stats.total_bits,
-            )
-        })
+        self.result().map(DistributedRun::fingerprint)
     }
 
     /// The absorbing target. With `elect_target` it is known once the
@@ -1221,7 +1182,7 @@ impl<'g> StepSolver<'g> {
                  {STEP_CHECKPOINT_VERSION})"
             )));
         }
-        let header = read_section(&mut r, "header")?;
+        let header = read_section(&mut r, "header").map_err(RwbcError::Sim)?;
         let mut hr = BitReader::new(&header);
         let n = usize::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
         if n != graph.node_count() {
@@ -1254,9 +1215,9 @@ impl<'g> StepSolver<'g> {
         if !tag_mode_ok {
             return Err(corrupt("count mode disagrees with the image's count phase"));
         }
-        let meta = read_section(&mut r, "phase metadata")?;
+        let meta = read_section(&mut r, "phase metadata").map_err(RwbcError::Sim)?;
         let mut mr = BitReader::new(&meta);
-        let engine = read_section(&mut r, "engine image")?;
+        let engine = read_section(&mut r, "engine image").map_err(RwbcError::Sim)?;
 
         solver.state = match phase_tag {
             0 => {
@@ -1359,6 +1320,7 @@ impl<'g> StepSolver<'g> {
 mod tests {
     use super::*;
     use crate::distributed::approximate;
+    use congest_sim::wire::crc32;
     use rwbc_graph::generators::{connected_gnp, star};
 
     fn cfg(seed: u64) -> DistributedConfig {
@@ -1546,7 +1508,7 @@ mod tests {
         for bad in [
             {
                 let mut c = cfg(1);
-                c.reliable = true;
+                c.transport = Transport::Reliable { checksums: false };
                 c
             },
             {
@@ -1556,12 +1518,12 @@ mod tests {
             },
             {
                 let mut c = cfg(1);
-                c.walk_retries = 2;
+                c.transport = Transport::Raw { walk_retries: 2 };
                 c
             },
             {
                 let mut c = cfg(1);
-                c.partition_tolerant = true;
+                c.transport = Transport::PartitionTolerant { retries: 0 };
                 c
             },
         ] {
@@ -1720,7 +1682,7 @@ mod tests {
         let g = connected_gnp(16, 0.3, 100, &mut rng).unwrap();
         let mut c = cfg(5);
         c.elect_target = true;
-        c.walk_retries = 3;
+        c.transport = Transport::Raw { walk_retries: 3 };
         c.sim = SimConfig::default().with_faults(FaultPlan::default().with_drop_probability(0.02));
         let registry = Registry::new();
         let mut solver = StepSolver::new(&g, c).unwrap();
@@ -1732,6 +1694,32 @@ mod tests {
             registry.snapshot().counter("engine_rounds_total"),
             Some(run.total_rounds() as u64)
         );
+    }
+
+    /// The fingerprint counts the election's messages and bits, as it
+    /// counts its rounds.
+    #[test]
+    fn fingerprint_covers_every_phase() {
+        let g = star(5).unwrap();
+        let c = DistributedConfig::builder()
+            .walks(30)
+            .length(20)
+            .seed(7)
+            .elect_target(true)
+            .build()
+            .unwrap();
+        let mut solver = StepSolver::new(&g, c).unwrap();
+        let run = solver.run_to_completion().unwrap().clone();
+        let election = run.election_stats.as_ref().expect("the election ran");
+        assert_eq!(
+            (
+                election.rounds,
+                election.total_messages,
+                election.total_bits
+            ),
+            (9, 29, 116)
+        );
+        assert_eq!(solver.fingerprint(), Some((213, 1_451, 17_900)));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use congest_sim::{Context, Incoming, NodeProgram, TraceEvent};
+use congest_sim::{splitmix64, Context, Incoming, NodeProgram, TraceEvent};
 use rwbc_graph::NodeId;
 
 use crate::distributed::messages::{WalkBatch, WalkToken};
@@ -158,14 +158,6 @@ struct ForwardScratch {
     keep: Vec<Queued>,
     /// Live-neighbor indices when some neighbors are dead.
     live: Vec<usize>,
-}
-
-/// SplitMix64 finalizer — the avalanche stage behind the draw streams.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl WalkProgram {

@@ -15,8 +15,10 @@
 //! Newman's `O((n + m) n²)` description) or through per-source conjugate-
 //! gradient solves on the sparse grounded Laplacian; the pair reduction can
 //! be the literal `Θ(n²)`-per-edge double loop or the `O(n log n)`-per-edge
-//! sorted reduction. All four combinations agree to numerical tolerance
-//! (tested), and the choice is an ablation axis (bench `ablation_solver`).
+//! sorted reduction. All four combinations agree to numerical tolerance:
+//! `exact::tests` compares them on a grid, `tests/cross_validation.rs`
+//! checks CG against dense LU on four graph families, and
+//! `crates/core/tests/properties.rs` on random graphs.
 //!
 //! # Example
 //!
@@ -54,9 +56,6 @@ pub enum Solver {
     /// One Jacobi-preconditioned conjugate-gradient solve per source on the
     /// sparse grounded Laplacian (SPD on connected graphs).
     ConjugateGradient,
-    /// Dense Cholesky factorization — exploits that the grounded Laplacian
-    /// is symmetric positive definite (about half the work of LU).
-    Cholesky,
 }
 
 /// Options for [`newman_with`].
@@ -169,7 +168,7 @@ mod tests {
             },
         )
         .unwrap();
-        for solver in [Solver::DenseLu, Solver::ConjugateGradient, Solver::Cholesky] {
+        for solver in [Solver::DenseLu, Solver::ConjugateGradient] {
             for pair_sum in [PairSumMethod::Direct, PairSumMethod::Sorted] {
                 let b = newman_with(&g, &ExactOptions { solver, pair_sum }).unwrap();
                 assert!(

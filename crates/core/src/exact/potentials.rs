@@ -1,9 +1,7 @@
 //! Construction of the grounded Laplacian and the potential matrix `T`.
 
 use rwbc_graph::{Graph, NodeId};
-use rwbc_linalg::{
-    conjugate_gradient, CgOptions, CholeskyDecomposition, CsrMatrix, LuDecomposition, Matrix,
-};
+use rwbc_linalg::{conjugate_gradient, CgOptions, CsrMatrix, LuDecomposition, Matrix};
 
 use crate::exact::Solver;
 use crate::RwbcError;
@@ -78,18 +76,6 @@ pub fn potential_columns(
         Solver::DenseLu => {
             let l = grounded_laplacian_dense(graph, ground);
             let t = LuDecomposition::new(&l)?.inverse()?;
-            for v in graph.nodes() {
-                let Some(vi) = map[v] else { continue };
-                for s in graph.nodes() {
-                    if let Some(si) = map[s] {
-                        x[v][s] = t.get(vi, si);
-                    }
-                }
-            }
-        }
-        Solver::Cholesky => {
-            let l = grounded_laplacian_dense(graph, ground);
-            let t = CholeskyDecomposition::new(&l)?.inverse()?;
             for v in graph.nodes() {
                 let Some(vi) = map[v] else { continue };
                 for s in graph.nodes() {

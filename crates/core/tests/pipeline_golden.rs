@@ -17,7 +17,7 @@ use congest_sim::{
 };
 use rwbc::distributed::{
     approximate, approximate_traced, CongestionDiscipline, CountMode, DistributedConfig,
-    DistributedRun,
+    DistributedRun, Transport,
 };
 use rwbc::monte_carlo::TargetStrategy;
 use rwbc_graph::generators::{connected_gnp, fig1_graph, star};
@@ -52,16 +52,6 @@ struct Golden {
     spans: &'static [&'static str],
 }
 
-fn fingerprint(run: &DistributedRun) -> (usize, u64, u64) {
-    let b = run.phase_breakdown();
-    let collect = b.collect.unwrap_or_default();
-    (
-        run.total_rounds(),
-        collect.messages + b.walk.messages + b.count.messages,
-        collect.bits + b.walk.bits + b.count.bits,
-    )
-}
-
 fn centrality_crc(run: &DistributedRun) -> u32 {
     let bytes: Vec<u8> = run
         .centrality
@@ -83,7 +73,7 @@ fn check(graph: &Graph, config: &DistributedConfig, golden: &Golden) {
         let observed = format!(
             "Golden {{ fingerprint: {:?}, centrality_crc: {:#010X}, target: {}, \
              fixed_point_bits: {}, sketch_suppressed: {}, degradation: {:?}, spans: &{:?} }}",
-            fingerprint(&run),
+            run.fingerprint(),
             centrality_crc(&run),
             run.target,
             run.fixed_point_bits,
@@ -91,7 +81,7 @@ fn check(graph: &Graph, config: &DistributedConfig, golden: &Golden) {
             format!("{:?}", run.degradation),
             spans.0,
         );
-        let matches = fingerprint(&run) == golden.fingerprint
+        let matches = run.fingerprint() == golden.fingerprint
             && centrality_crc(&run) == golden.centrality_crc
             && run.target == golden.target
             && run.fixed_point_bits == golden.fixed_point_bits
@@ -136,19 +126,17 @@ fn elect(mut c: DistributedConfig) -> DistributedConfig {
 }
 
 fn reliable(mut c: DistributedConfig, checksums: bool) -> DistributedConfig {
-    c.reliable = true;
-    c.checksums = checksums;
+    c.transport = Transport::Reliable { checksums };
     c
 }
 
 fn retries(mut c: DistributedConfig, walk_retries: usize) -> DistributedConfig {
-    c.walk_retries = walk_retries;
+    c.transport = Transport::Raw { walk_retries };
     c
 }
 
 fn tolerant(mut c: DistributedConfig) -> DistributedConfig {
-    c.partition_tolerant = true;
-    c.walk_retries = 3;
+    c.transport = Transport::PartitionTolerant { retries: 3 };
     c
 }
 

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 mod cg;
-mod cholesky;
 mod dense;
 mod error;
 mod lu;
@@ -44,7 +43,6 @@ mod sparse;
 pub mod vector;
 
 pub use cg::{conjugate_gradient, CgOptions, CgResult, Preconditioner};
-pub use cholesky::CholeskyDecomposition;
 pub use dense::Matrix;
 pub use error::LinalgError;
 pub use lu::LuDecomposition;

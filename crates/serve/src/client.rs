@@ -8,6 +8,8 @@ use std::fmt;
 use std::net::TcpStream;
 use std::time::Duration;
 
+use congest_sim::splitmix64;
+
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, ProtocolError, Request,
     RequestEnvelope, Response,
@@ -48,15 +50,6 @@ impl fmt::Display for ClientError {
 }
 
 impl std::error::Error for ClientError {}
-
-/// SplitMix64 — the same mixer the walk draws use; good enough to
-/// decorrelate retry schedules across clients.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// A retrying client for one daemon address.
 #[derive(Debug, Clone)]

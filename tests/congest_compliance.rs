@@ -10,7 +10,9 @@ use rwbc_repro::congest::{SimConfig, ViolationPolicy};
 use rwbc_repro::graph::generators::{
     barabasi_albert, complete, connected_gnp, cycle, grid_2d, star,
 };
-use rwbc_repro::rwbc::distributed::{approximate, CongestionDiscipline, DistributedConfig};
+use rwbc_repro::rwbc::distributed::{
+    approximate, CongestionDiscipline, DistributedConfig, Transport,
+};
 
 fn families(seed: u64) -> Vec<rwbc_repro::graph::Graph> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -63,7 +65,7 @@ fn batched_walks_fit_the_runs_own_budget() {
     let mut narrow = batched.clone();
     narrow.sim = SimConfig::default().with_bandwidth_coeff(4);
     let mut framed = batched;
-    framed.reliable = true;
+    framed.transport = Transport::Reliable { checksums: false };
     for (what, cfg) in [("coefficient 4", narrow), ("reliable", framed)] {
         let run = approximate(&g, &cfg).expect(what);
         assert!(run.congest_compliant(), "{what}");
@@ -98,13 +100,12 @@ fn tight_budget_is_handled_by_clamping_fixed_point_bits() {
     let mut cfg = DistributedConfig::builder()
         .walks(4)
         .length(16)
-        .fixed_point_bits(32)
         .seed(4)
         .build()
         .unwrap();
     cfg.sim = SimConfig::default().with_bandwidth_coeff(4);
     let run = approximate(&g, &cfg).unwrap();
-    assert!(run.fixed_point_bits < 32);
+    assert!(run.fixed_point_bits < 16);
     assert!(run.congest_compliant());
 }
 

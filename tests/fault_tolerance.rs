@@ -6,7 +6,7 @@ use rwbc_repro::congest::{FaultPlan, NodeCrash, SimConfig};
 use rwbc_repro::graph::generators::fig1_graph;
 use rwbc_repro::graph::{Graph, NodeId};
 use rwbc_repro::rwbc::accuracy::mean_relative_error;
-use rwbc_repro::rwbc::distributed::{approximate, collect_and_solve, DistributedConfig};
+use rwbc_repro::rwbc::distributed::{approximate, collect_and_solve, DistributedConfig, Transport};
 use rwbc_repro::rwbc::exact::newman;
 use rwbc_repro::rwbc::monte_carlo::TargetStrategy;
 
@@ -28,11 +28,11 @@ fn chaos_reliable_pipeline_recovers_under_five_percent_drops() {
     let (g, labels) = fig1_graph(3).unwrap();
 
     let mut clean_cfg = fig1_config(11);
-    clean_cfg.reliable = true;
+    clean_cfg.transport = Transport::Reliable { checksums: false };
     let clean = approximate(&g, &clean_cfg).unwrap();
 
     let mut chaos_cfg = fig1_config(11);
-    chaos_cfg.reliable = true;
+    chaos_cfg.transport = Transport::Reliable { checksums: false };
     chaos_cfg.sim = SimConfig::default()
         .with_bandwidth_coeff(16)
         .with_faults(FaultPlan::default().with_drop_probability(0.05));
@@ -92,7 +92,7 @@ fn degradation_band_and_loss_reporting_at_low_drop_rates() {
     for drop_p in [0.01, 0.05] {
         // Recovered path: reliable transport repairs every loss.
         let mut recovered_cfg = fig1_config(21);
-        recovered_cfg.reliable = true;
+        recovered_cfg.transport = Transport::Reliable { checksums: false };
         recovered_cfg.sim = SimConfig::default()
             .with_bandwidth_coeff(16)
             .with_faults(FaultPlan::default().with_drop_probability(drop_p));
@@ -132,7 +132,7 @@ fn walk_relaunch_recovers_lost_tokens_at_light_loss() {
     assert_eq!(baseline.degradation.walk_subphases, 1);
 
     let mut with_retry = no_retry.clone();
-    with_retry.walk_retries = 3;
+    with_retry.transport = Transport::Raw { walk_retries: 3 };
     let recovered = approximate(&g, &with_retry).unwrap();
     assert!(recovered.degradation.walk_subphases > 1);
     assert!(recovered.degradation.walks_relaunched > 0);
@@ -168,10 +168,9 @@ fn chaos_config(seed: u64, faults: FaultPlan) -> DistributedConfig {
         .length(60)
         .seed(seed)
         .target(TargetStrategy::Fixed(0))
-        .partition_tolerant(true)
+        .transport(Transport::PartitionTolerant { retries: 3 })
         .build()
         .unwrap();
-    cfg.walk_retries = 3;
     cfg.sim = SimConfig::default()
         .with_bandwidth_coeff(16)
         .with_faults(faults);

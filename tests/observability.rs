@@ -10,7 +10,8 @@ use rwbc_repro::congest::{
 };
 use rwbc_repro::graph::generators::fig1_graph;
 use rwbc_repro::rwbc::distributed::{
-    approximate, approximate_traced, collect_and_solve, collect_and_solve_traced, DistributedConfig,
+    approximate, approximate_traced, collect_and_solve, collect_and_solve_traced,
+    DistributedConfig, Transport,
 };
 use rwbc_repro::rwbc::lower_bound::LowerBoundInstance;
 use rwbc_repro::rwbc::monte_carlo::TargetStrategy;
@@ -24,7 +25,7 @@ fn chaos_cfg(seed: u64) -> DistributedConfig {
         .length(80)
         .seed(seed)
         .target(TargetStrategy::Fixed(0))
-        .reliable(true)
+        .transport(Transport::Reliable { checksums: false })
         .build()
         .unwrap();
     cfg.sim = SimConfig::default()
