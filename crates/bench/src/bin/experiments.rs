@@ -9,6 +9,7 @@
 
 use std::process::ExitCode;
 
+use rwbc_bench::outln;
 use rwbc_bench::suite::{run_by_id, ALL_IDS};
 
 fn main() -> ExitCode {
@@ -25,12 +26,12 @@ fn main() -> ExitCode {
     for id in &ids {
         match run_by_id(id, quick) {
             Some(tables) => {
-                println!(
+                outln!(
                     "==================== {} ====================",
                     id.to_uppercase()
                 );
                 for t in tables {
-                    println!("{t}");
+                    outln!("{t}");
                 }
             }
             None => {

@@ -36,6 +36,7 @@ use rwbc::distributed::{
 use rwbc::lower_bound::LowerBoundInstance;
 use rwbc::monte_carlo::TargetStrategy;
 use rwbc_bench::suite::e6::m_for;
+use rwbc_bench::{outln, print_stdout};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -61,7 +62,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "diff" => diff(rest),
         "validate" => validate(rest),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
@@ -135,8 +136,8 @@ fn record(args: &[String]) -> Result<(), String> {
         .finish()
         .map_err(|e| format!("write {out_path}: {e}"))?;
     out.flush().map_err(|e| format!("flush {out_path}: {e}"))?;
-    println!("wrote {lines} events to {out_path} (preset {preset}, seed {seed})");
-    println!("{summary}");
+    outln!("wrote {lines} events to {out_path} (preset {preset}, seed {seed})");
+    outln!("{summary}");
     Ok(())
 }
 
@@ -233,14 +234,19 @@ fn summarize(args: &[String]) -> Result<(), String> {
     };
     let events = load_trace(path)?;
     let p = congest_sim::trace::TraceProfile::from_events(&events);
-    println!("{path}: schema {}, {} events", p.schema, p.events);
-    println!();
-    println!(
+    outln!("{path}: schema {}, {} events", p.schema, p.events);
+    outln!();
+    outln!(
         "  {:<16} {:>8} {:>12} {:>14} {:>12} {:>10}",
-        "phase", "rounds", "messages", "bits", "cut bits", "ms"
+        "phase",
+        "rounds",
+        "messages",
+        "bits",
+        "cut bits",
+        "ms"
     );
     for ph in &p.phases {
-        println!(
+        outln!(
             "  {:<16} {:>8} {:>12} {:>14} {:>12} {:>10.1}",
             ph.name,
             ph.rounds,
@@ -250,30 +256,36 @@ fn summarize(args: &[String]) -> Result<(), String> {
             ph.elapsed_us as f64 / 1000.0
         );
     }
-    println!();
-    println!(
+    outln!();
+    outln!(
         "  totals: {} messages, {} bits over {} traced rounds",
         p.total_messages(),
         p.total_bits(),
         p.rounds.len()
     );
     let t = &p.totals;
-    println!(
+    outln!(
         "  faults: {} dropped, {} duplicated, {} delayed, {} node-down, {} node-up",
-        t.dropped, t.duplicated, t.delayed, t.node_down, t.node_up
+        t.dropped,
+        t.duplicated,
+        t.delayed,
+        t.node_down,
+        t.node_up
     );
-    println!(
+    outln!(
         "  delivery: {} retransmissions, {} duplicates suppressed, {} dead links",
-        t.retransmissions, t.duplicates_suppressed, t.dead_links
+        t.retransmissions,
+        t.duplicates_suppressed,
+        t.dead_links
     );
-    println!();
-    println!("  bits per round:");
-    print!("{}", p.bits_per_round.render(40));
+    outln!();
+    outln!("  bits per round:");
+    print_stdout(&p.bits_per_round.render(40));
     if !p.edges.is_empty() {
-        println!();
-        println!("  hottest edges:");
+        outln!();
+        outln!("  hottest edges:");
         for ((from, to), e) in p.hottest_edges(5) {
-            println!(
+            outln!(
                 "    {from:>4} -> {to:<4} {:>12} bits  {:>8} msgs  peak {:>6} bits/round{}",
                 e.bits,
                 e.messages,
@@ -297,9 +309,16 @@ fn timeline(args: &[String]) -> Result<(), String> {
     let events = load_trace(path)?;
     let p = congest_sim::trace::TraceProfile::from_events(&events);
     let peak = p.rounds.iter().map(|r| r.bits).max().unwrap_or(0);
-    println!(
+    outln!(
         "  {:<16} {:>6} {:>10} {:>12} {:>9} {:>7} {:>8} {:>5}",
-        "phase", "round", "messages", "bits", "cut bits", "drops", "retrans", "dead"
+        "phase",
+        "round",
+        "messages",
+        "bits",
+        "cut bits",
+        "drops",
+        "retrans",
+        "dead"
     );
     for r in p.rounds.iter().take(limit) {
         let bar = if peak == 0 {
@@ -307,7 +326,7 @@ fn timeline(args: &[String]) -> Result<(), String> {
         } else {
             ((r.bits as f64 / peak as f64) * 24.0).ceil() as usize
         };
-        println!(
+        outln!(
             "  {:<16} {:>6} {:>10} {:>12} {:>9} {:>7} {:>8} {:>5}  {}",
             p.phases[r.phase].name,
             r.round,
@@ -321,7 +340,7 @@ fn timeline(args: &[String]) -> Result<(), String> {
         );
     }
     if p.rounds.len() > limit {
-        println!(
+        outln!(
             "  ... {} more rounds (raise --limit)",
             p.rounds.len() - limit
         );
@@ -329,8 +348,8 @@ fn timeline(args: &[String]) -> Result<(), String> {
     let cut = p.cut_timeline();
     if !cut.is_empty() {
         let total: u64 = cut.iter().map(|&(_, _, b)| b).sum();
-        println!();
-        println!(
+        outln!();
+        outln!(
             "  cut traffic: {} bits over {} rounds (first at {} round {}, last at {} round {})",
             total,
             cut.len(),
@@ -357,12 +376,17 @@ fn hot_edges(args: &[String]) -> Result<(), String> {
     if p.edges.is_empty() {
         return Err("trace has no per-edge samples (recorded without edge traffic?)".to_string());
     }
-    println!(
+    outln!(
         "  {:>6} {:>6} {:>14} {:>10} {:>16} {:>5}",
-        "from", "to", "bits", "messages", "peak bits/round", "cut"
+        "from",
+        "to",
+        "bits",
+        "messages",
+        "peak bits/round",
+        "cut"
     );
     for ((from, to), e) in p.hottest_edges(top) {
-        println!(
+        outln!(
             "  {from:>6} {to:>6} {:>14} {:>10} {:>16} {:>5}",
             e.bits,
             e.messages,
@@ -391,7 +415,7 @@ fn diff(args: &[String]) -> Result<(), String> {
     }
     match divergence {
         None if a.len() == b.len() => {
-            println!(
+            outln!(
                 "traces identical: {} events (wall-clock fields ignored)",
                 a.len()
             );
@@ -450,7 +474,7 @@ fn validate(args: &[String]) -> Result<(), String> {
     }
     match schema {
         Some(s) if s <= TRACE_SCHEMA_VERSION => {
-            println!("{path}: {checked} lines valid (schema {s})");
+            outln!("{path}: {checked} lines valid (schema {s})");
             Ok(())
         }
         Some(s) => Err(format!(

@@ -32,6 +32,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use congest_sim::algorithms::Flood;
 use congest_sim::trace::json::Json;
 use congest_sim::trace::jsonl::{decode_event, decode_trace, encode_event};
+use congest_sim::wire::{read_section, write_section, BitReader, BitWriter};
 use congest_sim::{
     FaultPlan, LinkCorruption, LinkOutage, MemoryTracer, NodeCrash, Registry, Reliable, SimConfig,
     Simulator,
@@ -62,7 +63,8 @@ pub struct CodecReport {
     /// `walk-batch`, `count-msg`, `checkpoint`, `serve-request`,
     /// `serve-response`, `serve-frame`, `serve-step-checkpoint`,
     /// `exact-step-checkpoint`, `sketch-count-msg`,
-    /// `sketch-step-checkpoint`).
+    /// `sketch-step-checkpoint`, and the `-resealed` variants of the four
+    /// checkpoint codecs).
     pub name: &'static str,
     /// Mutated inputs fed to the decoder.
     pub cases: usize,
@@ -142,14 +144,15 @@ fn mutate(bytes: &[u8], rng: &mut StdRng) -> Vec<u8> {
     out
 }
 
-/// Runs `decode` on `budget` mutations of `corpus` items, counting
-/// accepts/rejects and catching panics. The default panic hook is
-/// suppressed for the duration so expected rejections stay quiet.
+/// Runs `decode` on `budget` `mutator` mutations of `corpus` items,
+/// counting accepts/rejects and catching panics. The default panic hook
+/// is suppressed for the duration so expected rejections stay quiet.
 fn fuzz_codec(
     name: &'static str,
     corpus: &[Vec<u8>],
     budget: usize,
     rng: &mut StdRng,
+    mutator: fn(&[u8], &mut StdRng) -> Vec<u8>,
     mut decode: impl FnMut(&[u8]) -> bool,
 ) -> CodecReport {
     let mut report = CodecReport {
@@ -162,7 +165,7 @@ fn fuzz_codec(
     assert!(!corpus.is_empty(), "codec {name} has an empty corpus");
     for case in 0..budget {
         let item = &corpus[case % corpus.len()];
-        let mangled = mutate(item, rng);
+        let mangled = mutator(item, rng);
         report.cases += 1;
         match catch_unwind(AssertUnwindSafe(|| decode(&mangled))) {
             Ok(true) => report.accepted += 1,
@@ -178,6 +181,65 @@ fn fuzz_codec(
         }
     }
     report
+}
+
+/// A sealed image taken apart: the unframed header in front of its
+/// sections, as `(value, width)` fields, and each section's payload.
+struct Sealed {
+    header: Vec<(u64, usize)>,
+    sections: Vec<Vec<u8>>,
+}
+
+impl Sealed {
+    /// Splits a corpus image whose `sections` sections follow a
+    /// `header_bits`-bit header.
+    fn split(image: &[u8], header_bits: usize, sections: usize) -> Sealed {
+        let mut r = BitReader::new(image);
+        let header = (0..header_bits)
+            .step_by(64)
+            .map(|at| {
+                let width = (header_bits - at).min(64);
+                (r.read_bits(width).expect("corpus image header"), width)
+            })
+            .collect();
+        let sections = (0..sections)
+            .map(|_| read_section(&mut r, "corpus").expect("corpus image section"))
+            .collect();
+        Sealed { header, sections }
+    }
+
+    /// Writes the image back, each section under a fresh checksum.
+    fn seal(&self) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        for &(value, width) in &self.header {
+            w.write_bits(value, width);
+        }
+        for section in &self.sections {
+            write_section(&mut w, section);
+        }
+        w.finish()
+    }
+}
+
+/// Mutates one section payload of an engine image (behind its 321-bit
+/// header: magic, version, node count, seed, round and the `started`
+/// flag; then stats, rngs, programs, pending and delayed) and re-seals
+/// it, so the damage reaches the decoder behind the checksum.
+fn mutate_engine_section(image: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let mut sealed = Sealed::split(image, 5 * 64 + 1, 5);
+    let at = rng.gen_range(0..sealed.sections.len() as u64) as usize;
+    sealed.sections[at] = mutate(&sealed.sections[at], rng);
+    sealed.seal()
+}
+
+/// [`mutate_engine_section`] on the engine image nested in a
+/// `StepSolver` image (magic and version, then the header, phase
+/// metadata and engine-image sections), re-sealing the engine-image
+/// section around it too.
+fn mutate_step_engine_section(image: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let mut sealed = Sealed::split(image, 2 * 64, 3);
+    sealed.sections[2] = mutate_engine_section(&sealed.sections[2], rng);
+    sealed.seal()
 }
 
 /// A small faulty traced run whose artifacts feed the corpora: real
@@ -228,7 +290,7 @@ fn corpus_run(seed: u64) -> (Vec<Vec<u8>>, Vec<u8>, Graph, SimConfig) {
             break;
         }
     }
-    let image = sim.checkpoint().to_vec();
+    let image = sim.checkpoint();
     (lines, image, g, cfg)
 }
 
@@ -244,9 +306,14 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
     std::panic::set_hook(Box::new(|_| {}));
     let mut codecs = Vec::new();
 
-    codecs.push(fuzz_codec("jsonl", &jsonl_lines, budget, &mut rng, |b| {
-        decode_event(&String::from_utf8_lossy(b)).is_ok()
-    }));
+    codecs.push(fuzz_codec(
+        "jsonl",
+        &jsonl_lines,
+        budget,
+        &mut rng,
+        mutate,
+        |b| decode_event(&String::from_utf8_lossy(b)).is_ok(),
+    ));
 
     let whole_trace: Vec<Vec<u8>> = vec![jsonl_lines.join(&b"\n"[..])];
     codecs.push(fuzz_codec(
@@ -254,6 +321,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         &whole_trace,
         budget,
         &mut rng,
+        mutate,
         |b| decode_trace(&String::from_utf8_lossy(b)).is_ok(),
     ));
 
@@ -264,9 +332,14 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         br#"{"a":[1,2.5,null,true,"xA\n"],"b":{"c":[[]]}}"#.to_vec(),
         br#"[{"deep":{"deeper":{"deepest":[1,2,3]}}},"tail"]"#.to_vec(),
     ];
-    codecs.push(fuzz_codec("json", &json_corpus, budget, &mut rng, |b| {
-        Json::parse(&String::from_utf8_lossy(b)).is_ok()
-    }));
+    codecs.push(fuzz_codec(
+        "json",
+        &json_corpus,
+        budget,
+        &mut rng,
+        mutate,
+        |b| Json::parse(&String::from_utf8_lossy(b)).is_ok(),
+    ));
 
     let bench_corpus: Vec<Vec<u8>> = vec![br#"{"schema_version":3,"scenario":"clean-er-n128-t1","mode":"clean","topology":"er","n":128,"threads":1,"params":{"walks":4,"length":64,"seed":42},"warmup":0,"trials":1,"wall_clock_ms":{"median":1.5,"p95":1.5,"min":1.5,"max":1.5,"samples":[1.5]},"rounds":100,"total_messages":1000,"total_bits":9000,"peak_rss_bytes":null,"host_parallelism":1,"effective_threads":1,"granularity":16,"oversubscribed":false,"count_mode":"exact","sketch_suppressed":0,"phase_breakdown":{"walk":{"rounds":60,"messages":800,"bits":7000},"count":{"rounds":40,"messages":200,"bits":2000},"collect":null}}"#.to_vec()];
     codecs.push(fuzz_codec(
@@ -274,6 +347,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         &bench_corpus,
         budget,
         &mut rng,
+        mutate,
         |b| match Json::parse(&String::from_utf8_lossy(b)) {
             Ok(doc) => validate_bench_json(&doc).is_ok(),
             Err(_) => false,
@@ -293,7 +367,6 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
             WalkBatch::new(&tokens, len_bits as u8)
                 .expect("at most four tokens")
                 .encode(n)
-                .to_vec()
         })
         .collect();
     codecs.push(fuzz_codec(
@@ -301,6 +374,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         &batch_corpus,
         budget,
         &mut rng,
+        mutate,
         |b| WalkBatch::decode(b, n, len_bits as u8).is_some(),
     ));
 
@@ -312,7 +386,6 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
                 value_bits: 13,
             }
             .encode()
-            .to_vec()
         })
         .collect();
     codecs.push(fuzz_codec(
@@ -320,16 +393,20 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         &count_corpus,
         budget,
         &mut rng,
+        mutate,
         |b| CountMsg::decode(b, 13).is_some(),
     ));
 
     let checkpoint_corpus = vec![image];
+    let restore_flood =
+        |b: &[u8]| Simulator::<Flood>::restore(&corpus_graph, corpus_cfg.clone(), b).is_ok();
     codecs.push(fuzz_codec(
         "checkpoint",
         &checkpoint_corpus,
         budget,
         &mut rng,
-        |b| Simulator::<Flood>::restore(&corpus_graph, corpus_cfg.clone(), b).is_ok(),
+        mutate,
+        restore_flood,
     ));
 
     // --- rwbc-serve wire surfaces -----------------------------------
@@ -364,6 +441,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         &request_corpus,
         budget,
         &mut rng,
+        mutate,
         |b| decode_request(b).is_ok(),
     ));
 
@@ -425,6 +503,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         &response_corpus,
         budget,
         &mut rng,
+        mutate,
         |b| decode_response(b).is_ok(),
     ));
 
@@ -444,6 +523,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         &framed_corpus,
         budget,
         &mut rng,
+        mutate,
         |b| read_frame(&mut &b[..]).is_ok(),
     ));
 
@@ -465,12 +545,16 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         }
     }
     let step_corpus = vec![step_solver.checkpoint().expect("step corpus image")];
+    let restore_step = |b: &[u8]| {
+        rwbc::distributed::StepSolver::restore(&corpus_graph, step_cfg.clone(), b).is_ok()
+    };
     codecs.push(fuzz_codec(
         "serve-step-checkpoint",
         &step_corpus,
         budget,
         &mut rng,
-        |b| rwbc::distributed::StepSolver::restore(&corpus_graph, step_cfg.clone(), b).is_ok(),
+        mutate,
+        restore_step,
     ));
 
     // A mid-count exact StepSolver image: phase tag 1 and a
@@ -488,7 +572,8 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         &exact_step_corpus,
         budget,
         &mut rng,
-        |b| rwbc::distributed::StepSolver::restore(&corpus_graph, step_cfg.clone(), b).is_ok(),
+        mutate,
+        restore_step,
     ));
 
     // --- sketch count-phase surfaces --------------------------------
@@ -506,7 +591,6 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
                 value_bits: 17,
             }
             .encode()
-            .to_vec()
         })
         .collect();
     codecs.push(fuzz_codec(
@@ -514,6 +598,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         &sketch_msg_corpus,
         budget,
         &mut rng,
+        mutate,
         |b| SketchCountMsg::decode(b, 8, 17).is_some(),
     ));
 
@@ -534,12 +619,55 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
     }
     sketch_solver.step().expect("sketch corpus run");
     let sketch_step_corpus = vec![sketch_solver.checkpoint().expect("sketch corpus image")];
+    let restore_sketch = |b: &[u8]| {
+        rwbc::distributed::StepSolver::restore(&corpus_graph, sketch_cfg.clone(), b).is_ok()
+    };
     codecs.push(fuzz_codec(
         "sketch-step-checkpoint",
         &sketch_step_corpus,
         budget,
         &mut rng,
-        |b| rwbc::distributed::StepSolver::restore(&corpus_graph, sketch_cfg.clone(), b).is_ok(),
+        mutate,
+        restore_sketch,
+    ));
+
+    // --- re-sealed checkpoint sections ------------------------------
+
+    // A whole-image mutation almost always fails a section checksum, so
+    // it rarely reaches the program decoders behind `read_section`.
+    // These four mutate one section payload and re-seal it. They come
+    // last, so the codecs above keep their share of the RNG stream.
+    codecs.push(fuzz_codec(
+        "checkpoint-resealed",
+        &checkpoint_corpus,
+        budget,
+        &mut rng,
+        mutate_engine_section,
+        restore_flood,
+    ));
+    codecs.push(fuzz_codec(
+        "serve-step-checkpoint-resealed",
+        &step_corpus,
+        budget,
+        &mut rng,
+        mutate_step_engine_section,
+        restore_step,
+    ));
+    codecs.push(fuzz_codec(
+        "exact-step-checkpoint-resealed",
+        &exact_step_corpus,
+        budget,
+        &mut rng,
+        mutate_step_engine_section,
+        restore_step,
+    ));
+    codecs.push(fuzz_codec(
+        "sketch-step-checkpoint-resealed",
+        &sketch_step_corpus,
+        budget,
+        &mut rng,
+        mutate_step_engine_section,
+        restore_sketch,
     ));
 
     std::panic::set_hook(hook);
@@ -993,7 +1121,7 @@ mod tests {
     #[test]
     fn fuzzing_every_codec_panics_nowhere() {
         let report = fuzz_all_codecs(0xF422, 60);
-        assert_eq!(report.codecs.len(), 14);
+        assert_eq!(report.codecs.len(), 18);
         for codec in &report.codecs {
             assert!(
                 codec.panics.is_empty(),
@@ -1004,9 +1132,14 @@ mod tests {
             assert_eq!(codec.cases, 60);
             // A codec that accepts everything isn't being stressed.
             assert!(codec.rejected > 0, "codec {} rejected nothing", codec.name);
+            // A re-sealed mutation that never decodes is stopped by a
+            // checksum, not by the decoder behind it.
+            if codec.name.ends_with("-resealed") {
+                assert!(codec.accepted > 0, "codec {} accepted nothing", codec.name);
+            }
         }
         assert!(report.is_clean());
-        assert_eq!(report.total_cases(), 14 * 60);
+        assert_eq!(report.total_cases(), 18 * 60);
     }
 
     #[test]

@@ -860,7 +860,7 @@ where
     /// anywhere in a section fails that section's checksum on restore
     /// with a [`SimError::CorruptCheckpoint`] naming the section, instead
     /// of silently resuming from mangled state.
-    pub fn checkpoint(&self) -> bytes::Bytes
+    pub fn checkpoint(&self) -> Vec<u8>
     where
         P: WireState,
         P::Msg: WireState,

@@ -3,7 +3,9 @@
 //! [`Message::bit_size`] declares how many bits a message occupies; this
 //! module provides a real encoder/decoder so tests can verify that declared
 //! sizes are *achievable* — i.e. the distributed algorithm's messages
-//! genuinely fit in `O(log n)` bits, not just by assertion.
+//! genuinely fit in `O(log n)` bits, not just by assertion. It is also the
+//! checkpoint codec ([`WireState`], [`write_section`]), the frame seal
+//! ([`Crc32`]) and the serve daemon's payload codec.
 //!
 //! [`Message::bit_size`]: crate::Message::bit_size
 //!
@@ -21,8 +23,6 @@
 //! assert_eq!(r.read_bits(3), Some(5));
 //! assert_eq!(r.read_bits(9), Some(300));
 //! ```
-
-use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::SimError;
 
@@ -175,15 +175,58 @@ impl<A: WireState, B: WireState, C: WireState> WireState for (A, B, C) {
     }
 }
 
-/// Append-only bit-level writer backed by [`bytes::BytesMut`].
-#[derive(Debug, Default)]
-pub struct BitWriter {
-    buf: BytesMut,
-    /// Bits used in the pending (not yet flushed) byte.
-    pending: u8,
-    pending_bits: u8,
-    bit_len: usize,
+/// The MSB-first bit packer behind [`BitWriter`] and [`Crc32`]: the low
+/// `bits` (`0..8`) bits of `acc` are pending, and each call extends `sink`
+/// with the bytes it completes, as one slice.
+#[derive(Debug, Clone, Default)]
+struct Packer<S> {
+    sink: S,
+    acc: u8,
+    bits: usize,
 }
+
+impl<S: for<'a> Extend<&'a u8>> Packer<S> {
+    /// Appends the `width` low bits of `value`, most-significant first.
+    fn push(&mut self, value: u64, width: usize) {
+        assert!(width <= 64, "width {width} exceeds 64 bits");
+        assert!(
+            width == 64 || value < (1u64 << width),
+            "value {value} does not fit in {width} bits"
+        );
+        let joined = u128::from(self.acc) << width | u128::from(value);
+        let total = self.bits + width;
+        let (whole, rest) = (total / 8, total % 8);
+        let completed = ((joined >> rest) as u64).to_be_bytes();
+        self.sink.extend(&completed[8 - whole..]);
+        self.acc = joined as u8;
+        self.bits = rest;
+    }
+
+    /// Appends whole bytes: as they are on a byte boundary, else eight at
+    /// a time.
+    fn push_bytes(&mut self, bytes: &[u8]) {
+        if self.bits == 0 {
+            return self.sink.extend(bytes);
+        }
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[8 - chunk.len()..].copy_from_slice(chunk);
+            self.push(u64::from_be_bytes(word), 8 * chunk.len());
+        }
+    }
+
+    /// Zero-pads the pending bits to a byte and returns the sink.
+    fn finish(mut self) -> S {
+        if self.bits > 0 {
+            self.sink.extend(&[self.acc << (8 - self.bits)]);
+        }
+        self.sink
+    }
+}
+
+/// Append-only bit-level writer into a `Vec<u8>`.
+#[derive(Debug, Default)]
+pub struct BitWriter(Packer<Vec<u8>>);
 
 impl BitWriter {
     /// Creates an empty writer.
@@ -197,42 +240,22 @@ impl BitWriter {
     ///
     /// Panics if `width > 64` or `value` does not fit in `width` bits.
     pub fn write_bits(&mut self, value: u64, width: usize) {
-        assert!(width <= 64, "width {width} exceeds 64 bits");
-        assert!(
-            width == 64 || value < (1u64 << width),
-            "value {value} does not fit in {width} bits"
-        );
-        for i in (0..width).rev() {
-            let bit = ((value >> i) & 1) as u8;
-            self.pending = (self.pending << 1) | bit;
-            self.pending_bits += 1;
-            self.bit_len += 1;
-            if self.pending_bits == 8 {
-                self.buf.put_u8(self.pending);
-                self.pending = 0;
-                self.pending_bits = 0;
-            }
-        }
+        self.0.push(value, width);
     }
 
     /// Writes a whole byte slice (each byte as 8 bits, in order).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_bits(u64::from(b), 8);
-        }
+        self.0.push_bytes(bytes);
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
-        self.bit_len
+        self.0.sink.len() * 8 + self.0.bits
     }
 
     /// Finishes, zero-padding the final partial byte.
-    pub fn finish(mut self) -> Bytes {
-        if self.pending_bits > 0 {
-            self.buf.put_u8(self.pending << (8 - self.pending_bits));
-        }
-        self.buf.freeze()
+    pub fn finish(self) -> Vec<u8> {
+        self.0.finish()
     }
 }
 
@@ -257,17 +280,17 @@ impl<'a> BitReader<'a> {
     /// Panics if `width > 64`.
     pub fn read_bits(&mut self, width: usize) -> Option<u64> {
         assert!(width <= 64, "width {width} exceeds 64 bits");
-        if self.cursor + width > self.data.len() * 8 {
+        if width > self.remaining_bits() {
             return None;
         }
-        let mut value = 0u64;
-        for _ in 0..width {
-            let byte = self.data[self.cursor / 8];
-            let bit = (byte >> (7 - (self.cursor % 8))) & 1;
-            value = (value << 1) | u64::from(bit);
-            self.cursor += 1;
-        }
-        Some(value)
+        // Gather the (at most nine) bytes the field spans, then cut it out.
+        let (first, end) = (self.cursor / 8, (self.cursor + width).div_ceil(8));
+        let joined = self.data[first..end]
+            .iter()
+            .fold(0u128, |acc, &b| acc << 8 | u128::from(b));
+        let value = (joined >> (8 * end - self.cursor - width)) & ((1 << width) - 1);
+        self.cursor += width;
+        Some(value as u64)
     }
 
     /// Reads `len` whole bytes; `None` when the input is exhausted.
@@ -275,11 +298,16 @@ impl<'a> BitReader<'a> {
         if len.checked_mul(8)? > self.remaining_bits() {
             return None;
         }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.read_bits(8)? as u8);
-        }
-        Some(out)
+        let (first, skip) = (self.cursor / 8, self.cursor % 8);
+        self.cursor += 8 * len;
+        // Off a byte boundary each byte straddles two (the last one is in range).
+        Some(match skip {
+            0 => self.data[first..first + len].to_vec(),
+            _ => self.data[first..=first + len]
+                .windows(2)
+                .map(|pair| pair[0] << skip | pair[1] >> (8 - skip))
+                .collect(),
+        })
     }
 
     /// Bits consumed so far.
@@ -316,40 +344,31 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// Streaming CRC-32 (IEEE) over bit-granular content.
-///
-/// Bits are accumulated most-significant first and flushed to the
-/// polynomial byte-wise, exactly mirroring [`BitWriter`]: feeding a field
-/// sequence through [`Crc32::update_bits`] yields the same checksum as
-/// byte-hashing the [`BitWriter::finish`] output of that sequence
-/// (including the zero padding of the final partial byte). That makes the
-/// checksum of a frame well-defined without ever materializing its bytes.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-    pending: u8,
-    pending_bits: u8,
-}
+/// The CRC-32 (IEEE) of the bytes put so far.
+#[derive(Debug, Clone, Default)]
+struct Crc(u32);
 
-impl Default for Crc32 {
-    fn default() -> Crc32 {
-        Crc32::new()
+impl<'a> Extend<&'a u8> for Crc {
+    fn extend<I: IntoIterator<Item = &'a u8>>(&mut self, bytes: I) {
+        self.0 = !bytes.into_iter().fold(!self.0, |state, &b| {
+            CRC32_TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8)
+        });
     }
 }
+
+/// Streaming CRC-32 (IEEE) over bit-granular content.
+///
+/// Bits go through [`BitWriter`]'s packer, so feeding a field sequence
+/// through [`Crc32::update_bits`] yields the checksum of that sequence's
+/// [`BitWriter::finish`] bytes, zero padding included: a frame's checksum
+/// is well-defined without ever materializing its bytes.
+#[derive(Debug, Clone, Default)]
+pub struct Crc32(Packer<Crc>);
 
 impl Crc32 {
     /// A fresh checksum (standard init value).
     pub fn new() -> Crc32 {
-        Crc32 {
-            state: 0xFFFF_FFFF,
-            pending: 0,
-            pending_bits: 0,
-        }
-    }
-
-    fn update_byte(&mut self, byte: u8) {
-        let idx = (self.state ^ u32::from(byte)) & 0xFF;
-        self.state = CRC32_TABLE[idx as usize] ^ (self.state >> 8);
+        Crc32::default()
     }
 
     /// Feeds the `width` low bits of `value`, most-significant first.
@@ -359,22 +378,7 @@ impl Crc32 {
     /// Panics if `width > 64` or `value` does not fit in `width` bits
     /// (same contract as [`BitWriter::write_bits`]).
     pub fn update_bits(&mut self, value: u64, width: usize) {
-        assert!(width <= 64, "width {width} exceeds 64 bits");
-        assert!(
-            width == 64 || value < (1u64 << width),
-            "value {value} does not fit in {width} bits"
-        );
-        for i in (0..width).rev() {
-            let bit = ((value >> i) & 1) as u8;
-            self.pending = (self.pending << 1) | bit;
-            self.pending_bits += 1;
-            if self.pending_bits == 8 {
-                let byte = self.pending;
-                self.update_byte(byte);
-                self.pending = 0;
-                self.pending_bits = 0;
-            }
-        }
+        self.0.push(value, width);
     }
 
     /// Feeds a full `u64`.
@@ -384,19 +388,13 @@ impl Crc32 {
 
     /// Feeds whole bytes.
     pub fn update_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.update_bits(u64::from(b), 8);
-        }
+        self.0.push_bytes(bytes);
     }
 
     /// Flushes the partial byte (zero-padded, like [`BitWriter::finish`])
     /// and returns the checksum.
-    pub fn finish(mut self) -> u32 {
-        if self.pending_bits > 0 {
-            let byte = self.pending << (8 - self.pending_bits);
-            self.update_byte(byte);
-        }
-        self.state ^ 0xFFFF_FFFF
+    pub fn finish(self) -> u32 {
+        self.0.finish().0
     }
 }
 
@@ -445,6 +443,58 @@ pub fn read_section(r: &mut BitReader<'_>, what: &str) -> Result<Vec<u8>, SimErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle for the packer: one bit per step, most-significant
+    /// first, zero-padding the final byte.
+    #[derive(Default)]
+    struct BitAtATime {
+        bytes: Vec<u8>,
+        bits: usize,
+    }
+
+    impl BitAtATime {
+        fn write_bits(&mut self, value: u64, width: usize) {
+            for i in (0..width).rev() {
+                let (byte, bit) = (self.bits / 8, self.bits % 8);
+                if bit == 0 {
+                    self.bytes.push(0);
+                }
+                self.bytes[byte] |= (((value >> i) & 1) as u8) << (7 - bit);
+                self.bits += 1;
+            }
+        }
+    }
+
+    /// One codec call of a generated sequence.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Bits(u64, usize),
+        Bytes(Vec<u8>),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (
+            any::<bool>(),
+            any::<u64>(),
+            0usize..=64,
+            proptest::collection::vec(any::<u8>(), 0..20),
+        )
+            .prop_map(|(bits, value, width, bytes)| {
+                if bits {
+                    Op::Bits(
+                        if width == 64 {
+                            value
+                        } else {
+                            value & ((1 << width) - 1)
+                        },
+                        width,
+                    )
+                } else {
+                    Op::Bytes(bytes)
+                }
+            })
+    }
 
     #[test]
     fn round_trip_various_widths() {
@@ -499,16 +549,58 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    #[test]
-    fn bit_granular_crc_equals_byte_crc_of_the_encoding() {
-        let fields = [(1u64, 1usize), (300, 9), (0, 0), (u64::MAX, 64), (5, 3)];
-        let mut w = BitWriter::new();
-        let mut c = Crc32::new();
-        for &(v, width) in &fields {
-            w.write_bits(v, width);
-            c.update_bits(v, width);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bit_granular_crc_equals_byte_crc_of_the_encoding(
+            offset in 0usize..8,
+            ops in proptest::collection::vec(op(), 0..24),
+        ) {
+            // Every call goes to the packer, the bit-at-a-time oracle
+            // and the checksum alike, after a lead-in that puts the first
+            // call at any bit offset.
+            let mut w = BitWriter::new();
+            let mut oracle = BitAtATime::default();
+            let mut c = Crc32::new();
+            let lead_in = Op::Bits(0, offset);
+            for op in std::iter::once(&lead_in).chain(&ops) {
+                match op {
+                    Op::Bits(value, width) => {
+                        w.write_bits(*value, *width);
+                        oracle.write_bits(*value, *width);
+                        c.update_bits(*value, *width);
+                    }
+                    Op::Bytes(bytes) => {
+                        w.write_bytes(bytes);
+                        for &b in bytes {
+                            oracle.write_bits(u64::from(b), 8);
+                        }
+                        c.update_bytes(bytes);
+                    }
+                }
+            }
+            prop_assert_eq!(w.bit_len(), oracle.bits);
+            let bytes = w.finish();
+            prop_assert_eq!(&bytes, &oracle.bytes);
+            prop_assert_eq!(c.finish(), crc32(&bytes));
+
+            let mut r = BitReader::new(&bytes);
+            for op in std::iter::once(&lead_in).chain(&ops) {
+                match op {
+                    Op::Bits(value, width) => prop_assert_eq!(r.read_bits(*width), Some(*value)),
+                    Op::Bytes(slice) => {
+                        prop_assert_eq!(r.read_bytes(slice.len()), Some(slice.clone()))
+                    }
+                }
+            }
+            let pad = r.remaining_bits();
+            prop_assert!(pad < 8);
+            prop_assert_eq!(r.read_bits(pad + 1), None);
+            prop_assert_eq!(r.read_bits(pad), Some(0));
+            prop_assert_eq!(r.read_bits(1), None);
+            prop_assert_eq!(r.read_bytes(1), None);
         }
-        assert_eq!(c.finish(), crc32(&w.finish()));
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn full_run(
     g: &Graph,
     cfg: SimConfig,
     reference: bool,
-) -> (congest_sim::RunStats, Vec<TraceEvent>, bytes::Bytes) {
+) -> (congest_sim::RunStats, Vec<TraceEvent>, Vec<u8>) {
     let mut tracer = MemoryTracer::new();
     let mut sim = Simulator::new(g, cfg, |v| Flood::new(v, 0))
         .with_reference_delivery(reference)
@@ -118,7 +118,7 @@ proptest! {
     ) {
         let faults = FaultPlan::default().with_drop_probability(drop_p);
         let cfg = SimConfig::default().with_seed(seed).with_faults(faults);
-        let finish = |mut sim: Simulator<'_, Flood>| -> (RunStats, bytes::Bytes) {
+        let finish = |mut sim: Simulator<'_, Flood>| -> (RunStats, Vec<u8>) {
             let stats = sim.run().unwrap();
             (stats, sim.checkpoint())
         };
@@ -163,7 +163,7 @@ fn old_checkpoint_versions_get_a_typed_error() {
     let g = random_tree(8, &mut rng).unwrap();
     let cfg = SimConfig::default().with_seed(17);
     let sim = Simulator::new(&g, cfg.clone(), |v| Flood::new(v, 0));
-    let mut image = sim.checkpoint().to_vec();
+    let mut image = sim.checkpoint();
     // The version is a big-endian u64 right after the magic word.
     assert_eq!(image[8..16], 3u64.to_be_bytes());
     for version in [1u64, 2, 4, 999] {

@@ -89,7 +89,7 @@ fn flood_run(
     RunStats,
     Vec<TraceEvent>,
     congest_sim::metrics::MetricsSnapshot,
-    bytes::Bytes,
+    Vec<u8>,
 ) {
     let registry = Registry::new();
     let engine = EngineMetrics::register(&registry);

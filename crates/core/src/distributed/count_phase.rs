@@ -494,7 +494,7 @@ mod tests {
     fn encode(p: &CountProgram) -> Vec<u8> {
         let mut w = BitWriter::new();
         p.encode_state(&mut w);
-        w.finish().to_vec()
+        w.finish()
     }
 
     /// Feeds `rounds` of hand-built inboxes (a checkpoint round trip

@@ -105,7 +105,7 @@ impl WalkBatch {
     }
 
     /// Encodes to real bytes (used by tests to validate `bit_size`).
-    pub fn encode(&self, n: usize) -> bytes::Bytes {
+    pub fn encode(&self, n: usize) -> Vec<u8> {
         let mut w = BitWriter::new();
         w.write_bits(u64::from(self.len), BATCH_HEADER_BITS);
         for t in self.tokens() {
@@ -159,14 +159,13 @@ impl Message for WalkBatch {
     /// batch (fewer tokens that still parse) — precisely the failure mode
     /// only a frame checksum catches.
     fn corrupted(&self, kind: CorruptionKind, n: usize, rng: &mut StdRng) -> Option<Self> {
-        let bytes = self.encode(n);
+        let mut bytes = self.encode(n);
         match kind {
             CorruptionKind::BitFlip => {
-                let mut buf = bytes.to_vec();
                 let bit = rng.gen_range(0..self.bit_size(n));
                 // MSB-first, matching the BitWriter layout.
-                buf[bit / 8] ^= 0x80 >> (bit % 8);
-                WalkBatch::decode(&buf, n, self.len_bits)
+                bytes[bit / 8] ^= 0x80 >> (bit % 8);
+                WalkBatch::decode(&bytes, n, self.len_bits)
             }
             CorruptionKind::Truncate => {
                 let keep = rng.gen_range(0..bytes.len());
@@ -222,7 +221,7 @@ pub struct CountMsg {
 
 impl CountMsg {
     /// Encodes to real bytes.
-    pub fn encode(&self) -> bytes::Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = BitWriter::new();
         w.write_bits(self.scaled, self.value_bits as usize);
         w.finish()

@@ -178,7 +178,7 @@ impl VisitSketch {
     /// precision byte, `B` six-bit registers, `B` length-prefixed
     /// buckets (6-bit width header + that many value bits), so an
     /// almost-empty sketch costs little more than one byte per bucket.
-    pub fn encode(&self) -> bytes::Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = BitWriter::new();
         w.write_bits(u64::from(SKETCH_WIRE_VERSION), 8);
         w.write_bits(u64::from(self.precision), 8);
@@ -270,7 +270,7 @@ pub struct SketchCountMsg {
 
 impl SketchCountMsg {
     /// Encodes to real bytes.
-    pub fn encode(&self) -> bytes::Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = BitWriter::new();
         w.write_bits(u64::from(self.bucket), self.precision as usize);
         w.write_bits(self.scaled, self.value_bits as usize);

@@ -206,7 +206,7 @@ where
     /// The engine image; only bare programs have one.
     fn checkpoint(&self) -> Result<Vec<u8>, RwbcError> {
         match self {
-            Net::Raw(sim) => Ok(sim.checkpoint().to_vec()),
+            Net::Raw(sim) => Ok(sim.checkpoint()),
             Net::Framed(_) => Err(not_checkpointable()),
         }
     }
@@ -1145,7 +1145,7 @@ impl<'g> StepSolver<'g> {
         }
         write_section(&mut w, &mw.finish());
         write_section(&mut w, &engine);
-        Ok(w.finish().to_vec())
+        Ok(w.finish())
     }
 
     /// Reconstructs a solver from a [`StepSolver::checkpoint`] image.

@@ -756,7 +756,7 @@ mod tests {
         deaths.to_vec().encode_state(&mut w);
         p.dead_neighbors.encode_state(&mut w);
         p.started.encode_state(&mut w);
-        w.finish().to_vec()
+        w.finish()
     }
 
     #[test]
@@ -774,7 +774,7 @@ mod tests {
         let encode = |p: &WalkProgram| {
             let mut w = BitWriter::new();
             p.encode_state(&mut w);
-            w.finish().to_vec()
+            w.finish()
         };
         let decode = |bytes: &[u8]| WalkProgram::decode_state(&mut BitReader::new(bytes));
         // The hand-built image is the real one, and it round-trips.

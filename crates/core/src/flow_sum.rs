@@ -29,7 +29,7 @@ pub enum PairSumMethod {
     #[default]
     Sorted,
     /// `Θ(n²)` per edge, literally Eq. 6. Kept as the obviously-correct
-    /// oracle and as the ablation baseline (bench `ablation_solver`).
+    /// oracle that the tests check `Sorted` against.
     Direct,
 }
 

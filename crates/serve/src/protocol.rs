@@ -569,7 +569,7 @@ impl WireState for Response {
 pub fn encode_request(env: &RequestEnvelope) -> Vec<u8> {
     let mut w = BitWriter::new();
     env.encode_state(&mut w);
-    w.finish().to_vec()
+    w.finish()
 }
 
 /// Decodes a frame payload into a request envelope.
@@ -587,7 +587,7 @@ pub fn decode_request(payload: &[u8]) -> Result<RequestEnvelope, ProtocolError> 
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut w = BitWriter::new();
     resp.encode_state(&mut w);
-    w.finish().to_vec()
+    w.finish()
 }
 
 /// Decodes a frame payload into a response.
