@@ -28,6 +28,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use congest_sim::trace::json::Json;
+use rwbc_bench::outln;
 use rwbc_bench::perf::{
     bench_filename, check_sweep_fingerprints, default_matrix, host_parallelism, run_scenario,
     smoke_matrix, smoke_sweep_matrix, sweep_matrix, validate_bench_json, Mode, Scenario, Topology,
@@ -124,7 +125,7 @@ fn parse_args() -> Result<Options, String> {
                 opts.compare = Some((a, b));
             }
             "--help" | "-h" => {
-                println!("{}", usage());
+                outln!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
@@ -185,9 +186,10 @@ fn run_compare(baseline: &Path, current: &Path) -> Result<(), String> {
         median_of(&cur_doc, current)?,
     );
     let speedup = base / cur.max(f64::MIN_POSITIVE);
-    println!(
+    outln!(
         "baseline {:>10.2} ms  current {:>10.2} ms  speedup {speedup:.2}x",
-        base, cur
+        base,
+        cur
     );
     Ok(())
 }
@@ -269,7 +271,7 @@ fn main() -> ExitCode {
             match load_json(path).and_then(|doc| {
                 validate_bench_json(&doc).map_err(|e| format!("{}: {e}", path.display()))
             }) {
-                Ok(()) => println!("{}: ok", path.display()),
+                Ok(()) => outln!("{}: ok", path.display()),
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
@@ -299,7 +301,7 @@ fn main() -> ExitCode {
 
     if opts.list {
         for s in &scenarios {
-            println!("{}", s.name());
+            outln!("{}", s.name());
         }
         return ExitCode::SUCCESS;
     }
@@ -339,7 +341,7 @@ fn main() -> ExitCode {
             eprintln!("error: writing {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-        println!(
+        outln!(
             "{:<24} median {:>9.2} ms  p95 {:>9.2} ms  rounds {:>6}  msgs {:>12}  -> {}",
             scenario.name(),
             result.median_ms(),
@@ -358,7 +360,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if opts.sweep {
-        println!("sweep fingerprints bit-identical across thread counts");
+        outln!("sweep fingerprints bit-identical across thread counts");
     }
     ExitCode::SUCCESS
 }

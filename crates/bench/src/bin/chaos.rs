@@ -25,6 +25,7 @@ use rwbc_bench::chaos::{
     fuzz_all_codecs, plan_from_json, plan_to_json, preset, shrink_plan, ChaosProperty,
     ChaosWorkload, PRESET_NAMES,
 };
+use rwbc_bench::{outln, print_stdout};
 
 struct Options {
     command: String,
@@ -99,7 +100,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
             "--help" | "-h" => {
-                println!("{}", usage());
+                outln!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
@@ -143,11 +144,13 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         rwbc::distributed::approximate(&graph, &cfg).map_err(|e| format!("run failed: {e}"))?;
     let d = &run.degradation;
     // The chaos workload's reliable transport always seals its frames.
-    println!(
+    outln!(
         "n {}  reliable {}  checksums {}",
-        w.n, w.reliable, w.reliable
+        w.n,
+        w.reliable,
+        w.reliable
     );
-    println!(
+    outln!(
         "clean {}  walks_lost {}  relaunched {}  subphases {}  cells_missing {}",
         d.is_clean(),
         d.walks_lost,
@@ -155,21 +158,24 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         d.walk_subphases,
         d.count_cells_missing
     );
-    println!(
+    outln!(
         "corrupt_frames_detected {}  links_quarantined {}  target_redraws {}",
-        d.corrupt_frames_detected, d.links_quarantined, d.target_redraws
+        d.corrupt_frames_detected,
+        d.links_quarantined,
+        d.target_redraws
     );
     Ok(())
 }
 
 fn cmd_fuzz(opts: &Options) -> Result<(), String> {
     let report = fuzz_all_codecs(opts.seed, opts.budget);
-    println!(
+    outln!(
         "fuzz seed {:#x}  budget {} cases/codec",
-        report.seed, opts.budget
+        report.seed,
+        opts.budget
     );
     for codec in &report.codecs {
-        println!(
+        outln!(
             "{:<12} cases {:>6}  accepted {:>6}  rejected {:>6}  panics {}",
             codec.name,
             codec.cases,
@@ -182,7 +188,7 @@ fn cmd_fuzz(opts: &Options) -> Result<(), String> {
         }
     }
     if report.is_clean() {
-        println!("{} cases, zero panics", report.total_cases());
+        outln!("{} cases, zero panics", report.total_cases());
         Ok(())
     } else {
         Err("decoder panicked on mutated input".into())
@@ -200,9 +206,9 @@ fn cmd_shrink(opts: &Options) -> Result<(), String> {
     }
     let outcome = shrink_plan(&w, &plan, opts.property, opts.max_tests);
     for step in &outcome.steps {
-        println!("  - {step}");
+        outln!("  - {step}");
     }
-    println!(
+    outln!(
         "shrunk in {} steps ({} pipeline runs), property `{}` still fails",
         outcome.steps.len(),
         outcome.tests,
@@ -213,9 +219,9 @@ fn cmd_shrink(opts: &Options) -> Result<(), String> {
     match &opts.out {
         Some(path) => {
             std::fs::write(path, &text).map_err(|e| format!("{}: {e}", path.display()))?;
-            println!("minimal repro written to {}", path.display());
+            outln!("minimal repro written to {}", path.display());
         }
-        None => print!("{text}"),
+        None => print_stdout(&text),
     }
     Ok(())
 }
@@ -224,7 +230,7 @@ fn cmd_replay(opts: &Options) -> Result<(), String> {
     let plan = load_plan(opts)?;
     let w = workload(opts);
     if w.fails(&plan, opts.property) {
-        println!("plan still fails `{}`", opts.property.as_str());
+        outln!("plan still fails `{}`", opts.property.as_str());
         Ok(())
     } else {
         Err(format!(
@@ -250,7 +256,7 @@ fn main() -> ExitCode {
         "presets" => {
             for name in PRESET_NAMES {
                 let (_, desc) = preset(name).expect("preset table out of sync");
-                println!("{name:<12} {desc}");
+                outln!("{name:<12} {desc}");
             }
             Ok(())
         }

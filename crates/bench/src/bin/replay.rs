@@ -21,6 +21,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use congest_sim::trace::json::Json;
+use rwbc_bench::outln;
 use rwbc_bench::perf::bench_filename;
 use rwbc_bench::serve_load::{
     run_replay, validate_serve_bench_json, ReplayConfig, ReplayMode, ServeBenchResult,
@@ -102,7 +103,7 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--help" | "-h" => {
-                println!("{}", usage());
+                outln!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
@@ -120,7 +121,7 @@ fn run_validate(paths: &[PathBuf]) -> ExitCode {
                 validate_serve_bench_json(&doc).map_err(|e| format!("{}: {e}", path.display()))
             });
         match outcome {
-            Ok(()) => println!("{}: ok", path.display()),
+            Ok(()) => outln!("{}: ok", path.display()),
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
@@ -240,7 +241,7 @@ fn run(opts: &Options) -> Result<(), String> {
 
     let report = &result.report;
     let o = &report.outcomes;
-    println!(
+    outln!(
         "{scenario:<22} {:>8.1} req/s  p50 {:>7} us  p99 {:>7} us  served {:>6}  shed {:>4}  \
          timeout {:>4}  -> {}",
         report.throughput_rps(),

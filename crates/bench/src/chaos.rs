@@ -34,8 +34,8 @@ use congest_sim::trace::json::Json;
 use congest_sim::trace::jsonl::{decode_event, decode_trace, encode_event};
 use congest_sim::wire::{read_section, write_section, BitReader, BitWriter};
 use congest_sim::{
-    FaultPlan, LinkCorruption, LinkOutage, MemoryTracer, NodeCrash, Registry, Reliable, SimConfig,
-    Simulator,
+    FaultPlan, LinkCorruption, LinkOutage, MemoryTracer, Message, NodeCrash, Registry, Reliable,
+    SimConfig, Simulator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -385,7 +385,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
                 scaled,
                 value_bits: 13,
             }
-            .encode()
+            .encode(n)
         })
         .collect();
     codecs.push(fuzz_codec(
@@ -590,7 +590,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
                 precision: 8,
                 value_bits: 17,
             }
-            .encode()
+            .encode(n)
         })
         .collect();
     codecs.push(fuzz_codec(

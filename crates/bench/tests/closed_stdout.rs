@@ -8,6 +8,35 @@ use std::process::{Command, Stdio};
 const PIPE_BUFFER: usize = 64 << 10;
 
 #[test]
+fn every_cli_exits_cleanly_when_stdout_is_already_closed() {
+    let runs = [
+        (env!("CARGO_BIN_EXE_rwbc-bench"), &["--list"][..]),
+        (env!("CARGO_BIN_EXE_rwbc-chaos"), &["presets"]),
+        (env!("CARGO_BIN_EXE_rwbc-replay"), &["--help"]),
+        (env!("CARGO_BIN_EXE_rwbc-trace"), &["--help"]),
+    ];
+    for (bin, args) in runs {
+        // The reader is gone before the child starts, so its first write
+        // to stdout fails every time.
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run the CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "{bin} {args:?}: status {:?}, stderr: {stderr}",
+            out.status
+        );
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn timeline_exits_cleanly_when_its_reader_goes_away() {
     let bin = env!("CARGO_BIN_EXE_rwbc-trace");
     let trace = format!("{}/closed_stdout.jsonl", env!("CARGO_TARGET_TMPDIR"));

@@ -1,6 +1,6 @@
 use rwbc_graph::NodeId;
 
-use crate::{bits_for_count, Context, Incoming, Message, NodeProgram};
+use crate::{bits_for_count, BitSink, Context, Incoming, Message, NodeProgram};
 
 /// The associative, commutative reduction to convergecast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,11 +35,15 @@ pub enum AggMsg {
 }
 
 impl Message for AggMsg {
-    fn bit_size(&self, _n: usize) -> usize {
+    fn write(&self, _n: usize, out: &mut impl BitSink) {
         // 2 tag bits, plus the value for partials.
         match self {
-            AggMsg::Announce | AggMsg::Register => 2,
-            AggMsg::Partial(v) => 2 + bits_for_count(*v),
+            AggMsg::Announce => out.put(0, 2),
+            AggMsg::Register => out.put(1, 2),
+            AggMsg::Partial(v) => {
+                out.put(2, 2);
+                out.put(*v, bits_for_count(*v));
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 use rwbc_graph::NodeId;
 
-use crate::{bits_for_node_id, Context, Incoming, Message, NodeProgram};
+use crate::{bits_for_node_id, BitSink, Context, Incoming, Message, NodeProgram};
 
 /// A BFS-layer announcement carrying the sender's id (so receivers can
 /// record a parent). Costs one node id on the wire.
@@ -11,8 +11,8 @@ pub struct BfsMsg {
 }
 
 impl Message for BfsMsg {
-    fn bit_size(&self, n: usize) -> usize {
-        bits_for_node_id(n)
+    fn write(&self, n: usize, out: &mut impl BitSink) {
+        out.put(self.from_id as u64, bits_for_node_id(n));
     }
 }
 

@@ -1,6 +1,6 @@
 use rwbc_graph::NodeId;
 
-use crate::{bits_for_node_id, Context, Incoming, Message, NodeProgram};
+use crate::{bits_for_node_id, BitSink, Context, Incoming, Message, NodeProgram};
 
 /// A candidate-leader announcement. Costs one node id on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -10,8 +10,8 @@ pub struct LeaderMsg {
 }
 
 impl Message for LeaderMsg {
-    fn bit_size(&self, n: usize) -> usize {
-        bits_for_node_id(n)
+    fn write(&self, n: usize, out: &mut impl BitSink) {
+        out.put(self.candidate as u64, bits_for_node_id(n));
     }
 }
 

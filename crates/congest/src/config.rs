@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use rwbc_graph::NodeId;
 
 use crate::fault::{sanitize_probability, FaultPlan};
 
 /// What to do when traffic exceeds the CONGEST budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ViolationPolicy {
     /// Abort the run with a [`SimError`] — use this to *prove* an algorithm
     /// respects the model (paper Theorem 4).
@@ -32,7 +30,7 @@ pub enum ViolationPolicy {
 /// let cfg = SimConfig::default().with_seed(7).with_bandwidth_coeff(4);
 /// assert_eq!(cfg.budget_bits(1024), 4 * 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Master seed; each node derives an independent deterministic RNG.
     pub seed: u64,

@@ -597,7 +597,7 @@ where
         let mut arenas = self.worker_inboxes.iter_mut();
         let programs = &mut self.programs;
         let rngs = &mut self.rngs;
-        let scoped = crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for (idx, (((progs, rngs), outs), ins)) in programs
                 .chunks_mut(chunk)
@@ -625,7 +625,7 @@ where
                 } else {
                     &mut []
                 };
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     work(idx * chunk, progs, rngs, outs, ins, groups, traces, arena)
                 }));
             }
@@ -648,12 +648,6 @@ where
                 }
             }
             first.map_or(Ok(()), Err)
-        });
-        scoped.unwrap_or_else(|payload| {
-            Err(SimError::WorkerPanic {
-                round,
-                payload: panic_payload_string(&*payload),
-            })
         })
     }
 
@@ -672,7 +666,7 @@ where
         let chunk = self.graph.node_count().div_ceil(self.effective_threads);
         let mut pending = std::mem::take(&mut self.pending);
         let mut arenas = std::mem::take(&mut self.worker_inboxes);
-        let scoped = crossbeam::thread::scope(|scope| {
+        let (spine, panic) = std::thread::scope(|scope| {
             // Transpose the arenas: merge worker `i` owns destination
             // slice `i` of *every* arena, so each `pending[to]` column is
             // appended from arena 0, 1, … in order — ascending sender,
@@ -688,7 +682,7 @@ where
             }
             let mut handles = Vec::new();
             for (pend, mut cols) in pending.chunks_mut(chunk).zip(slices) {
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     for (rel, dst) in pend.iter_mut().enumerate() {
                         for arena_cols in cols.iter_mut() {
                             let col = &mut arena_cols[rel];
@@ -710,16 +704,12 @@ where
         });
         self.pending = pending;
         self.worker_inboxes = arenas;
-        match scoped {
-            Ok((spine, None)) => spine,
-            Ok((spine, Some(payload))) => spine.and(Err(SimError::WorkerPanic {
+        match panic {
+            None => spine,
+            Some(payload) => spine.and(Err(SimError::WorkerPanic {
                 round,
                 payload: panic_payload_string(&*payload),
             })),
-            Err(payload) => Err(SimError::WorkerPanic {
-                round,
-                payload: panic_payload_string(&*payload),
-            }),
         }
     }
 

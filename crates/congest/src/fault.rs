@@ -34,8 +34,6 @@
 //! still draws from the fault RNG — corruption without randomness would
 //! always flip the same bit.
 
-use serde::{Deserialize, Serialize};
-
 use rwbc_graph::NodeId;
 
 use crate::stats::ordered;
@@ -45,7 +43,7 @@ use crate::stats::ordered;
 /// Messages sent over the edge `{u, v}` in any round of
 /// `[from_round, until_round)` are discarded (in both directions). Rounds
 /// are the simulator's send rounds: `on_start` sends happen in round 0.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkOutage {
     /// One endpoint of the failed edge.
     pub u: NodeId,
@@ -71,7 +69,7 @@ impl LinkOutage {
 /// The kind is drawn uniformly from the fault RNG per corruption event;
 /// what each kind does to a concrete payload is decided by the message
 /// type's [`Message::corrupted`](crate::Message::corrupted) hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionKind {
     /// One bit of the encoded frame is inverted.
     BitFlip,
@@ -116,7 +114,7 @@ impl CorruptionKind {
 /// from the fault RNG. Unlike an outage the bits still flow — which is
 /// worse: an unprotected receiver decodes garbage silently, and only a
 /// checksummed transport can detect the pattern and quarantine the link.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkCorruption {
     /// One endpoint of the corrupting edge.
     pub u: NodeId,
@@ -150,7 +148,7 @@ impl LinkCorruption {
 /// to it is discarded on delivery. A recovered node resumes from its
 /// pre-crash local state (crash-recover semantics with stable storage);
 /// messages that arrived while it was down stay lost.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeCrash {
     /// The crashing node.
     pub node: NodeId,
@@ -193,7 +191,7 @@ impl NodeCrash {
 /// assert!(plan.link_down(1, 0, 15));
 /// assert!(!plan.link_down(1, 0, 20));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Independent per-message loss probability (0 disables, NaN is
     /// treated as 0).

@@ -13,10 +13,11 @@
 //! become *measurable*:
 //!
 //! * [`Simulator`] runs a [`NodeProgram`] per node in lockstep rounds;
-//! * every message is charged its [`Message::bit_size`] against the per-edge
-//!   budget `B(n) = bandwidth_coeff · ⌈log₂ n⌉` and the per-edge message
-//!   limit, and violations are either hard errors (strict mode, the default)
-//!   or recorded in [`RunStats`];
+//! * every message is charged its [`Message::bit_size`], the bits its one
+//!   layout [`Message::write`] puts, against the per-edge budget
+//!   `B(n) = bandwidth_coeff · ⌈log₂ n⌉` and the per-edge message limit,
+//!   and violations are either hard errors (strict mode, the default) or
+//!   recorded in [`RunStats`];
 //! * [`RunStats`] reports rounds, messages, bits, and the per-edge-per-round
 //!   maxima that Theorem 4 of the paper is about;
 //! * a *cut meter* counts traffic crossing a designated edge cut — the
@@ -76,3 +77,4 @@ pub use trace::{
     FlightRecorder, JsonlTracer, MemoryTracer, NoopTracer, TraceEvent, Tracer,
     FLIGHT_DEFAULT_CAPACITY,
 };
+pub use wire::BitSink;

@@ -2,38 +2,41 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::fault::CorruptionKind;
-use crate::wire::Crc32;
+use crate::wire::{BitCount, BitSink, BitWriter};
 
 /// A message that can travel over a CONGEST edge.
 ///
-/// Implementors declare how many bits they occupy on the wire; the
-/// [`Simulator`] charges this against the per-edge budget
-/// `B(n) = bandwidth_coeff · ⌈log₂ n⌉` every round. The paper's Theorem 4
-/// ("our algorithms satisfy the CONGEST model") is checked *mechanically*
-/// by running under [`ViolationPolicy::Strict`].
-///
-/// The [`wire`] module provides a concrete bit-exact encoder so that
-/// declared sizes can be validated against real encodings in tests.
+/// A message has one layout, its [`Message::write`], and everything else
+/// is derived from it. The [`Simulator`] charges [`Message::bit_size`],
+/// the bits `write` puts, against the per-edge budget
+/// `B(n) = bandwidth_coeff · ⌈log₂ n⌉` every round, so the paper's
+/// Theorem 4 ("our algorithms satisfy the CONGEST model") is checked
+/// *mechanically* by running under [`ViolationPolicy::Strict`].
+/// Checksummed frames
+/// ([`Reliable::with_checksums`](crate::Reliable::with_checksums)) seal
+/// what `write` puts, and [`Message::encode`] is its bytes.
 ///
 /// [`Simulator`]: crate::Simulator
 /// [`ViolationPolicy::Strict`]: crate::ViolationPolicy::Strict
-/// [`wire`]: crate::wire
 pub trait Message: Clone + Send + Sync + 'static {
-    /// Number of bits this message occupies on an edge of a network with
-    /// `n` nodes.
-    fn bit_size(&self, n: usize) -> usize;
+    /// Puts this message's fields into `out`, most-significant bit first,
+    /// as they travel on an edge of a network with `n` nodes.
+    fn write(&self, n: usize, out: &mut impl BitSink);
 
-    /// Feeds this message's wire content into an integrity checksum.
-    ///
-    /// Used by checksummed delivery layers
-    /// ([`Reliable::with_checksums`](crate::Reliable::with_checksums)) to
-    /// seal and verify frames. The default digests only the declared bit
-    /// size, which catches size-changing corruption (truncation, garbage
-    /// of a different length) but **not** in-place value flips — any type
-    /// that overrides [`Message::corrupted`] to mutate values in place
-    /// must override this too, covering every bit the mutation can touch.
-    fn digest(&self, n: usize, crc: &mut Crc32) {
-        crc.update_u64(self.bit_size(n) as u64);
+    /// Number of bits this message occupies on an edge of a network with
+    /// `n` nodes: what [`Message::write`] puts.
+    fn bit_size(&self, n: usize) -> usize {
+        let mut count = BitCount::default();
+        self.write(n, &mut count);
+        count.0
+    }
+
+    /// The wire bytes: what [`Message::write`] puts, zero-padded to a
+    /// whole byte.
+    fn encode(&self, n: usize) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        self.write(n, &mut w);
+        w.finish()
     }
 
     /// Returns a fault-mangled variant of this message, or `None` when
@@ -89,12 +92,8 @@ pub fn bits_for_count(max_value: u64) -> usize {
 }
 
 impl Message for u64 {
-    fn bit_size(&self, _n: usize) -> usize {
-        bits_for_count(*self)
-    }
-
-    fn digest(&self, _n: usize, crc: &mut Crc32) {
-        crc.update_u64(*self);
+    fn write(&self, _n: usize, out: &mut impl BitSink) {
+        out.put(*self, bits_for_count(*self));
     }
 
     fn corrupted(&self, kind: CorruptionKind, _n: usize, rng: &mut StdRng) -> Option<u64> {
@@ -129,12 +128,8 @@ fn mask(width: usize) -> u64 {
 
 impl Message for () {
     /// A pure "pulse" still costs one bit on the wire.
-    fn bit_size(&self, _n: usize) -> usize {
-        1
-    }
-
-    fn digest(&self, _n: usize, crc: &mut Crc32) {
-        crc.update_bits(1, 1);
+    fn write(&self, _n: usize, out: &mut impl BitSink) {
+        out.put(1, 1);
     }
 
     // A mangled 1-bit pulse is unparseable; the default (destroy) applies.
@@ -202,8 +197,8 @@ mod tests {
     #[test]
     fn digests_separate_different_values() {
         let d = |v: u64| {
-            let mut crc = Crc32::new();
-            v.digest(100, &mut crc);
+            let mut crc = crate::wire::Crc32::new();
+            v.write(100, &mut crc);
             crc.finish()
         };
         assert_ne!(d(42), d(43));

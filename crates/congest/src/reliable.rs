@@ -15,8 +15,8 @@
 //! 4-bit cumulative ack + 4-bit sequence number) — a constant, so a
 //! protocol that fit `O(log n)` bits still fits after reserving the header
 //! (callers shave the header off the budget they size payloads against).
-//! Pure acks cost [`Reliable::<P>::ACK_BITS`]. Retransmissions do not
-//! widen any frame; they consume a later round's slot on the same edge.
+//! A pure ack is the 2 tag bits and the ack. Retransmissions do not widen
+//! any frame; they consume a later round's slot on the same edge.
 //!
 //! # Time dilation
 //!
@@ -83,11 +83,17 @@
 //! mangled frame from a genuine one: a flipped payload bit is delivered
 //! as data, a flipped sequence number desynchronizes the window.
 //! [`Reliable::with_checksums`] closes the gap: every outgoing frame is
-//! sealed with a CRC-32 over its content
+//! sealed with a CRC-32 over its content. `ReliableMsg`'s
+//! [`Message::write`] puts the frame as
 //!
 //! ```text
-//! | 1 bit payload? | 4b seq | payload digest | 4b ack | 32-bit CRC |
+//! | 1b payload? | 4b seq | payload | 4b ack | 1b sealed? | 32-bit CRC |
 //! ```
+//!
+//! where the sequence number and payload are present only in a payload
+//! frame and the CRC only in a sealed one; the seal covers the bits
+//! before the `sealed?` flag. The two flag bits are the header's 2 tag
+//! bits.
 //!
 //! and every incoming frame is verified before *any* of it is trusted —
 //! a frame that fails its checksum is discarded whole (no ack
@@ -116,7 +122,7 @@ use crate::fault::CorruptionKind;
 use crate::node::{Context, Incoming};
 use crate::stats::ReliabilityStats;
 use crate::trace::TraceEvent;
-use crate::wire::Crc32;
+use crate::wire::{BitSink, Crc32};
 use crate::{Message, NodeProgram};
 
 use rwbc_graph::NodeId;
@@ -164,55 +170,41 @@ pub struct ReliableMsg<M> {
 }
 
 impl<M: Message> ReliableMsg<M> {
-    /// CRC-32 over the frame's content bits — everything *except* the
-    /// seal itself, mirroring the wire layout: payload-presence flag,
-    /// sequence number and payload digest (when present), cumulative ack.
+    /// CRC-32 over the frame's content bits: everything [`Message::write`]
+    /// puts before the seal flag.
     fn content_crc(&self, n: usize) -> u32 {
         let mut crc = Crc32::new();
+        self.write_content(n, &mut crc);
+        crc.finish()
+    }
+
+    /// The content part of the frame: payload-presence flag, sequence
+    /// number and payload (when present), cumulative ack.
+    fn write_content(&self, n: usize, out: &mut impl BitSink) {
         match &self.payload {
             Some((seq, m)) => {
-                crc.update_bits(1, 1);
-                crc.update_bits(u64::from(*seq), SEQ_BITS);
-                m.digest(n, &mut crc);
+                out.put(1, 1);
+                out.put(u64::from(*seq), SEQ_BITS);
+                m.write(n, out);
             }
-            None => crc.update_bits(0, 1),
+            None => out.put(0, 1),
         }
-        crc.update_bits(u64::from(self.ack), SEQ_BITS);
-        crc.finish()
+        out.put(u64::from(self.ack), SEQ_BITS);
     }
 }
 
 impl<M: Message> Message for ReliableMsg<M> {
-    fn bit_size(&self, n: usize) -> usize {
-        let seal = if self.crc.is_some() {
-            FRAME_CHECKSUM_BITS
-        } else {
-            0
-        };
-        match &self.payload {
-            Some((_, m)) => 2 + SEQ_BITS + SEQ_BITS + m.bit_size(n) + seal,
-            None => 2 + SEQ_BITS + seal,
-        }
-    }
-
-    fn digest(&self, n: usize, crc: &mut Crc32) {
-        // Unlike `content_crc`, an *outer* digest covers the seal too —
-        // a nested checksummed layer must see every mutable bit.
-        match &self.payload {
-            Some((seq, m)) => {
-                crc.update_bits(1, 1);
-                crc.update_bits(u64::from(*seq), SEQ_BITS);
-                m.digest(n, crc);
-            }
-            None => crc.update_bits(0, 1),
-        }
-        crc.update_bits(u64::from(self.ack), SEQ_BITS);
+    /// The frame as the module docs draw it: the content, then the seal
+    /// flag and, when sealed, the seal. A nested checksummed layer thus
+    /// covers every bit, the seal included.
+    fn write(&self, n: usize, out: &mut impl BitSink) {
+        self.write_content(n, out);
         match self.crc {
             Some(seal) => {
-                crc.update_bits(1, 1);
-                crc.update_bits(u64::from(seal), FRAME_CHECKSUM_BITS);
+                out.put(1, 1);
+                out.put(u64::from(seal), FRAME_CHECKSUM_BITS);
             }
-            None => crc.update_bits(0, 1),
+            None => out.put(0, 1),
         }
     }
 
@@ -299,8 +291,8 @@ struct Channel {
     dead: bool,
 }
 
-/// Type-erased storage index into the inner message buffer would over-
-/// complicate things; channels buffer payload clones directly.
+/// Index of a buffered payload in [`Reliable`]'s `slots`: channels queue
+/// slot indices, and the payload itself is stored once until acked.
 type ReliableBuffered = usize;
 
 impl Channel {
@@ -383,8 +375,6 @@ pub struct Reliable<P: NodeProgram> {
 impl<P: NodeProgram> Reliable<P> {
     /// Bits a frame adds on top of the payload it carries.
     pub const HEADER_BITS: usize = 2 + SEQ_BITS + SEQ_BITS;
-    /// Size of a payload-free (pure ack) frame.
-    pub const ACK_BITS: usize = 2 + SEQ_BITS;
     /// Extra bits per frame under [`Reliable::with_checksums`].
     pub const CHECKSUM_BITS: usize = FRAME_CHECKSUM_BITS;
 

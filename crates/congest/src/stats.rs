@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use rwbc_graph::NodeId;
 
 /// Accumulated traffic across a designated edge cut.
@@ -7,7 +5,7 @@ use rwbc_graph::NodeId;
 /// The lower-bound proof (paper Theorems 6–7) hinges on the total number of
 /// bits that must cross a small cut; this meter measures exactly that for a
 /// concrete run, giving the empirical side of experiment E6.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CutMeter {
     /// Messages that crossed the cut (either direction).
     pub messages: u64,
@@ -18,7 +16,7 @@ pub struct CutMeter {
 /// The traffic summary of one pipeline phase — the unit of the
 /// per-phase (walk vs count vs collect) breakdown the bench artifacts
 /// attribute compression wins with.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTraffic {
     /// Rounds the phase executed.
     pub rounds: usize,
@@ -40,7 +38,7 @@ pub struct PhaseTraffic {
 /// likewise excluded from checkpoint images (checkpoint bytes are
 /// bit-identical at any thread count) and are re-derived from the
 /// config on restore.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Rounds executed until global termination.
     pub rounds: usize,

@@ -1,8 +1,7 @@
 //! Minimal zero-dependency JSON value, writer, and parser.
 //!
-//! The workspace has no registry access and the vendored `serde` is a
-//! marker-trait stand-in with no runtime serialization, so the trace
-//! layer carries its own JSON core. It supports exactly the subset the
+//! The workspace has no registry access and no serialization crate, so
+//! the trace layer carries its own JSON core. It supports exactly the subset the
 //! trace schema needs — objects, arrays, strings, integers, floats,
 //! booleans, null — with a stable field order on output so encoded
 //! traces are byte-stable and diffable.

@@ -1,13 +1,14 @@
 //! Bit-exact wire encoding.
 //!
-//! [`Message::bit_size`] declares how many bits a message occupies; this
-//! module provides a real encoder/decoder so tests can verify that declared
-//! sizes are *achievable* — i.e. the distributed algorithm's messages
-//! genuinely fit in `O(log n)` bits, not just by assertion. It is also the
-//! checkpoint codec ([`WireState`], [`write_section`]), the frame seal
-//! ([`Crc32`]) and the serve daemon's payload codec.
+//! A message's layout is its [`Message::write`]: it puts the fields, most
+//! significant bit first, into a [`BitSink`]. The size the engine charges
+//! is what `write` puts into a [`BitCount`], a checksummed frame's seal is
+//! what it puts into a [`Crc32`], and its bytes are what it puts into a
+//! [`BitWriter`], so the charge, the seal and the bytes cannot disagree.
+//! The module is also the checkpoint codec ([`WireState`],
+//! [`write_section`]) and the serve daemon's payload codec.
 //!
-//! [`Message::bit_size`]: crate::Message::bit_size
+//! [`Message::write`]: crate::Message::write
 //!
 //! # Example
 //!
@@ -224,6 +225,45 @@ impl<S: for<'a> Extend<&'a u8>> Packer<S> {
     }
 }
 
+/// Where [`Message::write`](crate::Message::write) puts a message's
+/// fields: a [`BitWriter`] stores them, a [`Crc32`] hashes them and a
+/// [`BitCount`] counts them.
+pub trait BitSink {
+    /// Puts the `width` low bits of `value`, most-significant first.
+    ///
+    /// # Panics
+    ///
+    /// A [`BitWriter`] or a [`Crc32`] panics if `width > 64` or `value`
+    /// does not fit in `width` bits; a [`BitCount`] checks neither.
+    fn put(&mut self, value: u64, width: usize);
+}
+
+impl BitSink for BitWriter {
+    #[inline]
+    fn put(&mut self, value: u64, width: usize) {
+        self.0.push(value, width);
+    }
+}
+
+impl BitSink for Crc32 {
+    #[inline]
+    fn put(&mut self, value: u64, width: usize) {
+        self.0.push(value, width);
+    }
+}
+
+/// The number of bits put, without checking that each value fits its
+/// width.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BitCount(pub usize);
+
+impl BitSink for BitCount {
+    #[inline]
+    fn put(&mut self, _value: u64, width: usize) {
+        self.0 += width;
+    }
+}
+
 /// Append-only bit-level writer into a `Vec<u8>`.
 #[derive(Debug, Default)]
 pub struct BitWriter(Packer<Vec<u8>>);
@@ -359,7 +399,7 @@ impl<'a> Extend<&'a u8> for Crc {
 /// Streaming CRC-32 (IEEE) over bit-granular content.
 ///
 /// Bits go through [`BitWriter`]'s packer, so feeding a field sequence
-/// through [`Crc32::update_bits`] yields the checksum of that sequence's
+/// through [`BitSink::put`] yields the checksum of that sequence's
 /// [`BitWriter::finish`] bytes, zero padding included: a frame's checksum
 /// is well-defined without ever materializing its bytes.
 #[derive(Debug, Clone, Default)]
@@ -369,21 +409,6 @@ impl Crc32 {
     /// A fresh checksum (standard init value).
     pub fn new() -> Crc32 {
         Crc32::default()
-    }
-
-    /// Feeds the `width` low bits of `value`, most-significant first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width > 64` or `value` does not fit in `width` bits
-    /// (same contract as [`BitWriter::write_bits`]).
-    pub fn update_bits(&mut self, value: u64, width: usize) {
-        self.0.push(value, width);
-    }
-
-    /// Feeds a full `u64`.
-    pub fn update_u64(&mut self, value: u64) {
-        self.update_bits(value, 64);
     }
 
     /// Feeds whole bytes.
@@ -569,7 +594,7 @@ mod tests {
                     Op::Bits(value, width) => {
                         w.write_bits(*value, *width);
                         oracle.write_bits(*value, *width);
-                        c.update_bits(*value, *width);
+                        c.put(*value, *width);
                     }
                     Op::Bytes(bytes) => {
                         w.write_bytes(bytes);

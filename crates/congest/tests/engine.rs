@@ -2,21 +2,23 @@
 //! cut metering, and failure cases.
 
 use congest_sim::{
-    bits_for_node_id, Context, Incoming, Message, NodeProgram, SimConfig, SimError, Simulator,
-    ViolationPolicy,
+    bits_for_node_id, BitSink, Context, Incoming, Message, NodeProgram, SimConfig, SimError,
+    Simulator, ViolationPolicy,
 };
 use rwbc_graph::generators::{complete, cycle, path};
 use rwbc_graph::{Graph, NodeId};
 
-/// A message with a declared size of `bits` bits.
+/// A message of `bits` zero bits.
 #[derive(Debug, Clone)]
 struct Fat {
     bits: usize,
 }
 
 impl Message for Fat {
-    fn bit_size(&self, _n: usize) -> usize {
-        self.bits
+    fn write(&self, _n: usize, out: &mut impl BitSink) {
+        for start in (0..self.bits).step_by(64) {
+            out.put(0, (self.bits - start).min(64));
+        }
     }
 }
 

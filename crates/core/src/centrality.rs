@@ -1,7 +1,5 @@
 use std::ops::Index;
 
-use serde::{Deserialize, Serialize};
-
 use rwbc_graph::NodeId;
 
 /// A per-node centrality score vector.
@@ -18,7 +16,7 @@ use rwbc_graph::NodeId;
 /// assert_eq!(c.top_k(2), vec![1, 2]);
 /// assert_eq!(c.ranks(), vec![2, 0, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Centrality {
     values: Vec<f64>,
 }

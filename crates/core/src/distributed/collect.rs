@@ -13,8 +13,8 @@
 use std::collections::VecDeque;
 
 use congest_sim::{
-    bits_for_node_id, Context, Incoming, Message, NodeProgram, SimConfig, Simulator, TraceEvent,
-    Tracer,
+    bits_for_node_id, BitSink, Context, Incoming, Message, NodeProgram, SimConfig, Simulator,
+    TraceEvent, Tracer,
 };
 use rwbc_graph::traversal::is_connected;
 use rwbc_graph::{Graph, NodeId};
@@ -32,11 +32,15 @@ pub enum CollectMsg {
 }
 
 impl Message for CollectMsg {
-    fn bit_size(&self, n: usize) -> usize {
+    fn write(&self, n: usize, out: &mut impl BitSink) {
         // 1 tag bit, plus two node ids for an edge record.
-        match self {
-            CollectMsg::Announce => 1,
-            CollectMsg::Edge(..) => 1 + 2 * bits_for_node_id(n),
+        match *self {
+            CollectMsg::Announce => out.put(0, 1),
+            CollectMsg::Edge(u, v) => {
+                out.put(1, 1);
+                out.put(u as u64, bits_for_node_id(n));
+                out.put(v as u64, bits_for_node_id(n));
+            }
         }
     }
 }

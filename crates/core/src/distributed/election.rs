@@ -17,7 +17,7 @@
 
 use rand::Rng;
 
-use congest_sim::{bits_for_node_id, Context, Incoming, Message, NodeProgram, TraceEvent};
+use congest_sim::{bits_for_node_id, BitSink, Context, Incoming, Message, NodeProgram, TraceEvent};
 use rwbc_graph::NodeId;
 
 /// Election-phase messages.
@@ -30,9 +30,14 @@ pub enum ElectMsg {
 }
 
 impl Message for ElectMsg {
-    fn bit_size(&self, n: usize) -> usize {
+    fn write(&self, n: usize, out: &mut impl BitSink) {
         // 1 tag bit + one node id.
-        1 + bits_for_node_id(n)
+        let (tag, id) = match *self {
+            ElectMsg::Candidate(id) => (0, id),
+            ElectMsg::Target(id) => (1, id),
+        };
+        out.put(tag, 1);
+        out.put(id as u64, bits_for_node_id(n));
     }
 }
 

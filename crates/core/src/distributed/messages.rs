@@ -1,18 +1,19 @@
 //! Wire messages of the distributed algorithm, with exact bit accounting.
 //!
-//! Every field is charged its true width, and the widths are all
-//! `O(log n)`:
+//! Each message's [`Message::write`] puts its fields at their true widths,
+//! and the widths are all `O(log n)`:
 //!
 //! * a node id costs `⌈log₂ n⌉` bits;
 //! * a remaining-length field costs `⌈log₂ (l + 1)⌉` bits with `l = O(n·ln(1/ε))`;
 //! * a fixed-point count costs `⌈log₂ (K (l+1) 2^F)⌉` bits with
 //!   `K = O(log n)`.
 //!
-//! The `wire` round-trip tests at the bottom prove the declared sizes are
-//! actually achievable encodings, so the paper's Theorem 4 ("each message
-//! contains `O(log n)` bits") holds mechanically, not just by assertion.
+//! The size the engine charges, the seal of a checksummed frame and the
+//! bytes the decoders read are all what `write` puts, so the paper's
+//! Theorem 4 ("each message contains `O(log n)` bits") is a property of
+//! the real encoding, not a declaration beside it.
 
-use congest_sim::wire::{BitReader, BitWriter, Crc32, WireState};
+use congest_sim::wire::{BitReader, BitSink, BitWriter, WireState};
 use congest_sim::{bits_for_count, bits_for_node_id, CorruptionKind, Message};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -104,18 +105,7 @@ impl WalkBatch {
             .clamp(1, WalkBatch::CAPACITY)
     }
 
-    /// Encodes to real bytes (used by tests to validate `bit_size`).
-    pub fn encode(&self, n: usize) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_bits(u64::from(self.len), BATCH_HEADER_BITS);
-        for t in self.tokens() {
-            w.write_bits(t.source as u64, bits_for_node_id(n));
-            w.write_bits(u64::from(t.remaining), self.len_bits as usize);
-        }
-        w.finish()
-    }
-
-    /// Decodes from bytes produced by [`WalkBatch::encode`].
+    /// Decodes from bytes produced by [`Message::encode`].
     ///
     /// Total over malformed input: a truncated stream, a token count
     /// above [`Self::CAPACITY`] or a source id outside `0..n` (the id
@@ -141,15 +131,11 @@ impl WalkBatch {
 }
 
 impl Message for WalkBatch {
-    fn bit_size(&self, n: usize) -> usize {
-        BATCH_HEADER_BITS + usize::from(self.len) * WalkBatch::token_bits(n, self.len_bits)
-    }
-
-    fn digest(&self, n: usize, crc: &mut Crc32) {
-        crc.update_bits(u64::from(self.len), BATCH_HEADER_BITS);
+    fn write(&self, n: usize, out: &mut impl BitSink) {
+        out.put(u64::from(self.len), BATCH_HEADER_BITS);
         for t in self.tokens() {
-            crc.update_bits(t.source as u64, bits_for_node_id(n));
-            crc.update_bits(u64::from(t.remaining), self.len_bits as usize);
+            out.put(t.source as u64, bits_for_node_id(n));
+            out.put(u64::from(t.remaining), self.len_bits as usize);
         }
     }
 
@@ -196,7 +182,7 @@ impl WireState for WalkToken {
 
 // Host-side checkpoint encoding (full-width fields, the tokens as a
 // `Vec<WalkToken>`; the budget-charged on-wire form stays
-// `WalkBatch::encode`/`decode`).
+// `Message::write`/`WalkBatch::decode`).
 impl WireState for WalkBatch {
     fn encode_state(&self, w: &mut BitWriter) {
         self.tokens().to_vec().encode_state(w);
@@ -220,14 +206,7 @@ pub struct CountMsg {
 }
 
 impl CountMsg {
-    /// Encodes to real bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_bits(self.scaled, self.value_bits as usize);
-        w.finish()
-    }
-
-    /// Decodes from bytes produced by [`CountMsg::encode`].
+    /// Decodes from bytes produced by [`Message::encode`].
     pub fn decode(data: &[u8], value_bits: u8) -> Option<CountMsg> {
         let mut r = BitReader::new(data);
         Some(CountMsg {
@@ -251,12 +230,8 @@ impl WireState for CountMsg {
 }
 
 impl Message for CountMsg {
-    fn bit_size(&self, _n: usize) -> usize {
-        self.value_bits as usize
-    }
-
-    fn digest(&self, _n: usize, crc: &mut Crc32) {
-        crc.update_bits(self.scaled, self.value_bits as usize);
+    fn write(&self, _n: usize, out: &mut impl BitSink) {
+        out.put(self.scaled, self.value_bits as usize);
     }
 
     /// Mangles the scaled count within its fixed field width; every
@@ -341,7 +316,7 @@ mod tests {
             scaled: 123_456,
             value_bits: 20,
         };
-        let bytes = m.encode();
+        let bytes = m.encode(300);
         assert_eq!(bytes.len(), 20usize.div_ceil(8));
         assert_eq!(CountMsg::decode(&bytes, 20).unwrap(), m);
     }
@@ -475,8 +450,8 @@ mod tests {
         let n = 300;
         let len_bits = len_field_bits(500);
         let d = |batch: &WalkBatch| {
-            let mut crc = Crc32::new();
-            batch.digest(n, &mut crc);
+            let mut crc = congest_sim::wire::Crc32::new();
+            batch.write(n, &mut crc);
             crc.finish()
         };
         let token = WalkToken {

@@ -42,6 +42,8 @@ mod collect;
 mod count_phase;
 mod election;
 pub mod messages;
+#[cfg(test)]
+mod oracle;
 pub mod sketch;
 mod sketch_count;
 mod stepwise;
@@ -58,8 +60,6 @@ pub use sketch_count::SketchCountProgram;
 pub use stepwise::{SolvePhase, StepSolver, STEP_CHECKPOINT_MAGIC, STEP_CHECKPOINT_VERSION};
 pub use walk_phase::WalkProgram;
 
-use serde::{Deserialize, Serialize};
-
 use std::time::Instant;
 
 use congest_sim::{RunStats, SimConfig, TraceEvent, Tracer};
@@ -70,7 +70,7 @@ use crate::params::ApproxParams;
 use crate::{Centrality, RwbcError};
 
 /// How simultaneous walk tokens contend for an edge (design decision D3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CongestionDiscipline {
     /// The paper's rule (Algorithm 1 line 6): one token per edge per round;
     /// the rest wait and re-roll.
@@ -82,7 +82,7 @@ pub enum CongestionDiscipline {
 }
 
 /// How phase 2 represents and ships the visit counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountMode {
     /// The paper's Algorithm 2: one fixed-point count per source,
     /// `n` rounds, exact combine. The bit-identical reference path.
@@ -331,7 +331,7 @@ impl DistributedConfigBuilder {
 /// A fault-free run (or one behind the reliable layer) reports
 /// `walks_lost == 0` and `count_cells_missing == 0`; anything else means
 /// the estimate is degraded and by how much.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DegradationReport {
     /// Walk tokens still unaccounted for after all recovery sub-phases
     /// (each missing token undercounts every visit it would have made).
@@ -388,7 +388,7 @@ impl DegradationReport {
 }
 
 /// Walk coverage of one connected component of the survivor graph.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ComponentCoverage {
     /// Nodes in the component.
     pub nodes: usize,
@@ -433,7 +433,7 @@ pub struct DistributedRun {
 /// Per-phase traffic attribution of a [`DistributedRun`]: which phase
 /// shipped how much. `collect` covers the optional phase-0 target
 /// election (the only collect-style phase in the pipeline).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Phase 0 (target election), when it ran.
     pub collect: Option<congest_sim::PhaseTraffic>,

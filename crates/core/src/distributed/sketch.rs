@@ -34,7 +34,7 @@
 //! empirically calibrated envelope the property tests and E16 enforce,
 //! and [`stacked_error_bound`] stacks it on the paper's `(1 − ε)` term.
 
-use congest_sim::wire::{BitReader, BitWriter, Crc32, WireState};
+use congest_sim::wire::{BitReader, BitSink, BitWriter, WireState};
 use congest_sim::{bits_for_count, splitmix64, CorruptionKind, Message};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -269,15 +269,7 @@ pub struct SketchCountMsg {
 }
 
 impl SketchCountMsg {
-    /// Encodes to real bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_bits(u64::from(self.bucket), self.precision as usize);
-        w.write_bits(self.scaled, self.value_bits as usize);
-        w.finish()
-    }
-
-    /// Decodes from bytes produced by [`SketchCountMsg::encode`].
+    /// Decodes from bytes produced by [`Message::encode`].
     pub fn decode(data: &[u8], precision: u8, value_bits: u8) -> Option<SketchCountMsg> {
         let mut r = BitReader::new(data);
         Some(SketchCountMsg {
@@ -307,13 +299,9 @@ impl WireState for SketchCountMsg {
 }
 
 impl Message for SketchCountMsg {
-    fn bit_size(&self, _n: usize) -> usize {
-        self.precision as usize + self.value_bits as usize
-    }
-
-    fn digest(&self, _n: usize, crc: &mut Crc32) {
-        crc.update_bits(u64::from(self.bucket), self.precision as usize);
-        crc.update_bits(self.scaled, self.value_bits as usize);
+    fn write(&self, _n: usize, out: &mut impl BitSink) {
+        out.put(u64::from(self.bucket), self.precision as usize);
+        out.put(self.scaled, self.value_bits as usize);
     }
 
     /// Mangles either field within its fixed width; every mutation still
@@ -486,7 +474,7 @@ mod tests {
             precision: 8,
             value_bits: 37,
         };
-        let bytes = m.encode();
+        let bytes = m.encode(4096);
         assert_eq!(bytes.len(), m.bit_size(4096).div_ceil(8));
         assert_eq!(SketchCountMsg::decode(&bytes, 8, 37).unwrap(), m);
     }
@@ -512,8 +500,8 @@ mod tests {
     #[test]
     fn sketch_msg_digest_covers_both_fields() {
         let d = |m: &SketchCountMsg| {
-            let mut crc = Crc32::new();
-            m.digest(4096, &mut crc);
+            let mut crc = congest_sim::wire::Crc32::new();
+            m.write(4096, &mut crc);
             crc.finish()
         };
         let a = SketchCountMsg {
@@ -529,7 +517,7 @@ mod tests {
         c.scaled = 98;
         assert_ne!(d(&a), d(&c));
         // The digest hashes exactly the encoded bits.
-        assert_eq!(d(&a), congest_sim::wire::crc32(&a.encode()));
+        assert_eq!(d(&a), congest_sim::wire::crc32(&a.encode(4096)));
     }
 
     #[test]

@@ -30,7 +30,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use rwbc_graph::traversal::is_connected;
 use rwbc_graph::{Graph, NodeId};
@@ -41,7 +40,7 @@ use crate::{Centrality, RwbcError};
 
 /// How the absorbing target `t` is picked (paper Algorithm 1, line 2:
 /// "randomly choose a target node t").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TargetStrategy {
     /// Uniformly random from the seed (the paper's choice).
     #[default]
@@ -52,7 +51,7 @@ pub enum TargetStrategy {
 }
 
 /// Configuration of a Monte-Carlo estimation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McConfig {
     /// The `(K, l)` pair.
     pub params: ApproxParams,
@@ -95,7 +94,7 @@ impl McConfig {
 }
 
 /// Result of a Monte-Carlo estimation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McRun {
     /// The estimated centrality.
     pub centrality: Centrality,
@@ -199,7 +198,7 @@ pub fn survival_fraction(graph: &Graph, config: &McConfig) -> Result<f64, RwbcEr
 }
 
 /// Result of [`estimate_averaged`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AveragedRun {
     /// The averaged centrality estimate.
     pub centrality: Centrality,

@@ -12,7 +12,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use congest_sim::{bits_for_count, Context, Incoming, Message, NodeProgram, SimConfig, Simulator};
+use congest_sim::{
+    bits_for_count, BitSink, Context, Incoming, Message, NodeProgram, SimConfig, Simulator,
+};
 use rwbc_graph::Graph;
 
 use crate::{Centrality, RwbcError};
@@ -137,8 +139,8 @@ pub fn monte_carlo(
 pub struct TokenCount(pub u64);
 
 impl Message for TokenCount {
-    fn bit_size(&self, _n: usize) -> usize {
-        bits_for_count(self.0)
+    fn write(&self, _n: usize, out: &mut impl BitSink) {
+        out.put(self.0, bits_for_count(self.0));
     }
 }
 

@@ -12,12 +12,10 @@
 //!   `K = ⌈3 ln n / δ²⌉` walks for each visit count to concentrate within
 //!   `(1 ± δ)` of its mean w.h.p.
 
-use serde::{Deserialize, Serialize};
-
 use crate::RwbcError;
 
 /// The `(K, l)` parameter pair of the paper's Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApproxParams {
     /// `K`: random walks started per node (Theorem 3: `O(log n)`).
     pub walks_per_node: usize,

@@ -37,7 +37,8 @@ use std::collections::{HashMap, HashSet};
 use rand::Rng;
 
 use congest_sim::{
-    bits_for_count, bits_for_node_id, Context, Incoming, Message, NodeProgram, SimConfig, Simulator,
+    bits_for_count, bits_for_node_id, BitSink, Context, Incoming, Message, NodeProgram, SimConfig,
+    Simulator,
 };
 use rwbc_graph::traversal::is_connected;
 use rwbc_graph::{Graph, NodeId};
@@ -103,25 +104,30 @@ pub enum SwMsg {
 }
 
 impl Message for SwMsg {
-    fn bit_size(&self, n: usize) -> usize {
+    fn write(&self, n: usize, out: &mut impl BitSink) {
         // 2 tag bits + fields.
-        match self {
+        let remaining = match *self {
             SwMsg::Token {
-                index, remaining, ..
-            } => {
-                2 + bits_for_node_id(n)
-                    + bits_for_count(u64::from(*index))
-                    + bits_for_count(u64::from(*remaining))
+                origin: node,
+                index,
+                remaining,
             }
-            SwMsg::Request {
-                index, remaining, ..
+            | SwMsg::Request {
+                position: node,
+                index,
+                remaining,
             } => {
-                2 + bits_for_node_id(n)
-                    + bits_for_count(u64::from(*index))
-                    + bits_for_count(u64::from(*remaining))
+                out.put(u64::from(matches!(self, SwMsg::Request { .. })), 2);
+                out.put(node as u64, bits_for_node_id(n));
+                out.put(u64::from(index), bits_for_count(u64::from(index)));
+                remaining
             }
-            SwMsg::Step { remaining } => 2 + bits_for_count(u64::from(*remaining)),
-        }
+            SwMsg::Step { remaining } => {
+                out.put(2, 2);
+                remaining
+            }
+        };
+        out.put(u64::from(remaining), bits_for_count(u64::from(remaining)));
     }
 }
 

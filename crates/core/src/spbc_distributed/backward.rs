@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use congest_sim::{bits_for_node_id, Context, Incoming, Message, NodeProgram};
+use congest_sim::{bits_for_node_id, BitSink, Context, Incoming, Message, NodeProgram};
 use rwbc_graph::NodeId;
 
 use super::float::MinifloatFormat;
@@ -36,8 +36,9 @@ pub struct BackwardMsg {
 }
 
 impl Message for BackwardMsg {
-    fn bit_size(&self, n: usize) -> usize {
-        bits_for_node_id(n) + self.format.bits()
+    fn write(&self, n: usize, out: &mut impl BitSink) {
+        out.put(self.source as u64, bits_for_node_id(n));
+        out.put(self.value_code, self.format.bits());
     }
 }
 

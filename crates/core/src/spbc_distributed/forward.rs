@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use congest_sim::{bits_for_node_id, Context, Incoming, Message, NodeProgram};
+use congest_sim::{bits_for_node_id, BitSink, Context, Incoming, Message, NodeProgram};
 use rwbc_graph::NodeId;
 
 use super::float::MinifloatFormat;
@@ -41,9 +41,11 @@ pub struct ForwardMsg {
 }
 
 impl Message for ForwardMsg {
-    fn bit_size(&self, n: usize) -> usize {
+    fn write(&self, n: usize, out: &mut impl BitSink) {
         // source id + distance (< n) + sigma minifloat.
-        2 * bits_for_node_id(n) + self.format.bits()
+        out.put(self.source as u64, bits_for_node_id(n));
+        out.put(u64::from(self.dist), bits_for_node_id(n));
+        out.put(self.sigma_code, self.format.bits());
     }
 }
 

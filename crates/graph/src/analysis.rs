@@ -1,12 +1,10 @@
 //! Structural summaries of graphs used when reporting experiments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::traversal::{connected_components, diameter};
 use crate::Graph;
 
 /// Degree distribution statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
     /// Minimum degree.
     pub min: usize,
@@ -54,7 +52,7 @@ pub fn degree_histogram(g: &Graph) -> Vec<usize> {
 }
 
 /// A one-struct structural report used in experiment logs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphSummary {
     /// Number of nodes `n`.
     pub nodes: usize,

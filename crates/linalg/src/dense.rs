@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::LinalgError;
 
 /// Dense row-major `f64` matrix.
@@ -26,7 +24,7 @@ use crate::LinalgError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

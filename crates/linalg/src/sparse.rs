@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{LinalgError, Matrix};
 
 /// Compressed-sparse-row matrix.
@@ -20,7 +18,7 @@ use crate::{LinalgError, Matrix};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
