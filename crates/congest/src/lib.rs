@@ -78,3 +78,32 @@ pub use trace::{
     FLIGHT_DEFAULT_CAPACITY,
 };
 pub use wire::BitSink;
+
+/// Writes `text` to stdout for the command-line tools. When the reader
+/// has closed stdout (`rwbc-trace timeline FILE | head`), the process
+/// ends with status 0, because nobody is left to read the rest; `print!`
+/// would panic instead.
+///
+/// # Panics
+///
+/// On any other write error, as `print!` does.
+pub fn print_stdout(text: &str) {
+    use std::io::{ErrorKind, Write};
+    match std::io::stdout().write_all(text.as_bytes()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// `println!` through [`print_stdout`]: a closed stdout ends the process
+/// with status 0.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::print_stdout("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::print_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
+}

@@ -57,15 +57,6 @@ pub struct CollectProgram {
     outqueue: VecDeque<(NodeId, NodeId)>,
     /// Root only: every edge record received.
     collected: Vec<(NodeId, NodeId)>,
-    /// Every announcer seen so far (sorted): the pool of fallback parents
-    /// should the adopted one be declared dead.
-    candidates: Vec<NodeId>,
-    /// Neighbors declared permanently dead (sorted).
-    dead: Vec<NodeId>,
-    /// Set when the parent died with no live fallback candidate: the
-    /// subtree is cut off from the root, and records held or arriving here
-    /// are dropped (the root surfaces them as `edges_missing`).
-    orphaned: bool,
 }
 
 impl CollectProgram {
@@ -78,16 +69,7 @@ impl CollectProgram {
             announced: false,
             outqueue: VecDeque::new(),
             collected: Vec::new(),
-            candidates: Vec::new(),
-            dead: Vec::new(),
-            orphaned: false,
         }
-    }
-
-    /// Whether this node lost its path to the root (parent died, no live
-    /// fallback announcer).
-    pub fn orphaned(&self) -> bool {
-        self.orphaned
     }
 
     /// The edges gathered at the root (empty on non-root nodes).
@@ -141,10 +123,7 @@ impl NodeProgram for CollectProgram {
         for m in inbox {
             match m.msg {
                 CollectMsg::Announce => {
-                    if let Err(pos) = self.candidates.binary_search(&m.from) {
-                        self.candidates.insert(pos, m.from);
-                    }
-                    if self.parent.is_none() && self.me != self.root && !self.orphaned {
+                    if self.parent.is_none() && self.me != self.root {
                         // Inbox is sorted by sender: adopt the smallest-id
                         // announcer, join the tree, start reporting.
                         self.parent = Some(m.from);
@@ -155,7 +134,7 @@ impl NodeProgram for CollectProgram {
                     if self.me == self.root {
                         self.collected.push((u, v));
                         edges_in += 1;
-                    } else if !self.orphaned {
+                    } else {
                         self.outqueue.push_back((u, v));
                     }
                 }
@@ -186,27 +165,6 @@ impl NodeProgram for CollectProgram {
         // empty network, so late-arriving records re-activate us.
         self.outqueue.is_empty()
     }
-
-    fn on_neighbor_down(&mut self, peer: NodeId) {
-        if let Err(pos) = self.dead.binary_search(&peer) {
-            self.dead.insert(pos, peer);
-        }
-        if self.parent == Some(peer) && self.me != self.root {
-            // The route to the root died. Fall back to the smallest live
-            // announcer; with none left, the subtree is cut off and holding
-            // records forever would only stall termination — drop them and
-            // let the root account the loss.
-            self.parent = self
-                .candidates
-                .iter()
-                .copied()
-                .find(|c| self.dead.binary_search(c).is_err());
-            if self.parent.is_none() {
-                self.orphaned = true;
-                self.outqueue.clear();
-            }
-        }
-    }
 }
 
 /// Result of [`collect_and_solve`].
@@ -224,10 +182,6 @@ pub struct CollectRun {
     /// non-zero the solve ran on a partial topology and `centrality` is
     /// degraded accordingly.
     pub edges_missing: usize,
-    /// Nodes whose BFS-tree parent was declared permanently dead with no
-    /// surviving fallback announcer: their subtrees' records are part of
-    /// `edges_missing`. Only non-zero under failure detection.
-    pub nodes_orphaned: usize,
 }
 
 /// Runs the trivial collect-everything baseline and solves exactly at the
@@ -296,7 +250,6 @@ fn collect_inner(
     edges.sort_unstable();
     edges.dedup();
     let edges_missing = graph.edge_count().saturating_sub(edges.len());
-    let nodes_orphaned = (0..n).filter(|&v| simulator.program(v).orphaned()).count();
     super::span_end(tracer, "collect", stats.rounds, t0);
     let rebuilt = Graph::from_edges(n, edges.iter().copied())?;
     let centrality = newman(&rebuilt)?;
@@ -305,7 +258,6 @@ fn collect_inner(
         stats,
         edges_collected: edges.len(),
         edges_missing,
-        nodes_orphaned,
     })
 }
 

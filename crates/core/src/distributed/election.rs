@@ -50,9 +50,6 @@ pub struct ElectTargetProgram {
     dirty: bool,
     target: Option<NodeId>,
     announced_target: bool,
-    /// Neighbors declared permanently dead (sorted); floods skip them so a
-    /// detector-equipped run wastes no budget on unreachable channels.
-    dead: Vec<NodeId>,
 }
 
 impl ElectTargetProgram {
@@ -65,17 +62,6 @@ impl ElectTargetProgram {
             dirty: true,
             target: None,
             announced_target: false,
-            dead: Vec::new(),
-        }
-    }
-
-    /// Broadcasts `msg` to every neighbor not declared dead.
-    fn flood_live(&self, ctx: &mut Context<'_, ElectMsg>, msg: ElectMsg) {
-        let neighbors: Vec<NodeId> = ctx.neighbors().collect();
-        for v in neighbors {
-            if self.dead.binary_search(&v).is_err() {
-                ctx.send(v, msg);
-            }
         }
     }
 
@@ -94,7 +80,7 @@ impl NodeProgram for ElectTargetProgram {
     type Msg = ElectMsg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, ElectMsg>) {
-        self.flood_live(ctx, ElectMsg::Candidate(self.me));
+        ctx.broadcast(ElectMsg::Candidate(self.me));
         self.dirty = false;
     }
 
@@ -116,7 +102,7 @@ impl NodeProgram for ElectTargetProgram {
         }
         // Keep flooding improved candidates during the election window.
         if self.dirty && ctx.round() < self.n {
-            self.flood_live(ctx, ElectMsg::Candidate(self.best));
+            ctx.broadcast(ElectMsg::Candidate(self.best));
             self.dirty = false;
         }
         // At round n every node agrees on the leader (n > D); the leader
@@ -135,7 +121,7 @@ impl NodeProgram for ElectTargetProgram {
         }
         if let Some(t) = self.target {
             if !self.announced_target {
-                self.flood_live(ctx, ElectMsg::Target(t));
+                ctx.broadcast(ElectMsg::Target(t));
                 self.announced_target = true;
             }
         }
@@ -143,12 +129,6 @@ impl NodeProgram for ElectTargetProgram {
 
     fn is_terminated(&self) -> bool {
         self.announced_target
-    }
-
-    fn on_neighbor_down(&mut self, peer: NodeId) {
-        if let Err(pos) = self.dead.binary_search(&peer) {
-            self.dead.insert(pos, peer);
-        }
     }
 }
 

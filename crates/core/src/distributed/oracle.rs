@@ -7,9 +7,9 @@
 //! that state at that node before, and tokens in one state are
 //! exchangeable (DESIGN §8). A stack of tokens processed in any order
 //! therefore reproduces the distributed visit counts without a simulator,
-//! at every thread count, congestion discipline and repaired fault
-//! schedule. The oracle spells out the draw itself, so a change to the
-//! draw stream or to the quantization fails it.
+//! at every thread count, congestion discipline, repaired fault schedule
+//! and checkpoint round. The oracle spells out the draw itself, so a
+//! change to the draw stream or to the quantization fails it.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -19,8 +19,12 @@ use rand::{Rng, SeedableRng};
 use rwbc_graph::generators::{barabasi_albert, connected_gnp, torus_2d};
 use rwbc_graph::{Graph, NodeId};
 
-use super::{approximate, CongestionDiscipline, DistributedConfig, DistributedRun, Transport};
+use super::{
+    approximate, CongestionDiscipline, DistributedConfig, DistributedRun, SolvePhase, StepSolver,
+    Transport,
+};
 use crate::flow_sum::{node_net_flow_sparse, Cell};
+use crate::monte_carlo::TargetStrategy;
 
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -109,6 +113,45 @@ fn oracle_centrality(g: &Graph, target: NodeId, k: usize, l: usize, seed: u64, f
         .collect()
 }
 
+/// Asserts that `run`, a finished solve of `cfg` on `g`, equals the
+/// oracle bit for bit.
+fn assert_equals_oracle(what: &str, g: &Graph, cfg: &DistributedConfig, run: &DistributedRun) {
+    let target = match cfg.target {
+        TargetStrategy::Fixed(t) => t,
+        TargetStrategy::Random => StdRng::seed_from_u64(cfg.seed).gen_range(0..g.node_count()),
+    };
+    assert_eq!(run.target, target, "{what}: target");
+    let (k, l) = (cfg.params.walks_per_node, cfg.params.walk_length);
+    let expected = oracle_centrality(g, target, k, l, cfg.seed, run.fixed_point_bits);
+    for (v, &want) in expected.iter().enumerate() {
+        assert_eq!(
+            run.centrality[v].to_bits(),
+            want.to_bits(),
+            "{what}: node {v} computed {} against the oracle's {want}",
+            run.centrality[v]
+        );
+    }
+}
+
+fn config(
+    seed: u64,
+    (k, l): (usize, usize),
+    discipline: CongestionDiscipline,
+    transport: Transport,
+    sim: SimConfig,
+) -> DistributedConfig {
+    let mut cfg = DistributedConfig::builder()
+        .walks(k)
+        .length(l)
+        .seed(seed)
+        .discipline(discipline)
+        .transport(transport)
+        .build()
+        .unwrap();
+    cfg.sim = sim;
+    cfg
+}
+
 /// Runs `approximate`, asserts that it equals the oracle bit for bit and
 /// returns the run.
 fn assert_matches_oracle(
@@ -120,28 +163,10 @@ fn assert_matches_oracle(
     transport: Transport,
     sim: SimConfig,
 ) -> DistributedRun {
-    let mut cfg = DistributedConfig::builder()
-        .walks(k)
-        .length(l)
-        .seed(seed)
-        .discipline(discipline)
-        .transport(transport)
-        .build()
-        .unwrap();
-    cfg.sim = sim;
+    let cfg = config(seed, (k, l), discipline, transport, sim);
     let run = approximate(g, &cfg).unwrap();
-    let target = StdRng::seed_from_u64(seed).gen_range(0..g.node_count());
     let what = format!("{name} seed {seed} K {k} l {l} {discipline:?} {transport:?}");
-    assert_eq!(run.target, target, "{what}: target");
-    let expected = oracle_centrality(g, target, k, l, seed, run.fixed_point_bits);
-    for (v, &want) in expected.iter().enumerate() {
-        assert_eq!(
-            run.centrality[v].to_bits(),
-            want.to_bits(),
-            "{what}: node {v} computed {} against the oracle's {want}",
-            run.centrality[v]
-        );
-    }
+    assert_equals_oracle(&what, g, &cfg, &run);
     run
 }
 
@@ -211,6 +236,85 @@ fn repaired_faults_leave_the_replay_unchanged() {
             if checksums {
                 assert!(run.degradation.corrupt_frames_detected > 0, "{name}");
             }
+        }
+    }
+}
+
+#[test]
+fn solves_restored_mid_walk_and_mid_count_equal_the_replay() {
+    for (name, g) in graphs() {
+        for discipline in [
+            CongestionDiscipline::HoldAndResend,
+            CongestionDiscipline::Batched,
+        ] {
+            let transport = Transport::Raw { walk_retries: 0 };
+            let cfg = config(42, (4, 64), discipline, transport, SimConfig::default());
+            // The round the count phase starts at, and the last round.
+            let mut reference = StepSolver::new(&g, cfg.clone()).unwrap();
+            let mut count_start = None;
+            while !reference.step().unwrap() {
+                if reference.phase() == SolvePhase::Count && count_start.is_none() {
+                    count_start = Some(reference.rounds_completed());
+                }
+            }
+            let count_start = count_start.expect("a count phase");
+            let end = reference.rounds_completed();
+            for (cut, phase) in [
+                (count_start / 2, SolvePhase::Walk),
+                (count_start, SolvePhase::Count),
+                ((count_start + end) / 2, SolvePhase::Count),
+            ] {
+                let mut solver = StepSolver::new(&g, cfg.clone()).unwrap();
+                while solver.rounds_completed() < cut {
+                    solver.step().unwrap();
+                }
+                let what = format!("{name} {discipline:?} restored at round {cut}");
+                assert_eq!(solver.phase(), phase, "{what}");
+                let image = solver.checkpoint().unwrap();
+                let mut restored = StepSolver::restore(&g, cfg.clone(), &image).unwrap();
+                let run = restored.run_to_completion().unwrap();
+                assert_equals_oracle(&what, &g, &cfg, run);
+            }
+        }
+    }
+}
+
+#[test]
+fn partition_tolerance_without_failures_leaves_the_replay_unchanged() {
+    for (name, g) in graphs() {
+        for discipline in [
+            CongestionDiscipline::HoldAndResend,
+            CongestionDiscipline::Batched,
+        ] {
+            let transport = Transport::PartitionTolerant { retries: 1 };
+            assert_matches_oracle(
+                name,
+                &g,
+                42,
+                (4, 64),
+                discipline,
+                transport,
+                SimConfig::default(),
+            );
+        }
+    }
+}
+
+#[test]
+fn the_daemon_config_equals_the_replay() {
+    // What `rwbc-serve` solves (its `SolverConfig::distributed_config`):
+    // K = 4, l = 64, target 0 and the default engine config.
+    for seed in [1, 42, 9001] {
+        let cfg = DistributedConfig::builder()
+            .walks(4)
+            .length(64)
+            .seed(seed)
+            .target(TargetStrategy::Fixed(0))
+            .build()
+            .unwrap();
+        for (name, g) in graphs() {
+            let run = approximate(&g, &cfg).unwrap();
+            assert_equals_oracle(&format!("{name} seed {seed} daemon"), &g, &cfg, &run);
         }
     }
 }

@@ -3,10 +3,10 @@
 //! ```text
 //! rwbc-serve run    [--addr A] [--n N] [--seed S] [--walks K] [--length L]
 //!                   [--threads T] [--granularity G] [--sketch-precision P]
-//!                   [--checkpoint FILE] [--checkpoint-every R]
-//!                   [--trace FILE] [--queue-depth D] [--workers W]
-//!                   [--deadline-ms MS] [--retry-after-ms MS]
-//!                   [--slow-ms MS] [--work-delay-ms MS]
+//!                   [--checkpoint FILE] [--checkpoint-every R] [--trace FILE]
+//!                   [--flight FILE] [--flight-every-ms MS] [--queue-depth D] [--workers W]
+//!                   [--deadline-ms MS] [--retry-after-ms MS] [--slow-ms MS] [--work-delay-ms MS]
+//!                   [--slo-latency-ms MS] [--slo-availability F]
 //! rwbc-serve query  --addr A (--node V | --topk K | --stats)
 //!                   [--deadline-ms MS] [--attempts N]
 //! rwbc-serve health --addr A
@@ -27,6 +27,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use congest_sim::{outln, print_stdout};
 use rwbc::distributed::StepSolver;
 use rwbc_serve::protocol::Request;
 use rwbc_serve::top::{self, TopOptions};
@@ -67,8 +68,8 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: rwbc-serve run    [--addr A] [--n N] [--seed S] [--walks K] [--length L]\n       \
-     \t[--threads T] [--sketch-precision P] [--checkpoint FILE] [--checkpoint-every R]\n       \
-     \t[--trace FILE]\n       \
+     \t[--threads T] [--granularity G] [--sketch-precision P]\n       \
+     \t[--checkpoint FILE] [--checkpoint-every R] [--trace FILE]\n       \
      \t[--flight FILE] [--flight-every-ms MS] [--queue-depth D] [--workers W]\n       \
      \t[--deadline-ms MS] [--retry-after-ms MS] [--slow-ms MS] [--work-delay-ms MS]\n       \
      \t[--slo-latency-ms MS] [--slo-availability F]\n       \
@@ -342,7 +343,7 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
             request,
         })
         .map_err(|e| e.to_string())?;
-    println!("{}", describe(&response));
+    outln!("{}", describe(&response));
     match response {
         Response::Error { .. } | Response::Timeout { .. } => Err("request failed".to_string()),
         _ => Ok(()),
@@ -354,7 +355,7 @@ fn cmd_health(opts: &Options) -> Result<(), String> {
     let response = Client::new(addr.clone())
         .health()
         .map_err(|e| e.to_string())?;
-    println!("{}", describe(&response));
+    outln!("{}", describe(&response));
     Ok(())
 }
 
@@ -367,14 +368,14 @@ fn cmd_metrics(opts: &Options) -> Result<(), String> {
         return Err(format!("unexpected metrics response: {response:?}"));
     };
     match opts.format.as_str() {
-        "json" => println!("{}", report.to_json().to_json()),
+        "json" => outln!("{}", report.to_json().to_json()),
         "prometheus" | "prom" => {
             let text = report.to_prometheus();
             // Lint before printing: a scrape that would poison a real
             // Prometheus ingester exits non-zero instead.
             congest_sim::metrics::lint_prometheus(&text)
                 .map_err(|e| format!("invalid Prometheus exposition: {e}"))?;
-            print!("{text}");
+            print_stdout(&text);
         }
         other => {
             return Err(format!(
@@ -403,7 +404,7 @@ fn cmd_drain(opts: &Options) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     match response {
         Response::AdminOk => {
-            println!("drain acknowledged");
+            outln!("drain acknowledged");
             Ok(())
         }
         other => Err(format!("unexpected drain response: {other:?}")),
@@ -424,7 +425,7 @@ fn cmd_check(opts: &Options) -> Result<(), String> {
     let graph = config.graph.build();
     let solver = StepSolver::restore(&graph, config.distributed_config(), &image)
         .map_err(|e| format!("invalid checkpoint: {e}"))?;
-    println!(
+    outln!(
         "checkpoint ok: phase={:?} rounds={} bytes={} age_ms={}",
         solver.phase(),
         solver.rounds_completed(),

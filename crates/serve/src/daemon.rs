@@ -23,7 +23,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -88,15 +88,8 @@ impl ServeConfig {
     }
 }
 
-struct Counters {
-    served: AtomicU64,
-    overloaded: AtomicU64,
-    timed_out: AtomicU64,
-}
-
 struct Shared {
     config: ServeConfig,
-    counters: Counters,
     draining: AtomicBool,
     shutdown: AtomicBool,
     started: Instant,
@@ -120,17 +113,12 @@ impl Shared {
             config.solver.clone(),
             SolverHooks {
                 epoch: started,
-                metrics: Some(metrics.clone()),
-                flight: Some(flight.clone()),
+                metrics: metrics.clone(),
+                flight: flight.clone(),
             },
         );
         let slo = SloTracker::new(config.slo);
         Shared {
-            counters: Counters {
-                served: AtomicU64::new(0),
-                overloaded: AtomicU64::new(0),
-                timed_out: AtomicU64::new(0),
-            },
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             started,
@@ -211,7 +199,10 @@ impl Shared {
     }
 
     fn health(&self) -> HealthReport {
+        // The snapshot first: the solver thread sets the gauges before
+        // it publishes a result, so a ready report reads the done phase.
         let snapshot = self.snapshot();
+        let m = &self.metrics.serve;
         let state = if self.draining.load(Ordering::SeqCst) {
             DaemonState::Draining
         } else if snapshot.result.is_some() {
@@ -224,8 +215,8 @@ impl Shared {
         HealthReport {
             state,
             ready: snapshot.result.is_some() && !self.draining.load(Ordering::SeqCst),
-            phase: snapshot.phase,
-            rounds_completed: snapshot.rounds_completed,
+            phase: m.solver_phase.get() as u8,
+            rounds_completed: m.solver_rounds_completed.get(),
             slo: Shared::slo_flags(&snapshot),
             uptime_ms: now_ms,
             last_checkpoint_age_ms: self.checkpoint_age_ms(&snapshot),
@@ -236,13 +227,15 @@ impl Shared {
 
     fn stats(&self) -> ServeStats {
         let snapshot = self.snapshot();
+        let m = &self.metrics.serve;
+        let overhead_us = m.checkpoint_duration_us.snapshot().sum();
         ServeStats {
-            requests_served: self.counters.served.load(Ordering::Relaxed),
-            requests_overloaded: self.counters.overloaded.load(Ordering::Relaxed),
-            requests_timed_out: self.counters.timed_out.load(Ordering::Relaxed),
-            solve_rounds: snapshot.rounds_completed,
-            checkpoints_written: snapshot.checkpoints_written,
-            checkpoint_overhead_us: snapshot.checkpoint_overhead_us,
+            requests_served: m.served_total.get(),
+            requests_overloaded: m.shed_total.get(),
+            requests_timed_out: m.timed_out_total.get(),
+            solve_rounds: m.solver_rounds_completed.get(),
+            checkpoints_written: m.checkpoints_total.get(),
+            checkpoint_overhead_us: u64::try_from(overhead_us).unwrap_or(u64::MAX),
             uptime_ms: self.now_ms(),
             last_checkpoint_age_ms: self.checkpoint_age_ms(&snapshot),
         }
@@ -432,11 +425,7 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
                 if shared.config.work_delay_ms > 0 {
                     std::thread::sleep(Duration::from_millis(shared.config.work_delay_ms));
                 }
-                let response = shared.answer(&job.env.request);
-                if matches!(response, Response::Value { .. } | Response::Ranking { .. }) {
-                    shared.counters.served.fetch_add(1, Ordering::Relaxed);
-                }
-                let _ = job.reply.try_send(response);
+                let _ = job.reply.try_send(shared.answer(&job.env.request));
             }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -516,10 +505,11 @@ fn handle_connection(
 /// Routes one request: admin, health, and metrics inline, queries
 /// through the bounded queue with deadline enforcement.
 ///
-/// The four `serve_requests_*` counters partition exactly: every query
-/// that reaches the queueing path below increments `requests_total` and
-/// exactly one of `answered` / `timed_out` / `shed` — the invariant the
-/// CI smoke test asserts on a live daemon.
+/// Every outcome is counted once, in `finish`, from the response the
+/// client receives: every query that reaches the queueing path below
+/// increments `requests_total` and exactly one of `answered` /
+/// `timed_out` / `shed` — the invariant the CI smoke test asserts on a
+/// live daemon — and a `Value` or `Ranking` also increments `served`.
 fn dispatch(shared: &Arc<Shared>, mut env: RequestEnvelope, tx: &SyncSender<Job>) -> Response {
     match env.request {
         Request::Health => return Response::Health(shared.health()),
@@ -552,11 +542,11 @@ fn dispatch(shared: &Arc<Shared>, mut env: RequestEnvelope, tx: &SyncSender<Job>
         } else {
             m.answered_total.inc();
         }
-        match &response {
-            Response::Value { slo, .. } | Response::Ranking { slo, .. } if slo.degraded => {
+        if let Response::Value { slo, .. } | Response::Ranking { slo, .. } = &response {
+            m.served_total.inc();
+            if slo.degraded {
                 m.degraded_served_total.inc();
             }
-            _ => {}
         }
         // An SLO error: the client did not get an answer, or got it
         // slower than the latency objective.
@@ -584,29 +574,19 @@ fn dispatch(shared: &Arc<Shared>, mut env: RequestEnvelope, tx: &SyncSender<Job>
         shared.metrics.serve.queue_depth.dec();
         return match e {
             // Queue full: shed, never buffer.
-            TrySendError::Full(_) => {
-                shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-                finish(Response::Overloaded {
-                    retry_after_ms: shared.config.retry_after_ms,
-                })
-            }
+            TrySendError::Full(_) => finish(Response::Overloaded {
+                retry_after_ms: shared.config.retry_after_ms,
+            }),
             TrySendError::Disconnected(_) => finish(Response::Draining),
         };
     }
-    match reply_rx.recv_timeout(deadline) {
-        Ok(response) => {
-            if matches!(response, Response::Timeout { .. }) {
-                shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-            }
-            finish(response)
-        }
-        Err(_) => {
-            // Worker still busy past the deadline (or gone): typed
-            // timeout; the worker's late reply lands in a dead channel.
-            shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-            finish(Response::Timeout { deadline_ms })
-        }
-    }
+    // Worker still busy past the deadline (or gone): typed timeout; the
+    // worker's late reply lands in a dead channel.
+    finish(
+        reply_rx
+            .recv_timeout(deadline)
+            .unwrap_or(Response::Timeout { deadline_ms }),
+    )
 }
 
 #[cfg(test)]

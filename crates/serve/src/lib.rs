@@ -22,7 +22,8 @@
 //!   degraded result is served with explicit [`SloFlags`], never
 //!   silently;
 //! * **live telemetry**: a zero-dependency metrics registry spanning the
-//!   request path, the background solve, and the CONGEST engine, scraped
+//!   request path, the background solve, and the CONGEST engine — the
+//!   daemon's one account, which `Stats` and `Health` read too — scraped
 //!   via [`Request::Metrics`] (rendered as versioned JSON or
 //!   Prometheus text), multi-window **SLO burn rates**
 //!   ([`slo`]), a crash-safe **flight recorder** dumped next to the

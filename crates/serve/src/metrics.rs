@@ -3,12 +3,17 @@
 //! [`Request::Metrics`](crate::protocol::Request::Metrics) scrape sees
 //! the whole process.
 //!
+//! The registry is the daemon's one account: every count it reports
+//! lives here, and `Stats`, `Health`, `Metrics` and `rwbc-top` all read
+//! these instruments, so they cannot disagree.
+//!
 //! Naming follows the Prometheus conventions the registry enforces:
 //! `serve_*` for the request path, `solver_*` for the background solve,
 //! `engine_*` (registered by the engine itself) for CONGEST-round
-//! traffic. The four `serve_requests_*` counters partition exactly:
-//! every admitted query is counted once in `serve_requests_total` and
-//! once in exactly one of `answered` / `timed_out` / `shed`.
+//! traffic. The request counters partition exactly: every admitted
+//! query is counted once in `serve_requests_total` and once in exactly
+//! one of `answered` / `timed_out` / `shed`; `served` counts the
+//! answered ones whose client received a result.
 
 use congest_sim::{Counter, EngineMetrics, Gauge, Histogram, Registry};
 
@@ -21,9 +26,12 @@ pub struct ServeMetrics {
     /// Admitted queries answered within their deadline (any response,
     /// including typed errors — the client got *an* answer in time).
     pub answered_total: Counter,
+    /// Answered queries whose client received a `Value` or `Ranking`.
+    pub served_total: Counter,
     /// Admitted queries that missed their deadline.
     pub timed_out_total: Counter,
-    /// Queries shed because the admission queue was full.
+    /// Queries shed because the admission queue was full (or, once the
+    /// workers are gone, refused `Draining`).
     pub shed_total: Counter,
     /// Served results that carried degraded SLO flags.
     pub degraded_served_total: Counter,
@@ -31,8 +39,12 @@ pub struct ServeMetrics {
     pub queue_depth: Gauge,
     /// End-to-end latency of admitted queries, microseconds.
     pub latency_us: Histogram,
-    /// Background-solve phase tag (0 walk, 1 count, 2 done, 3 failed).
+    /// Background-solve phase, as
+    /// [`phase_tag`](crate::protocol::phase_tag) encodes it.
     pub solver_phase: Gauge,
+    /// CONGEST rounds the background solve has completed, set after
+    /// every step; a restored solve starts at its image's round.
+    pub solver_rounds_completed: Gauge,
     /// Checkpoints persisted by the background solve.
     pub checkpoints_total: Counter,
     /// Time to serialize + persist one checkpoint, microseconds.
@@ -47,12 +59,14 @@ impl ServeMetrics {
         ServeMetrics {
             requests_total: registry.counter("serve_requests_total"),
             answered_total: registry.counter("serve_requests_answered_total"),
+            served_total: registry.counter("serve_requests_served_total"),
             timed_out_total: registry.counter("serve_requests_timed_out_total"),
             shed_total: registry.counter("serve_requests_shed_total"),
             degraded_served_total: registry.counter("serve_degraded_served_total"),
             queue_depth: registry.gauge("serve_queue_depth"),
             latency_us: registry.histogram("serve_request_latency_us"),
             solver_phase: registry.gauge("solver_phase"),
+            solver_rounds_completed: registry.gauge("solver_rounds_completed"),
             checkpoints_total: registry.counter("solver_checkpoints_total"),
             checkpoint_duration_us: registry.histogram("solver_checkpoint_duration_us"),
             flight_dumps_total: registry.counter("serve_flight_dumps_total"),

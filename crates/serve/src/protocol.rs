@@ -13,6 +13,7 @@ use std::io::{Read, Write};
 
 use congest_sim::wire::{crc32, BitReader, BitWriter, WireState};
 use congest_sim::MetricsSnapshot;
+use rwbc::distributed::SolvePhase;
 
 /// Protocol version, carried in every request envelope so mismatched
 /// peers fail typed instead of mis-decoding. Version 2 added the
@@ -135,20 +136,27 @@ pub struct SloFlags {
     pub count_cells_missing: u64,
 }
 
-/// Daemon service counters, served on [`Request::Stats`].
+/// Daemon service counters, served on [`Request::Stats`]. Every count
+/// is read from the daemon's metrics registry, named below.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServeStats {
-    /// Queries answered with a result.
+    /// Queries whose client received a [`Response::Value`] or
+    /// [`Response::Ranking`] (`serve_requests_served_total`).
     pub requests_served: u64,
-    /// Queries shed with [`Response::Overloaded`].
+    /// Queries shed at admission, with [`Response::Overloaded`] or,
+    /// once the workers are gone, [`Response::Draining`]
+    /// (`serve_requests_shed_total`).
     pub requests_overloaded: u64,
-    /// Queries that missed their deadline.
+    /// Queries that missed their deadline
+    /// (`serve_requests_timed_out_total`).
     pub requests_timed_out: u64,
-    /// CONGEST rounds the background solve has completed.
+    /// CONGEST rounds the background solve has completed
+    /// (`solver_rounds_completed`).
     pub solve_rounds: u64,
-    /// Checkpoints written so far.
+    /// Checkpoints written so far (`solver_checkpoints_total`).
     pub checkpoints_written: u64,
-    /// Total microseconds spent writing checkpoints.
+    /// Total microseconds spent writing checkpoints (the sum of
+    /// `solver_checkpoint_duration_us`).
     pub checkpoint_overhead_us: u64,
     /// Milliseconds since the daemon started.
     pub uptime_ms: u64,
@@ -156,6 +164,27 @@ pub struct ServeStats {
     /// uptime clock (the same one deadlines use); `None` before the
     /// first checkpoint or with checkpointing disabled.
     pub last_checkpoint_age_ms: Option<u64>,
+}
+
+/// The solve phase's tag, as [`HealthReport::phase`] and the
+/// `solver_phase` gauge carry it.
+pub fn phase_tag(phase: SolvePhase) -> u8 {
+    match phase {
+        SolvePhase::Walk => 0,
+        SolvePhase::Count => 1,
+        SolvePhase::Done => 2,
+        SolvePhase::Failed => 3,
+    }
+}
+
+/// The display name of a [`phase_tag`]; an unknown tag reads `failed`.
+pub fn phase_name(tag: u64) -> &'static str {
+    match tag {
+        0 => "walk",
+        1 => "count",
+        2 => "done",
+        _ => "failed",
+    }
 }
 
 /// Daemon lifecycle state, served in [`HealthReport`].
@@ -210,9 +239,10 @@ pub struct HealthReport {
     pub state: DaemonState,
     /// `true` once queries can be answered from a finished solve.
     pub ready: bool,
-    /// Pipeline phase tag (0 walk, 1 count, 2 done, 3 failed).
+    /// Pipeline phase, as [`phase_tag`] encodes it.
     pub phase: u8,
-    /// CONGEST rounds completed by the solve.
+    /// CONGEST rounds completed by the solve
+    /// (`solver_rounds_completed`).
     pub rounds_completed: u64,
     /// Degradation-derived flags (meaningful once `ready`).
     pub slo: SloFlags,

@@ -1,8 +1,10 @@
 //! The background solve: a [`StepSolver`] driven round-by-round on its
 //! own thread, with periodic atomic checkpoints and a JSONL trace.
 //!
-//! The daemon never blocks on the solve — it reads a published
-//! [`SolveSnapshot`] under a mutex. Checkpoints are written
+//! The daemon never blocks on the solve: it reads the solve's progress
+//! and checkpoint counts from the metrics registry, and the facts that
+//! are not counts from a [`SolveSnapshot`] the solver thread publishes
+//! under a mutex when one of them changes. Checkpoints are written
 //! `tmp + rename`, so a `kill -9` at any instant leaves either the
 //! previous or the new image intact, never a torn file; on restart the
 //! solver resumes from it and (by the engine's schedule-invariant
@@ -10,7 +12,7 @@
 //! produces.
 
 use std::fs;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,6 +29,7 @@ use rwbc_graph::generators::connected_gnp;
 use rwbc_graph::Graph;
 
 use crate::metrics::DaemonMetrics;
+use crate::protocol::phase_tag;
 
 /// Deterministic graph recipe, mirroring the bench harness's ER builder
 /// (same seed derivation and expected degree) so serve artifacts are
@@ -126,21 +129,13 @@ impl SolverConfig {
     }
 }
 
-/// Published view of the in-flight (or finished) solve.
+/// The facts about the solve that are not counts, published by the
+/// solver thread when one of them changes. Phase, rounds and
+/// checkpoint counts live in the metrics registry ([`SolverHooks::metrics`]).
 #[derive(Debug, Clone, Default)]
 pub struct SolveSnapshot {
-    /// Pipeline phase tag (0 walk, 1 count, 2 done, 3 failed).
-    pub phase: u8,
-    /// CONGEST rounds completed.
-    pub rounds_completed: u64,
     /// Whether this solve resumed from a checkpoint image.
     pub resumed: bool,
-    /// Periodic + final checkpoints written.
-    pub checkpoints_written: u64,
-    /// Total microseconds spent serializing + persisting checkpoints.
-    pub checkpoint_overhead_us: u64,
-    /// Wall-clock microseconds the solve loop has run.
-    pub solve_elapsed_us: u64,
     /// When the newest checkpoint landed, milliseconds on the host's
     /// epoch clock (see [`SolverHooks::epoch`]); `None` until one does.
     pub last_checkpoint_at_ms: Option<u64>,
@@ -150,8 +145,7 @@ pub struct SolveSnapshot {
     pub error: Option<String>,
 }
 
-/// Host-provided observability hooks for the solver thread. All are
-/// optional; [`BackgroundSolver::spawn`] uses the defaults.
+/// What the host hands the solver thread to report through.
 #[derive(Debug, Clone)]
 pub struct SolverHooks {
     /// The clock origin checkpoint timestamps are measured against —
@@ -160,20 +154,10 @@ pub struct SolverHooks {
     pub epoch: Instant,
     /// Live-metrics handles: the engine bundle is attached to each
     /// phase's simulator, the `solver_*` instruments are fed directly.
-    pub metrics: Option<DaemonMetrics>,
-    /// Flight recorder fed `solver`-subsystem events (phase
-    /// transitions, checkpoints, terminal outcome).
-    pub flight: Option<FlightRecorder>,
-}
-
-impl Default for SolverHooks {
-    fn default() -> SolverHooks {
-        SolverHooks {
-            epoch: Instant::now(),
-            metrics: None,
-            flight: None,
-        }
-    }
+    pub metrics: DaemonMetrics,
+    /// Flight recorder fed `solver`-subsystem events (start or resume,
+    /// phase transitions, checkpoints, terminal outcome).
+    pub flight: FlightRecorder,
 }
 
 /// Handle to the solver thread.
@@ -181,16 +165,6 @@ pub struct BackgroundSolver {
     snapshot: Arc<Mutex<SolveSnapshot>>,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
-}
-
-/// Converts a phase into its wire tag.
-fn phase_tag(phase: SolvePhase) -> u8 {
-    match phase {
-        SolvePhase::Walk => 0,
-        SolvePhase::Count => 1,
-        SolvePhase::Done => 2,
-        SolvePhase::Failed => 3,
-    }
 }
 
 /// Writes a checkpoint image atomically (`path.tmp` + rename).
@@ -202,12 +176,8 @@ fn persist_checkpoint(path: &Path, image: &[u8]) -> std::io::Result<()> {
 
 impl BackgroundSolver {
     /// Builds the graph, restores from the checkpoint if a valid image
-    /// exists, and starts stepping on a background thread.
-    pub fn spawn(config: SolverConfig) -> BackgroundSolver {
-        BackgroundSolver::spawn_with(config, SolverHooks::default())
-    }
-
-    /// [`BackgroundSolver::spawn`] with host observability hooks.
+    /// exists, and starts stepping on a background thread that reports
+    /// through `hooks`.
     pub fn spawn_with(config: SolverConfig, hooks: SolverHooks) -> BackgroundSolver {
         let snapshot = Arc::new(Mutex::new(SolveSnapshot::default()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -234,11 +204,6 @@ impl BackgroundSolver {
             let _ = handle.join();
         }
     }
-
-    /// Whether the solver thread has exited.
-    pub fn is_finished(&self) -> bool {
-        self.handle.as_ref().is_none_or(|h| h.is_finished())
-    }
 }
 
 impl Drop for BackgroundSolver {
@@ -247,8 +212,77 @@ impl Drop for BackgroundSolver {
     }
 }
 
-fn publish<F: FnOnce(&mut SolveSnapshot)>(shared: &Mutex<SolveSnapshot>, update: F) {
-    update(&mut shared.lock().expect("solver snapshot lock"));
+/// Where the solver thread reports: counts and progress into the
+/// metrics, the facts that are not counts into the shared snapshot, and
+/// events into the flight ring and the optional JSONL trace.
+struct Reporter<'a> {
+    hooks: &'a SolverHooks,
+    shared: &'a Mutex<SolveSnapshot>,
+    checkpoint_path: Option<&'a Path>,
+    trace: Option<JsonlTracer<BufWriter<fs::File>>>,
+}
+
+impl Reporter<'_> {
+    fn publish(&self, update: impl FnOnce(&mut SolveSnapshot)) {
+        update(&mut self.shared.lock().expect("solver snapshot lock"));
+    }
+
+    /// Sets the phase and rounds gauges.
+    fn progress(&self, phase: SolvePhase, rounds: usize) {
+        let m = &self.hooks.metrics.serve;
+        m.solver_phase.set(u64::from(phase_tag(phase)));
+        m.solver_rounds_completed.set(rounds as u64);
+    }
+
+    /// Records one solver event in the flight ring and the trace.
+    fn event(&mut self, round: usize, key: &str, value: u64) {
+        let event = TraceEvent::App {
+            round,
+            node: 0,
+            key: key.to_string(),
+            value,
+        };
+        if let Some(trace) = self.trace.as_mut() {
+            trace.record(&event);
+        }
+        self.hooks.flight.record("solver", event);
+    }
+
+    /// Persists a checkpoint image when checkpointing is on, and
+    /// accounts for it.
+    fn checkpoint(&mut self, solver: &StepSolver<'_>) {
+        let Some(path) = self.checkpoint_path else {
+            return;
+        };
+        let t0 = Instant::now();
+        let Ok(image) = solver.checkpoint() else {
+            return;
+        };
+        if persist_checkpoint(path, &image).is_err() {
+            return;
+        }
+        let m = &self.hooks.metrics.serve;
+        m.checkpoint_duration_us
+            .record(t0.elapsed().as_micros() as u64);
+        m.checkpoints_total.inc();
+        let at_ms = self.hooks.epoch.elapsed().as_millis() as u64;
+        self.publish(|s| s.last_checkpoint_at_ms = Some(at_ms));
+        self.event(solver.rounds_completed(), "checkpoint", image.len() as u64);
+    }
+
+    /// Closes the trace's solve span and flushes it.
+    fn close_trace(&mut self, rounds: usize, started: Instant) {
+        if let Some(mut trace) = self.trace.take() {
+            trace.record(&TraceEvent::PhaseEnd {
+                name: "serve-solve".to_string(),
+                rounds,
+                elapsed_us: started.elapsed().as_micros() as u64,
+            });
+            if let Ok(mut out) = trace.finish() {
+                let _ = out.flush();
+            }
+        }
+    }
 }
 
 fn run_solver(
@@ -258,220 +292,99 @@ fn run_solver(
     hooks: &SolverHooks,
 ) {
     let started = Instant::now();
-    let flight_solver = |round: usize, key: &str, value: u64| {
-        if let Some(fr) = &hooks.flight {
-            fr.record(
-                "solver",
-                TraceEvent::App {
-                    round,
-                    node: 0,
-                    key: key.to_string(),
-                    value,
-                },
-            );
-        }
+    let trace = config.trace_path.as_ref().and_then(|path| {
+        let mut trace = JsonlTracer::new(BufWriter::new(fs::File::create(path).ok()?));
+        trace.record(&TraceEvent::PhaseStart {
+            name: "serve-solve".to_string(),
+        });
+        Some(trace)
+    });
+    let mut out = Reporter {
+        hooks,
+        shared,
+        checkpoint_path: config.checkpoint_path.as_deref(),
+        trace,
     };
     let graph = config.graph.build();
     let dcfg = config.distributed_config();
-
-    let mut tracer: Option<JsonlTracer<BufWriter<fs::File>>> =
-        config
-            .trace_path
-            .as_ref()
-            .and_then(|path| match fs::File::create(path) {
-                Ok(file) => Some(JsonlTracer::new(BufWriter::new(file))),
-                Err(_) => None,
-            });
 
     // Resume from a persisted image when one restores cleanly; any
     // corruption (torn write from a crash mid-`fs::write` cannot happen —
     // rename is atomic — but a stale/mangled file can) falls back to a
     // fresh solve rather than refusing service.
-    let mut resumed = false;
-    let mut solver = match config
+    let restored = config
         .checkpoint_path
         .as_ref()
         .and_then(|p| fs::read(p).ok())
-        .and_then(|image| StepSolver::restore(&graph, dcfg.clone(), &image).ok())
-    {
-        Some(solver) => {
-            resumed = true;
-            solver
-        }
-        None => match StepSolver::new(&graph, dcfg) {
-            Ok(solver) => solver,
-            Err(e) => {
-                flight_solver(0, "solve_failed", 0);
-                publish(shared, |s| s.error = Some(e.to_string()));
-                return;
-            }
-        },
-    };
-    if let Some(m) = &hooks.metrics {
-        solver.set_metrics(m.engine.clone());
-        m.serve
-            .solver_phase
-            .set(u64::from(phase_tag(solver.phase())));
-    }
-    flight_solver(
-        solver.rounds_completed(),
-        if resumed { "resumed" } else { "started" },
-        solver.rounds_completed() as u64,
-    );
-
-    if let Some(tr) = tracer.as_mut() {
-        tr.record(&TraceEvent::PhaseStart {
-            name: "serve-solve".to_string(),
-        });
-        if resumed {
-            tr.record(&TraceEvent::App {
-                round: solver.rounds_completed(),
-                node: 0,
-                key: "resumed-from-checkpoint".to_string(),
-                value: solver.rounds_completed() as u64,
-            });
-        }
-    }
-    publish(shared, |s| {
-        s.resumed = resumed;
-        s.phase = phase_tag(solver.phase());
-        s.rounds_completed = solver.rounds_completed() as u64;
-    });
-
-    let mut checkpoints_written = 0u64;
-    let mut overhead_us = 0u64;
-    let mut last_checkpoint_at_ms: Option<u64> = None;
-    let write_checkpoint = |solver: &StepSolver<'_>,
-                            tracer: &mut Option<JsonlTracer<BufWriter<fs::File>>>,
-                            checkpoints_written: &mut u64,
-                            overhead_us: &mut u64,
-                            last_checkpoint_at_ms: &mut Option<u64>| {
-        let Some(path) = config.checkpoint_path.as_ref() else {
+        .and_then(|image| StepSolver::restore(&graph, dcfg.clone(), &image).ok());
+    let resumed = restored.is_some();
+    let mut solver = match restored.map_or_else(|| StepSolver::new(&graph, dcfg), Ok) {
+        Ok(solver) => solver,
+        Err(e) => {
+            out.progress(SolvePhase::Failed, 0);
+            out.event(0, "solve_failed", 0);
+            out.close_trace(0, started);
+            out.publish(|s| s.error = Some(e.to_string()));
             return;
-        };
-        let t0 = Instant::now();
-        let Ok(image) = solver.checkpoint() else {
-            return;
-        };
-        if persist_checkpoint(path, &image).is_ok() {
-            let took_us = t0.elapsed().as_micros() as u64;
-            *overhead_us += took_us;
-            *checkpoints_written += 1;
-            *last_checkpoint_at_ms = Some(hooks.epoch.elapsed().as_millis() as u64);
-            if let Some(m) = &hooks.metrics {
-                m.serve.checkpoints_total.inc();
-                m.serve.checkpoint_duration_us.record(took_us);
-            }
-            flight_solver(solver.rounds_completed(), "checkpoint", image.len() as u64);
-            if let Some(tr) = tracer.as_mut() {
-                tr.record(&TraceEvent::App {
-                    round: solver.rounds_completed(),
-                    node: 0,
-                    key: "checkpoint".to_string(),
-                    value: image.len() as u64,
-                });
-            }
         }
     };
+    solver.set_metrics(hooks.metrics.engine.clone());
+    let mut phase = solver.phase();
+    let rounds = solver.rounds_completed();
+    out.progress(phase, rounds);
+    if resumed {
+        out.publish(|s| s.resumed = true);
+        out.event(rounds, "resumed-from-checkpoint", rounds as u64);
+    } else {
+        out.event(rounds, "started", rounds as u64);
+    }
 
-    let mut last_phase = phase_tag(solver.phase());
     let outcome = loop {
         if stop.load(Ordering::SeqCst) {
             break Ok(false);
         }
-        match solver.step() {
-            Ok(done) => {
-                let rounds = solver.rounds_completed();
-                let phase = phase_tag(solver.phase());
-                if phase != last_phase {
-                    last_phase = phase;
-                    flight_solver(rounds, "phase", u64::from(phase));
-                    if let Some(m) = &hooks.metrics {
-                        m.serve.solver_phase.set(u64::from(phase));
-                    }
-                }
-                if config.slow_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(config.slow_ms));
-                }
-                if !done
-                    && config.checkpoint_every_rounds > 0
-                    && rounds % config.checkpoint_every_rounds == 0
-                {
-                    write_checkpoint(
-                        &solver,
-                        &mut tracer,
-                        &mut checkpoints_written,
-                        &mut overhead_us,
-                        &mut last_checkpoint_at_ms,
-                    );
-                }
-                publish(shared, |s| {
-                    s.phase = phase;
-                    s.rounds_completed = rounds as u64;
-                    s.checkpoints_written = checkpoints_written;
-                    s.checkpoint_overhead_us = overhead_us;
-                    s.solve_elapsed_us = started.elapsed().as_micros() as u64;
-                    s.last_checkpoint_at_ms = last_checkpoint_at_ms;
-                });
-                if done {
-                    break Ok(true);
-                }
-            }
+        let done = match solver.step() {
+            Ok(done) => done,
             Err(e) => break Err(e.to_string()),
+        };
+        let rounds = solver.rounds_completed();
+        out.progress(solver.phase(), rounds);
+        if solver.phase() != phase {
+            phase = solver.phase();
+            out.event(rounds, "phase", u64::from(phase_tag(phase)));
+        }
+        if config.slow_ms > 0 {
+            std::thread::sleep(Duration::from_millis(config.slow_ms));
+        }
+        if done {
+            break Ok(true);
+        }
+        if config.checkpoint_every_rounds > 0 && rounds % config.checkpoint_every_rounds == 0 {
+            out.checkpoint(&solver);
         }
     };
 
     // Final checkpoint: on completion it carries the finished result (so
     // a restart serves immediately without re-solving), on drain it
-    // carries the exact round boundary to resume from.
-    if outcome.is_ok() {
-        write_checkpoint(
-            &solver,
-            &mut tracer,
-            &mut checkpoints_written,
-            &mut overhead_us,
-            &mut last_checkpoint_at_ms,
-        );
+    // carries the exact round boundary to resume from. The gauges are
+    // final before the result is published, so a ready daemon reports
+    // the done phase.
+    let rounds = solver.rounds_completed();
+    match &outcome {
+        Ok(_) => out.checkpoint(&solver),
+        Err(_) => out.progress(SolvePhase::Failed, rounds),
     }
-
-    if let Some(mut tr) = tracer.take() {
-        tr.record(&TraceEvent::PhaseEnd {
-            name: "serve-solve".to_string(),
-            rounds: solver.rounds_completed(),
-            elapsed_us: started.elapsed().as_micros() as u64,
-        });
-        if let Ok(out) = tr.finish() {
-            use std::io::Write;
-            let mut out = out;
-            let _ = out.flush();
-        }
-    }
-
-    let final_phase = phase_tag(solver.phase());
-    if let Some(m) = &hooks.metrics {
-        m.serve.solver_phase.set(u64::from(final_phase));
-    }
-    flight_solver(
-        solver.rounds_completed(),
-        match &outcome {
-            Ok(true) => "done",
-            Ok(false) => "drained",
-            Err(_) => "solve_failed",
-        },
-        solver.rounds_completed() as u64,
-    );
-    publish(shared, |s| {
-        s.phase = final_phase;
-        s.rounds_completed = solver.rounds_completed() as u64;
-        s.checkpoints_written = checkpoints_written;
-        s.checkpoint_overhead_us = overhead_us;
-        s.solve_elapsed_us = started.elapsed().as_micros() as u64;
-        s.last_checkpoint_at_ms = last_checkpoint_at_ms;
-        match outcome {
-            Ok(true) => s.result = solver.result().map(|run| Arc::new(run.clone())),
-            Ok(false) => {}
-            Err(e) => s.error = Some(e),
-        }
+    let key = match &outcome {
+        Ok(true) => "done",
+        Ok(false) => "drained",
+        Err(_) => "solve_failed",
+    };
+    out.event(rounds, key, rounds as u64);
+    out.close_trace(rounds, started);
+    out.publish(|s| match outcome {
+        Ok(true) => s.result = solver.result().map(|run| Arc::new(run.clone())),
+        Ok(false) => {}
+        Err(e) => s.error = Some(e),
     });
 }
 
@@ -480,11 +393,20 @@ mod tests {
     use super::*;
     use rwbc::distributed::approximate;
 
+    fn spawn(config: SolverConfig) -> BackgroundSolver {
+        let hooks = SolverHooks {
+            epoch: Instant::now(),
+            metrics: DaemonMetrics::new(),
+            flight: FlightRecorder::default(),
+        };
+        BackgroundSolver::spawn_with(config, hooks)
+    }
+
     #[test]
     fn background_solve_matches_the_driver() {
         let config = SolverConfig::new(32, 7);
         let expected = approximate(&config.graph.build(), &config.distributed_config()).unwrap();
-        let solver = BackgroundSolver::spawn(config);
+        let solver = spawn(config);
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let snap = solver.snapshot();
@@ -510,7 +432,7 @@ mod tests {
         config.slow_ms = 2;
         let expected = approximate(&config.graph.build(), &config.distributed_config()).unwrap();
 
-        let mut solver = BackgroundSolver::spawn(config.clone());
+        let mut solver = spawn(config.clone());
         // Let it make some progress, then drain mid-solve.
         std::thread::sleep(Duration::from_millis(60));
         solver.drain();
@@ -521,7 +443,7 @@ mod tests {
         // A fresh solver resumes from the image and lands on the
         // bit-identical result.
         config.slow_ms = 0;
-        let resumed = BackgroundSolver::spawn(config);
+        let resumed = spawn(config);
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let snap = resumed.snapshot();

@@ -11,7 +11,7 @@ use std::io::Write;
 use std::time::Duration;
 
 use crate::client::Client;
-use crate::protocol::{MetricsReport, Response};
+use crate::protocol::{phase_name, MetricsReport, Response};
 
 /// Dashboard configuration.
 #[derive(Debug, Clone)]
@@ -35,16 +35,6 @@ impl Default for TopOptions {
             iterations: 0,
             clear_screen: true,
         }
-    }
-}
-
-/// Phase-tag display name.
-fn phase_name(tag: u64) -> &'static str {
-    match tag {
-        0 => "walk",
-        1 => "count",
-        2 => "done",
-        _ => "failed",
     }
 }
 
@@ -107,7 +97,7 @@ pub fn render_frame(
     out.push_str(&format!(
         "solver   phase={} rounds={} msgs={} checkpoints={} age={}\n",
         phase_name(snap.gauge("solver_phase").unwrap_or(3)),
-        get("engine_rounds_total"),
+        snap.gauge("solver_rounds_completed").unwrap_or(0),
         get("engine_messages_total"),
         get("solver_checkpoints_total"),
         report
@@ -184,7 +174,7 @@ mod tests {
     fn report(requests: u64, uptime_ms: u64) -> MetricsReport {
         let registry = Registry::new();
         registry.counter("serve_requests_total").add(requests);
-        registry.counter("engine_rounds_total").add(640);
+        registry.gauge("solver_rounds_completed").set(640);
         registry.gauge("solver_phase").set(1);
         registry.histogram("serve_request_latency_us").record(900);
         MetricsReport {
@@ -202,7 +192,7 @@ mod tests {
         let second = report(150, 11_000);
         let cold = render_frame("127.0.0.1:9", &first, None);
         assert!(cold.contains("total=100 (-)"), "{cold}");
-        assert!(cold.contains("phase=count"), "{cold}");
+        assert!(cold.contains("phase=count rounds=640"), "{cold}");
         assert!(cold.contains("burn fast=2.50 slow=0.50"), "{cold}");
         assert!(cold.contains("age=1.5s"), "{cold}");
         let warm = render_frame("127.0.0.1:9", &second, Some((&first, 1000)));

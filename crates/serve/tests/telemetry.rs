@@ -1,11 +1,12 @@
 //! Live telemetry over the wire — the observability contract: a
 //! daemon under load answers `Request::Metrics` inline (never queued,
-//! never shed), the request counters partition exactly, SLO burn rates
+//! never shed), the request counters partition exactly, `Stats`,
+//! `Health`, `Metrics` and `rwbc-top` read one account, SLO burn rates
 //! respond to deadline pressure, and a drain leaves a flight-recorder
 //! dump on disk that is a valid JSONL trace.
 
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use congest_sim::trace::jsonl::decode_trace;
 use congest_sim::TraceEvent;
@@ -13,7 +14,8 @@ use rwbc_serve::protocol::{
     decode_response, encode_request, read_frame, write_frame, MetricsReport, Request,
     RequestEnvelope, Response,
 };
-use rwbc_serve::{Client, Daemon, ServeConfig, SolverConfig};
+use rwbc_serve::top::render_frame;
+use rwbc_serve::{Client, Daemon, HealthReport, ServeConfig, SolverConfig};
 
 /// A daemon whose solve never finishes during the test (slow rounds) —
 /// load-shedding behavior stays stable while we poke at it.
@@ -46,6 +48,26 @@ fn scrape(addr: std::net::SocketAddr) -> Box<MetricsReport> {
     match client.metrics().expect("metrics scrape") {
         Response::Metrics(report) => report,
         other => panic!("expected Metrics, got {other:?}"),
+    }
+}
+
+fn stats(addr: std::net::SocketAddr) -> rwbc_serve::ServeStats {
+    match raw_request(addr, Request::Stats, 5_000) {
+        Response::Stats(stats) => stats,
+        other => panic!("expected Stats, got {other:?}"),
+    }
+}
+
+fn wait_until_ready(addr: std::net::SocketAddr) -> HealthReport {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if let Response::Health(h) = raw_request(addr, Request::Health, 1_000) {
+            if h.ready {
+                return h;
+            }
+        }
+        assert!(Instant::now() < deadline, "daemon did not become ready");
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -184,5 +206,91 @@ fn drain_dumps_a_valid_flight_trace() {
             .any(|e| matches!(e, TraceEvent::App { key, .. } if key == "drain")),
         "serve ring records the drain request"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_query_that_times_out_is_not_counted_as_served() {
+    // The solve finishes quickly; the one worker takes 300 ms per
+    // request, so a 30 ms query times out while its worker is still
+    // computing the answer.
+    let mut config = ServeConfig::new(SolverConfig::new(32, 3));
+    config.workers = 1;
+    config.work_delay_ms = 300;
+    let daemon = Daemon::start(config).expect("bind loopback");
+    let addr = daemon.local_addr();
+    wait_until_ready(addr);
+    assert_eq!(
+        raw_request(addr, Request::Centrality { node: 0 }, 30),
+        Response::Timeout { deadline_ms: 30 }
+    );
+    // `Stats` queues behind the late answer, so the worker has finished
+    // it by the time `Stats` is read.
+    let stats = stats(addr);
+    assert_eq!(stats.requests_served, 0, "the client received no value");
+    assert_eq!(stats.requests_timed_out, 1);
+    let report = scrape(addr);
+    let get = |name: &str| report.snapshot.counter(name).unwrap_or(0);
+    assert_eq!(get("serve_requests_served_total"), 0);
+    assert_eq!(
+        get("serve_requests_total"),
+        get("serve_requests_answered_total")
+            + get("serve_requests_timed_out_total")
+            + get("serve_requests_shed_total")
+    );
+    daemon.drain();
+    daemon.wait();
+}
+
+#[test]
+fn every_view_reads_one_account_after_a_resume() {
+    let dir = std::env::temp_dir().join(format!("rwbc-account-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let ckpt = dir.join("solve.ckpt");
+    let solver = |slow_ms: u64| {
+        let mut solver = SolverConfig::new(48, 11);
+        solver.checkpoint_path = Some(ckpt.clone());
+        solver.checkpoint_every_rounds = 4;
+        solver.slow_ms = slow_ms;
+        solver
+    };
+
+    // Drain the first daemon after its first checkpoint.
+    let first = Daemon::start(ServeConfig::new(solver(5))).expect("bind loopback");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while first.metrics().serve.checkpoints_total.get() == 0 {
+        assert!(Instant::now() < deadline, "no checkpoint landed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    first.drain();
+    first.wait();
+
+    // The second resumes from the image and finishes.
+    let daemon = Daemon::start(ServeConfig::new(solver(0))).expect("bind loopback");
+    let addr = daemon.local_addr();
+    let health = wait_until_ready(addr);
+    assert!(health.slo.resumed);
+    let stats = stats(addr);
+    let report = scrape(addr);
+    let snap = &report.snapshot;
+    let rounds = health.rounds_completed;
+    assert_eq!(stats.solve_rounds, rounds);
+    let frame = render_frame(&addr.to_string(), &report, None);
+    assert!(frame.contains(&format!(" rounds={rounds} ")), "{frame}");
+    assert_eq!(snap.gauge("solver_rounds_completed"), Some(rounds));
+    assert!(
+        snap.counter("engine_rounds_total").unwrap_or(0) < rounds,
+        "the resumed solve ran only the rounds after its image"
+    );
+    assert_eq!(
+        Some(stats.checkpoints_written),
+        snap.counter("solver_checkpoints_total")
+    );
+    let durations = snap
+        .histogram("solver_checkpoint_duration_us")
+        .expect("duration histogram registered");
+    assert_eq!(u128::from(stats.checkpoint_overhead_us), durations.sum());
+    daemon.drain();
+    daemon.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
