@@ -63,8 +63,8 @@ pub struct CodecReport {
     /// `walk-batch`, `count-msg`, `checkpoint`, `serve-request`,
     /// `serve-response`, `serve-frame`, `serve-step-checkpoint`,
     /// `exact-step-checkpoint`, `sketch-count-msg`,
-    /// `sketch-step-checkpoint`, and the `-resealed` variants of the four
-    /// checkpoint codecs).
+    /// `sketch-step-checkpoint`, the `-resealed` variants of the four
+    /// checkpoint codecs, and `exact-mid-count-checkpoint-resealed`).
     pub name: &'static str,
     /// Mutated inputs fed to the decoder.
     pub cases: usize,
@@ -669,6 +669,21 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         mutate_step_engine_section,
         restore_sketch,
     ));
+    // An exact image halfway through the count phase, so the cell lists
+    // behind the re-sealed section hold half of every column, not one
+    // round of cells. It comes after the four above for the same reason.
+    for _ in 0..corpus_graph.node_count() / 2 - 1 {
+        exact_solver.step().expect("exact corpus run");
+    }
+    let mid_count_corpus = vec![exact_solver.checkpoint().expect("mid-count corpus image")];
+    codecs.push(fuzz_codec(
+        "exact-mid-count-checkpoint-resealed",
+        &mid_count_corpus,
+        budget,
+        &mut rng,
+        mutate_step_engine_section,
+        restore_step,
+    ));
 
     std::panic::set_hook(hook);
     FuzzReport { seed, codecs }
@@ -1121,7 +1136,7 @@ mod tests {
     #[test]
     fn fuzzing_every_codec_panics_nowhere() {
         let report = fuzz_all_codecs(0xF422, 60);
-        assert_eq!(report.codecs.len(), 18);
+        assert_eq!(report.codecs.len(), 19);
         for codec in &report.codecs {
             assert!(
                 codec.panics.is_empty(),
@@ -1139,7 +1154,7 @@ mod tests {
             }
         }
         assert!(report.is_clean());
-        assert_eq!(report.total_cases(), 18 * 60);
+        assert_eq!(report.total_cases(), 19 * 60);
     }
 
     #[test]

@@ -295,7 +295,7 @@ pub fn smoke_matrix() -> Vec<Scenario> {
 /// The threads-sweep matrix: `clean-er` at n = 4096 once per requested
 /// thread count, plus (behind `large`) the n = 65536 scale point. The
 /// large scenario is opt-in because a single trial runs for minutes
-/// single-threaded and peaks well above the n = 4096 run's ~320 MB RSS
+/// single-threaded and peaks well above the n = 4096 run's ~180 MB RSS
 /// (`BENCH_clean-er-n4096-t1.json`).
 pub fn sweep_matrix(threads: &[usize], large: bool) -> Vec<Scenario> {
     let mut m: Vec<Scenario> = threads

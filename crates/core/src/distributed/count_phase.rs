@@ -13,12 +13,17 @@
 //! CONGEST model cannot ship reals; the induced quantization error is
 //! `≤ 2^{−F−1}` per count and is measured in experiment E7 (design
 //! decision D5).
+//!
+//! A node keeps only the nonzero counts it receives, each as one `u64`
+//! that packs the neighbor slot, the source and the fixed-point count off
+//! the wire, in one arrival-order list; the potentials are formed only
+//! when the node combines (DESIGN §13).
 
 use congest_sim::{Context, Incoming, NodeProgram, TraceEvent};
 use rwbc_graph::NodeId;
 
 use crate::distributed::messages::CountMsg;
-use crate::flow_sum::{node_net_flow_sparse, Cell};
+use crate::flow_sum::node_net_flow_sparse;
 
 /// Node program for the computing phase.
 #[derive(Debug, Clone)]
@@ -31,14 +36,19 @@ pub struct CountProgram {
     own: Vec<(u32, u64)>,
     /// Index into `own` of the first source not yet broadcast.
     cursor: usize,
-    /// The nonzero received neighbor counts, in arrival order; every
-    /// absent `(slot, source)` cell is zero. A source's `K` walks of
-    /// length `l` visit at most `K(l + 1)` nodes, so a neighbor's column
-    /// averages at most `K(l + 1)` nonzero cells where a dense table
-    /// holds `n`. Each slot's cells are by ascending source, because
-    /// both delivery modes assign sources in increasing order per
-    /// neighbor.
-    cells: Vec<Cell>,
+    /// The nonzero received neighbor counts, in arrival order, one word
+    /// per cell: `(slot << id_bits | source) << value_bits | q`, with `q`
+    /// the fixed-point count as it came off the wire. Every absent
+    /// `(slot, source)` cell is zero. A source's `K` walks of length `l`
+    /// visit at most `K(l + 1)` nodes, so a neighbor's column averages at
+    /// most `K(l + 1)` nonzero cells where a dense table holds `n`. Each
+    /// slot's cells are by ascending source, because both delivery modes
+    /// assign sources in increasing order per neighbor. The potential a
+    /// cell stands for is formed only in `combine`.
+    cells: Vec<u64>,
+    /// `bits(n − 1)`: the width of a cell's slot and of its source field
+    /// (derived from `n`, not encoded).
+    id_bits: u8,
     degree: usize,
     value_bits: u8,
     fractional_bits: u8,
@@ -98,12 +108,12 @@ impl CountProgram {
         debug_assert!(xi.windows(2).all(|w| w[0].0 < w[1].0));
         debug_assert!(xi.last().is_none_or(|&(s, _)| s < n));
         assert!(
-            u32::try_from(n).is_ok(),
-            "cells store node ids and slots as u32"
+            cell_bits(n, value_bits) <= 64,
+            "a cell packs its slot, source and {value_bits}-bit count into one u64"
         );
         let scale = f64::from(1u32 << fractional_bits);
         // Paper Algorithm 2 line 1: divide by the degree. The 1/K of line 4
-        // is folded in when a count is read (`own_value`) so the combine
+        // is folded in when a count is read (`value`) so the combine
         // estimates T directly.
         let own: Vec<(u32, u64)> = xi
             .iter()
@@ -119,6 +129,7 @@ impl CountProgram {
             own,
             cursor: 0,
             cells: Vec::new(),
+            id_bits: id_bits(n),
             degree,
             value_bits,
             fractional_bits,
@@ -176,9 +187,39 @@ impl CountProgram {
         self.missing
     }
 
-    /// The own potential a fixed-point count stands for.
-    fn own_value(&self, q: u64) -> f64 {
-        q as f64 / f64::from(1u32 << self.fractional_bits) / self.k as f64
+    /// The potential a fixed-point count `q`, own or received, stands
+    /// for. `* inv_scale` is bit-identical to `/ 2^F` (both exact:
+    /// power-of-two scaling).
+    fn value(&self, q: u64) -> f64 {
+        let inv_scale = 1.0 / f64::from(1u32 << self.fractional_bits);
+        q as f64 * inv_scale / self.k as f64
+    }
+
+    /// The count `q = round(value · K · 2^F)` whose potential is `value`
+    /// bit for bit, if it is nonzero and fits the count field.
+    fn count_of(&self, value: f64) -> Option<u64> {
+        let scale = f64::from(1u32 << self.fractional_bits);
+        // `as` saturates: NaN and negatives become 0, and a count past
+        // the field stays past it.
+        let q = (value * self.k as f64 * scale).round() as u64;
+        (q != 0 && q <= low_bits(self.value_bits) && self.value(q).to_bits() == value.to_bits())
+            .then_some(q)
+    }
+
+    /// The cell key `slot << id_bits | source`: a cell word shifted right
+    /// by `value_bits`.
+    fn key(&self, slot: usize, source: usize) -> u64 {
+        (slot as u64) << self.id_bits | source as u64
+    }
+
+    /// A cell word's `(slot, source, q)`.
+    fn unpack(&self, word: u64) -> (usize, usize, u64) {
+        let key = word >> self.value_bits;
+        (
+            (key >> self.id_bits) as usize,
+            (key & low_bits(self.id_bits)) as usize,
+            word & low_bits(self.value_bits),
+        )
     }
 
     /// Writes cell `(slot, source)` with last-write-wins semantics, as a
@@ -186,22 +227,20 @@ impl CountProgram {
     /// removes it. Only a lockstep round can write one cell twice (two
     /// frames from one neighbor in one round), and the inbox is sorted by
     /// sender, so an earlier write of the cell is the last one stored.
-    fn store(&mut self, slot: usize, source: usize, value: f64) {
-        let (slot, source) = (slot as u32, source as u32);
+    fn store(&mut self, slot: usize, source: usize, q: u64) {
+        // A wider count would spill into the key.
+        assert!(q <= low_bits(self.value_bits), "a count fits its field");
+        let key = self.key(slot, source);
         match self.cells.last_mut() {
-            Some(c) if c.slot == slot && c.source == source => {
-                if value == 0.0 {
+            Some(w) if *w >> self.value_bits == key => {
+                if q == 0 {
                     self.cells.pop();
                 } else {
-                    c.value = value;
+                    *w = key << self.value_bits | q;
                 }
             }
-            _ if value == 0.0 => {}
-            _ => self.cells.push(Cell {
-                slot,
-                source,
-                value,
-            }),
+            _ if q == 0 => {}
+            _ => self.cells.push(key << self.value_bits | q),
         }
     }
 
@@ -248,12 +287,6 @@ impl CountProgram {
             }
         }
         if self.strict_delivery || self.received_rounds < self.n {
-            // `* inv_scale` is bit-identical to `/ scale` (both exact:
-            // power-of-two scaling), so hoisting it out of the loop trades
-            // one of the two per-message divisions for a multiply without
-            // perturbing a single result.
-            let inv_scale = 1.0 / f64::from(1u32 << self.fractional_bits);
-            let k_f = self.k as f64;
             // In a clean lockstep round the inbox is exactly the (sorted)
             // neighbor list, so a cursor resolves every slot in O(1); the
             // binary search only runs when faults thin or reorder arrivals.
@@ -282,7 +315,7 @@ impl CountProgram {
                     self.received_rounds
                 };
                 if source < self.n {
-                    self.store(slot, source, m.msg.scaled as f64 * inv_scale / k_f);
+                    self.store(slot, source, m.msg.scaled);
                     self.received_per_neighbor[slot] += 1;
                 }
             }
@@ -298,12 +331,25 @@ impl CountProgram {
         let expected = (self.degree * self.n) as u64;
         let received: u64 = self.received_per_neighbor.iter().map(|&r| r as u64).sum();
         self.missing = expected.saturating_sub(received);
-        let own: Vec<(u32, f64)> = self
-            .own
-            .iter()
-            .map(|&(s, q)| (s, self.own_value(q)))
-            .collect();
-        let inner = node_net_flow_sparse(self.me, self.n, &own, &self.cells, self.degree);
+        let own: Vec<(u32, f64)> = self.own.iter().map(|&(s, q)| (s, self.value(q))).collect();
+        // Stable counting sort by slot: each neighbor's column becomes one
+        // contiguous run of `(source, value)`, still by ascending source.
+        let mut start = vec![0usize; self.degree + 1];
+        for &w in &self.cells {
+            start[self.unpack(w).0 + 1] += 1;
+        }
+        for slot in 0..self.degree {
+            start[slot + 1] += start[slot];
+        }
+        let mut next = start.clone();
+        let mut by_slot = vec![(0u32, 0.0f64); self.cells.len()];
+        for &w in &self.cells {
+            let (slot, source, q) = self.unpack(w);
+            by_slot[next[slot]] = (source as u32, self.value(q));
+            next[slot] += 1;
+        }
+        let cols = start.windows(2).map(|r| &by_slot[r[0]..r[1]]);
+        let inner = node_net_flow_sparse(self.me, self.n, &own, cols);
         let nf = self.effective_n as f64;
         self.betweenness = Some((inner + (nf - 1.0)) / (nf * (nf - 1.0) / 2.0));
     }
@@ -325,18 +371,41 @@ impl CountProgram {
     }
 }
 
+/// `bits(n − 1)`: the width of a cell's slot field and of its source
+/// field.
+fn id_bits(n: usize) -> u8 {
+    congest_sim::bits_for_count(n.saturating_sub(1) as u64) as u8
+}
+
+/// The width of a cell word for `n` nodes and `value_bits`-bit counts:
+/// a slot, a source and a count, `2·bits(n − 1) + value_bits`. A
+/// [`CountProgram`] needs it to be at most 64.
+pub(crate) fn cell_bits(n: usize, value_bits: u8) -> usize {
+    2 * usize::from(id_bits(n)) + usize::from(value_bits)
+}
+
+/// The all-ones mask of the low `bits < 64` bits.
+fn low_bits(bits: u8) -> u64 {
+    (1 << bits) - 1
+}
+
 // Checkpoint encoding: everything but `neighbor_ids`, a lazily-filled
 // topology cache that `on_round` rebuilds on first use after a restore —
 // excluding it keeps the bytes of a restored-and-resumed run identical to
-// an uninterrupted one — and `cursor`, which `sent` implies. The own
-// counts and the cells are written as held: `(source, q)` pairs by
-// ascending source and `(slot, source, value)` triples in arrival order.
+// an uninterrupted one — and `cursor` and `id_bits`, which `sent` and `n`
+// imply. The own counts are written as held, `(source, q)` pairs by
+// ascending source; the cells as `(slot, source, value)` triples in
+// arrival order, each value the potential its `q` stands for.
 impl congest_sim::wire::WireState for CountProgram {
     fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
         self.me.encode_state(w);
         self.n.encode_state(w);
         self.own.encode_state(w);
-        self.cells.encode_state(w);
+        self.cells.len().encode_state(w);
+        for &word in &self.cells {
+            let (slot, source, q) = self.unpack(word);
+            (slot as u32, source as u32, self.value(q)).encode_state(w);
+        }
         self.degree.encode_state(w);
         self.value_bits.encode_state(w);
         self.fractional_bits.encode_state(w);
@@ -353,12 +422,17 @@ impl congest_sim::wire::WireState for CountProgram {
     }
 
     fn decode_state(r: &mut congest_sim::wire::BitReader<'_>) -> Option<CountProgram> {
+        let me = usize::decode_state(r)?;
+        let n = usize::decode_state(r)?;
+        let own = Vec::decode_state(r)?;
+        let triples: Vec<(u32, u32, f64)> = Vec::decode_state(r)?;
         let mut p = CountProgram {
-            me: usize::decode_state(r)?,
-            n: usize::decode_state(r)?,
-            own: Vec::decode_state(r)?,
+            me,
+            n,
+            own,
             cursor: 0,
-            cells: Vec::decode_state(r)?,
+            cells: Vec::with_capacity(triples.len()),
+            id_bits: 0,
             degree: usize::decode_state(r)?,
             value_bits: u8::decode_state(r)?,
             fractional_bits: u8::decode_state(r)?,
@@ -376,6 +450,7 @@ impl congest_sim::wire::WireState for CountProgram {
         };
         let consistent = p.me < p.n
             && u32::try_from(p.n).is_ok()
+            && cell_bits(p.n, p.value_bits) <= 64
             && p.own.windows(2).all(|w| w[0].0 < w[1].0)
             && p.own.iter().all(|&(s, q)| q != 0 && (s as usize) < p.n)
             && p.received_per_neighbor.len() == p.degree
@@ -385,13 +460,15 @@ impl congest_sim::wire::WireState for CountProgram {
         if !consistent {
             return None;
         }
-        // A cell is nonzero, and holds a source its neighbor has already
-        // delivered, above the slot's previous one; anything else is a
-        // corrupt image.
+        p.id_bits = id_bits(p.n);
+        // A cell fits its word, holds a source its neighbor has already
+        // delivered, above the slot's previous one, and a value that one
+        // nonzero count of the field's width stands for; anything else is
+        // a corrupt image.
         let mut next = vec![0usize; p.degree];
-        for c in &p.cells {
-            let (slot, source) = (c.slot as usize, c.source as usize);
-            if slot >= p.degree || c.value == 0.0 || source < next[slot] {
+        for (slot, source, value) in triples {
+            let (slot, source) = (slot as usize, source as usize);
+            if slot >= p.degree || slot as u64 > low_bits(p.id_bits) || source < next[slot] {
                 return None;
             }
             let delivered = if p.strict_delivery {
@@ -402,26 +479,12 @@ impl congest_sim::wire::WireState for CountProgram {
             if source >= delivered.min(p.n) {
                 return None;
             }
+            let q = p.count_of(value)?;
             next[slot] = source + 1;
+            p.cells.push(p.key(slot, source) << p.value_bits | q);
         }
         p.cursor = p.own.partition_point(|&(s, _)| (s as usize) < p.sent);
         Some(p)
-    }
-}
-
-impl congest_sim::wire::WireState for Cell {
-    fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
-        self.slot.encode_state(w);
-        self.source.encode_state(w);
-        self.value.encode_state(w);
-    }
-
-    fn decode_state(r: &mut congest_sim::wire::BitReader<'_>) -> Option<Cell> {
-        Some(Cell {
-            slot: u32::decode_state(r)?,
-            source: u32::decode_state(r)?,
-            value: f64::decode_state(r)?,
-        })
     }
 }
 
@@ -458,6 +521,10 @@ mod tests {
     use super::*;
     use congest_sim::wire::{BitReader, BitWriter, WireState};
     use congest_sim::{SimConfig, Simulator};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
     use rwbc_graph::generators::{cycle, path};
 
     use crate::flow_sum::node_net_flow_sorted;
@@ -497,6 +564,37 @@ mod tests {
         w.finish()
     }
 
+    /// `p` through its image: encodes it, decodes it, checks that the
+    /// decoded program encodes to the same bytes, and hands it the
+    /// neighbor list back.
+    fn round_trip(p: &CountProgram) -> CountProgram {
+        let bytes = encode(p);
+        let mut back =
+            CountProgram::decode_state(&mut BitReader::new(&bytes)).expect("valid image");
+        assert_eq!(encode(&back), bytes, "restore must not change the image");
+        back.neighbor_ids = p.neighbor_ids.clone();
+        back
+    }
+
+    /// The betweenness of `p`, spelled out densely: its own counts and
+    /// the fixed-point table `table[slot][source]` as full columns, then
+    /// the dense reduction and the normalization.
+    fn dense_betweenness(p: &CountProgram, table: &[impl AsRef<[u64]>]) -> f64 {
+        let inv_scale = 1.0 / f64::from(1u32 << p.fractional_bits);
+        let value = |q: u64| q as f64 * inv_scale / p.k as f64;
+        let mut own = vec![0.0; p.n];
+        for &(s, q) in &p.own {
+            own[s as usize] = value(q);
+        }
+        let cols: Vec<Vec<f64>> = table
+            .iter()
+            .map(|col| col.as_ref().iter().map(|&q| value(q)).collect())
+            .collect();
+        let inner = node_net_flow_sorted(p.me, &own, cols.iter().map(Vec::as_slice));
+        let nf = p.n as f64;
+        (inner + (nf - 1.0)) / (nf * (nf - 1.0) / 2.0)
+    }
+
     /// Feeds `rounds` of hand-built inboxes (a checkpoint round trip
     /// after round `restore_after`), then asserts the betweenness equals,
     /// bit for bit, the dense reduction over `expected` — the scaled cell
@@ -511,29 +609,11 @@ mod tests {
         for (r, frames) in rounds.iter().enumerate() {
             p.receive(&inbox(frames));
             if r == restore_after {
-                let bytes = encode(&p);
-                p = CountProgram::decode_state(&mut BitReader::new(&bytes)).expect("valid image");
-                assert_eq!(encode(&p), bytes, "restore must not change the image");
-                p.neighbor_ids = NEIGHBORS.to_vec();
+                p = round_trip(&p);
             }
         }
         p.combine();
-        let mut own = vec![0.0; N];
-        for &(s, q) in &p.own {
-            own[s as usize] = p.own_value(q);
-        }
-        let inv_scale = 1.0 / f64::from(1u32 << F);
-        let cols: Vec<Vec<f64>> = expected
-            .iter()
-            .map(|col| {
-                col.iter()
-                    .map(|&q| q as f64 * inv_scale / K as f64)
-                    .collect()
-            })
-            .collect();
-        let inner = node_net_flow_sorted(ME, &own, cols.iter().map(Vec::as_slice));
-        let nf = N as f64;
-        let want = (inner + (nf - 1.0)) / (nf * (nf - 1.0) / 2.0);
+        let want = dense_betweenness(&p, &expected);
         let got = p.betweenness().expect("combined");
         assert_eq!(got.to_bits(), want.to_bits(), "{got} vs dense {want}");
     }
@@ -581,48 +661,193 @@ mod tests {
         }
     }
 
+    /// The cell word `(slot, source, q)`.
+    fn word(p: &CountProgram, slot: usize, source: usize, q: u64) -> u64 {
+        p.key(slot, source) << p.value_bits | q
+    }
+
+    /// Widens `p`'s table to nine slots, more than the 3-bit slot field
+    /// of a 6-node network addresses.
+    fn widen(p: &mut CountProgram) {
+        p.degree = 9;
+        p.received_per_neighbor.resize(9, 0);
+        p.live.resize(9, true);
+    }
+
     #[test]
     fn decode_rejects_inconsistent_cell_tables() {
         // Two lockstep rounds: sources 0 and 1 delivered, five cells.
         let mut p = hand_program(false);
         p.receive(&inbox(&[(1, 5), (3, 7), (5, 2)]));
         p.receive(&inbox(&[(1, 4), (5, 1)]));
-        let decode = |p: &CountProgram| CountProgram::decode_state(&mut BitReader::new(&encode(p)));
-        assert!(decode(&p).is_some());
-        let edits: [fn(&mut CountProgram); 10] = [
+        let decode = |bytes: &[u8]| CountProgram::decode_state(&mut BitReader::new(bytes));
+        assert!(decode(&encode(&p)).is_some());
+        // A wide table decodes while its cells fit their fields.
+        let mut wide = p.clone();
+        widen(&mut wide);
+        wide.cells.push(word(&wide, 7, 0, 1));
+        assert!(decode(&encode(&wide)).is_some());
+        let edits: [fn(&mut CountProgram); 11] = [
             // Own pairs out of order, repeated, zero or naming no node.
             |p| p.own.swap(0, 1),
             |p| p.own[1].0 = p.own[0].0,
             |p| p.own[0].1 = 0,
             |p| p.own.push((N as u32, 1)),
             // A cell past the last slot, and a zero cell.
-            |p| p.cells[0].slot = NEIGHBORS.len() as u32,
-            |p| p.cells[0].value = 0.0,
+            |p| {
+                let (_, source, q) = p.unpack(p.cells[0]);
+                p.cells[0] = word(p, NEIGHBORS.len(), source, q);
+            },
+            |p| p.cells[0] &= !low_bits(p.value_bits),
             // A source repeated or descending within its slot.
             |p| p.cells.push(p.cells[4]),
             |p| p.cells.push(p.cells[0]),
             // A source its neighbor has not delivered yet, and one past
             // the network however many rounds the image claims.
-            |p| {
-                p.cells.push(Cell {
-                    slot: 1,
-                    source: 2,
-                    value: 1.0,
-                })
-            },
+            |p| p.cells.push(word(p, 1, 2, 48)),
             |p| {
                 p.received_rounds = N + 1;
-                p.cells.push(Cell {
-                    slot: 1,
-                    source: N as u32,
-                    value: 1.0,
-                });
+                p.cells.push(word(p, 1, N, 48));
+            },
+            // A slot that overflows its field of the word.
+            |p| {
+                widen(p);
+                p.cells.push(word(p, 8, 0, 1));
             },
         ];
         for edit in edits {
             let mut bad = p.clone();
             edit(&mut bad);
-            assert!(decode(&bad).is_none(), "{:?} / {:?}", bad.own, bad.cells);
+            assert!(
+                decode(&encode(&bad)).is_none(),
+                "{:?} / {:x?}",
+                bad.own,
+                bad.cells
+            );
+        }
+        // Values no count of the field stands for bit for bit: one ulp
+        // off a count's value, and the value of 2^16, one past the
+        // field. After `me`, `n`, the 96-bit own pairs and the cells'
+        // length, cell `i` is 128 bits, its value last.
+        let at = |i: usize| (3 * 64 + 96 * p.own.len() + 64 + 128 * i + 64) / 8;
+        let with_value = |i: usize, value: f64| {
+            let mut bytes = encode(&p);
+            bytes[at(i)..at(i) + 8].copy_from_slice(&value.to_bits().to_be_bytes());
+            bytes
+        };
+        let held = p.value(p.unpack(p.cells[2]).2);
+        assert_eq!(
+            with_value(2, held),
+            encode(&p),
+            "cell 2's value is at byte {}",
+            at(2)
+        );
+        for value in [f64::from_bits(held.to_bits() + 1), p.value(1 << 16)] {
+            assert!(decode(&with_value(2, value)).is_none(), "value {value}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random inboxes through `receive`, with a checkpoint round trip
+        /// before a random round: the combine equals the dense reduction
+        /// over the last-write-wins table bit for bit, and every image
+        /// decodes to a program that encodes it again.
+        #[test]
+        fn receive_and_combine_match_the_dense_table(
+            strict in any::<bool>(),
+            n in 2usize..24,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let me = rng.gen_range(0..n);
+            let mut neighbors: Vec<usize> = (0..n).filter(|&v| v != me).collect();
+            let degree = rng.gen_range(1..=neighbors.len().min(5));
+            neighbors.shuffle(&mut rng);
+            neighbors.truncate(degree);
+            neighbors.sort_unstable();
+            let (k, f, value_bits) = (rng.gen_range(1..5), rng.gen_range(1..8u8), rng.gen_range(10..=40u8));
+            let xi: Vec<(NodeId, u64)> = (0..n)
+                .filter_map(|s| Some((s, rng.gen_range(0..6u64))).filter(|&(_, c)| c > 0))
+                .collect();
+            let mut p = CountProgram::new(me, n, degree, &xi, k, value_bits, f)
+                .with_strict_delivery(strict);
+            p.neighbor_ids = neighbors.clone();
+            // Zeros are common, and so are frames repeating the last one.
+            let draw = |rng: &mut StdRng, last: Option<u64>| match (rng.gen_range(0..4), last) {
+                (0, _) => 0,
+                (1, Some(q)) => q,
+                _ => rng.gen_range(1..=low_bits(value_bits)),
+            };
+            let mut table = vec![vec![0u64; n]; degree];
+            let mut rounds: Vec<Vec<Incoming<CountMsg>>> = Vec::new();
+            let frame = |from, scaled| Incoming {
+                from,
+                msg: CountMsg { scaled, value_bits },
+            };
+            if strict {
+                // Each neighbor's k-th frame is its count for source k,
+                // whatever round it lands in; frames past the n-th are
+                // ignored.
+                let mut queues: Vec<std::collections::VecDeque<u64>> = (0..degree)
+                    .map(|slot| {
+                        let extra = rng.gen_range(0..3usize);
+                        let mut last = None;
+                        (0..n + extra)
+                            .map(|source| {
+                                let q = draw(&mut rng, last);
+                                if source < n {
+                                    table[slot][source] = q;
+                                }
+                                last = Some(q);
+                                q
+                            })
+                            .collect()
+                    })
+                    .collect();
+                while queues.iter().any(|q| !q.is_empty()) {
+                    let mut frames = Vec::new();
+                    for (slot, queue) in queues.iter_mut().enumerate() {
+                        for _ in 0..rng.gen_range(0..=3) {
+                            if let Some(q) = queue.pop_front() {
+                                frames.push(frame(neighbors[slot], q));
+                            }
+                        }
+                    }
+                    rounds.push(frames);
+                }
+            } else {
+                // Round r carries each neighbor's count for source r: none
+                // (a lost frame), one, or several, a duplicate or a
+                // delayed frame among them; the last one wins.
+                while rounds.len() < n {
+                    let source = rounds.len();
+                    let mut frames = Vec::new();
+                    for (slot, &from) in neighbors.iter().enumerate() {
+                        let mut last = None;
+                        for _ in 0..[0, 1, 1, 1, 1, 2, 2, 3][rng.gen_range(0..8usize)] {
+                            let q = draw(&mut rng, last);
+                            frames.push(frame(from, q));
+                            table[slot][source] = q;
+                            last = Some(q);
+                        }
+                    }
+                    rounds.push(frames);
+                }
+            }
+            let restore_before = rng.gen_range(0..=rounds.len());
+            for (r, frames) in rounds.iter().enumerate() {
+                if r == restore_before {
+                    p = round_trip(&p);
+                }
+                p.receive(frames);
+            }
+            p = round_trip(&p);
+            p.combine();
+            let (got, want) = (p.betweenness().expect("combined"), dense_betweenness(&p, &table));
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs dense {}", got, want);
+            round_trip(&p);
         }
     }
 

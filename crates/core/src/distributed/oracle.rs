@@ -23,7 +23,7 @@ use super::{
     approximate, CongestionDiscipline, DistributedConfig, DistributedRun, SolvePhase, StepSolver,
     Transport,
 };
-use crate::flow_sum::{node_net_flow_sparse, Cell};
+use crate::flow_sum::node_net_flow_sparse;
 use crate::monte_carlo::TargetStrategy;
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -92,22 +92,15 @@ fn oracle_centrality(g: &Graph, target: NodeId, k: usize, l: usize, seed: u64, f
         })
         .collect();
     let value = |q: u64| q as f64 / scale / k as f64;
+    let columns: Vec<Vec<(u32, f64)>> = shipped
+        .iter()
+        .map(|row| row.iter().map(|&(s, q)| (s, value(q))).collect())
+        .collect();
     let nf = n as f64;
     (0..n)
         .map(|v| {
-            let own: Vec<(u32, f64)> = shipped[v].iter().map(|&(s, q)| (s, value(q))).collect();
-            let cells: Vec<Cell> = g
-                .neighbors(v)
-                .enumerate()
-                .flat_map(|(slot, u)| {
-                    shipped[u].iter().map(move |&(source, q)| Cell {
-                        slot: slot as u32,
-                        source,
-                        value: value(q),
-                    })
-                })
-                .collect();
-            let inner = node_net_flow_sparse(v, n, &own, &cells, g.degree(v));
+            let neighbors = g.neighbors(v).map(|u| columns[u].as_slice());
+            let inner = node_net_flow_sparse(v, n, &columns[v], neighbors);
             (inner + (nf - 1.0)) / (nf * (nf - 1.0) / 2.0)
         })
         .collect()

@@ -42,6 +42,7 @@ use rand::{Rng, SeedableRng};
 use rwbc_graph::traversal::{connected_components, is_connected};
 use rwbc_graph::{Graph, NodeId};
 
+use crate::distributed::count_phase::cell_bits;
 use crate::distributed::messages::{count_field_bits, len_field_bits, WalkBatch};
 use crate::distributed::sketch::sketch_field_bits;
 use crate::distributed::{
@@ -408,8 +409,10 @@ impl<'g> StepSolver<'g> {
     ///
     /// [`RwbcError::TooSmall`] / [`RwbcError::Disconnected`] on invalid
     /// graphs; [`RwbcError::InvalidParameter`] when the fixed target is
-    /// out of range, sketch counting meets partition tolerance, or the
-    /// phase-2 counts cannot fit the budget even with 1 fractional bit.
+    /// out of range, sketch counting meets partition tolerance, the
+    /// phase-2 counts cannot fit the budget even with 1 fractional bit,
+    /// or an exact count with its slot and source (`2·bits(n − 1) +
+    /// value_bits` bits) does not fit a 64-bit cell.
     pub fn new(graph: &'g Graph, config: DistributedConfig) -> Result<StepSolver<'g>, RwbcError> {
         StepSolver::start(graph, config, None)
     }
@@ -499,6 +502,15 @@ impl<'g> StepSolver<'g> {
             CountMode::Exact => count_field_bits(k, l, f),
             CountMode::Sketch { .. } => sketch_field_bits(k, l, n, f),
         };
+        // Each received exact count is stored as one word with its slot
+        // and source.
+        if config.count_mode == CountMode::Exact && cell_bits(n, value_bits) > 64 {
+            return Err(invalid(format!(
+                "a {value_bits}-bit count with its slot and source takes {} bits, \
+                 past a 64-bit cell; lower K or l",
+                cell_bits(n, value_bits)
+            )));
+        }
         Ok(StepSolver {
             graph,
             fixed_point_bits: f,
@@ -1330,6 +1342,28 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn plan_rejects_counts_too_wide_for_a_cell() {
+        // n = 4: a cell's slot and source take 2 bits each, which leaves
+        // 60 for the count. With l = 1 and 16 fractional bits, K = 2^42
+        // needs 44 + 16 of them and K = 2^43 one more.
+        let g = star(3).unwrap();
+        let config = |k: usize| {
+            DistributedConfig::builder()
+                .walks(k)
+                .length(1)
+                .sim(SimConfig::default().with_bandwidth_coeff(64))
+                .build()
+                .unwrap()
+        };
+        let fits = StepSolver::plan(&g, config(1 << 42), None).map(|s| s.value_bits);
+        assert!(matches!(fits, Ok(60)), "{:?}", fits.err());
+        assert!(matches!(
+            StepSolver::plan(&g, config(1 << 43), None),
+            Err(RwbcError::InvalidParameter { .. })
+        ));
     }
 
     /// A mid-count-phase exact image, pinned by its CRC-32: the image

@@ -134,47 +134,21 @@ pub(crate) fn node_net_flow_sorted<'a>(
     acc / 2.0
 }
 
-/// One nonzero received potential: neighbor `slot`'s value for `source`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Cell {
-    pub(crate) slot: u32,
-    pub(crate) source: u32,
-    pub(crate) value: f64,
-}
-
 /// [`node_net_flow_sorted`] over sparse columns of `n` entries each, with
-/// every absent entry zero. `own` holds node `me`'s nonzero potentials as
-/// `(source, value)` by ascending source; `cells` holds the `deg`
-/// neighbors' nonzero potentials, in any slot order but by ascending
-/// source within one slot. The result is bit-identical to the dense
-/// reduction (see [`SortedColumn`]), at `O(m log m)` per neighbor for `m`
-/// nonzero differences instead of `O(n log n)`.
-pub(crate) fn node_net_flow_sparse(
+/// every absent entry zero. `own` holds node `me`'s nonzero potentials and
+/// each of `neighbor_cols` one neighbor's, as `(source, value)` by
+/// ascending source. The result is bit-identical to the dense reduction
+/// (see [`SortedColumn`]), at `O(m log m)` per neighbor for `m` nonzero
+/// differences instead of `O(n log n)`.
+pub(crate) fn node_net_flow_sparse<'a>(
     me: usize,
     n: usize,
     own: &[(u32, f64)],
-    cells: &[Cell],
-    deg: usize,
+    neighbor_cols: impl Iterator<Item = &'a [(u32, f64)]>,
 ) -> f64 {
-    // Stable counting sort by slot: each neighbor's column becomes one
-    // contiguous run, still by ascending source.
-    let mut start = vec![0usize; deg + 1];
-    for c in cells {
-        start[c.slot as usize + 1] += 1;
-    }
-    for slot in 0..deg {
-        start[slot + 1] += start[slot];
-    }
-    let mut next = start.clone();
-    let mut by_slot = vec![(0u32, 0.0f64); cells.len()];
-    for c in cells {
-        let at = &mut next[c.slot as usize];
-        by_slot[*at] = (c.source, c.value);
-        *at += 1;
-    }
     let mut acc = 0.0;
-    for slot in 0..deg {
-        let (z, at_me) = nonzero_differences(me, own, &by_slot[start[slot]..start[slot + 1]]);
+    for nb in neighbor_cols {
+        let (z, at_me) = nonzero_differences(me, own, nb);
         let zeros = n - z.len();
         let col = SortedColumn::with_zeros(z, zeros);
         acc += col.pair_sum() - col.abs_sum_around(at_me);
@@ -364,7 +338,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use rwbc_graph::generators::{complete, cycle};
 
@@ -433,24 +406,14 @@ mod tests {
                 }
                 _ => {}
             }
-            // Cells arrive source by source, neighbors in any order.
-            let mut cells = Vec::new();
-            let mut slots: Vec<usize> = (0..deg).collect();
-            for source in 0..n as u32 {
-                slots.shuffle(&mut rng);
-                for &slot in &slots {
-                    let value = cols[slot][source as usize];
-                    if value != 0.0 {
-                        cells.push(Cell {
-                            slot: slot as u32,
-                            source,
-                            value,
-                        });
-                    }
-                }
-            }
             let dense = node_net_flow_sorted(me, &own, cols.iter().map(Vec::as_slice));
-            let sparse = node_net_flow_sparse(me, n, &nonzero(&own), &cells, deg);
+            let sparse_cols: Vec<Vec<(u32, f64)>> = cols.iter().map(|c| nonzero(c)).collect();
+            let sparse = node_net_flow_sparse(
+                me,
+                n,
+                &nonzero(&own),
+                sparse_cols.iter().map(Vec::as_slice),
+            );
             prop_assert_eq!(sparse.to_bits(), dense.to_bits(), "{} vs dense {}", sparse, dense);
         }
     }

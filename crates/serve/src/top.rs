@@ -20,8 +20,8 @@ pub struct TopOptions {
     pub addr: String,
     /// Milliseconds between scrapes.
     pub interval_ms: u64,
-    /// Ticks to render before exiting; 0 runs until the daemon goes
-    /// away.
+    /// Ticks to render before exiting; 0 runs until the daemon or the
+    /// reader goes away.
     pub iterations: u64,
     /// Emit ANSI clear-and-home before each frame (off for pipes/CI).
     pub clear_screen: bool,
@@ -95,10 +95,9 @@ pub fn render_frame(
         report.burn_slow,
     ));
     out.push_str(&format!(
-        "solver   phase={} rounds={} msgs={} checkpoints={} age={}\n",
+        "solver   phase={} rounds={} checkpoints={} age={}\n",
         phase_name(snap.gauge("solver_phase").unwrap_or(3)),
         snap.gauge("solver_rounds_completed").unwrap_or(0),
-        get("engine_messages_total"),
         get("solver_checkpoints_total"),
         report
             .last_checkpoint_age_ms
@@ -125,14 +124,27 @@ pub fn render_frame(
     out
 }
 
+/// Ends the dashboard on a failed write or flush: a reader that went
+/// away (`BrokenPipe`) is a clean exit, any other error is returned.
+fn write_failed(e: std::io::Error) -> Result<(), String> {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        Ok(())
+    } else {
+        Err(format!("writing the dashboard failed: {e}"))
+    }
+}
+
 /// Polls the daemon and writes frames to `out` until the iteration
-/// budget is spent or the daemon becomes unreachable.
+/// budget is spent, the daemon becomes unreachable, or a write to `out`
+/// fails.
 ///
 /// # Errors
 ///
 /// A scrape failure before the *first* frame (nothing ever rendered) is
 /// an error; after that the dashboard reports the disconnect and exits
-/// cleanly — a drained daemon is a normal way for `top` to end.
+/// cleanly — a drained daemon is a normal way for `top` to end. The
+/// first failed write or flush ends it too: cleanly when its reader is
+/// gone (`BrokenPipe`), with the error otherwise.
 pub fn run<W: Write>(opts: &TopOptions, out: &mut W) -> Result<(), String> {
     let client = Client::new(opts.addr.clone());
     let mut prev: Option<MetricsReport> = None;
@@ -143,20 +155,23 @@ pub fn run<W: Write>(opts: &TopOptions, out: &mut W) -> Result<(), String> {
             Ok(other) => return Err(format!("unexpected metrics response: {other:?}")),
             Err(e) if prev.is_none() => return Err(format!("scrape failed: {e}")),
             Err(e) => {
-                let _ = writeln!(out, "daemon went away ({e}); exiting");
-                return Ok(());
+                return writeln!(out, "daemon went away ({e}); exiting")
+                    .and_then(|()| out.flush())
+                    .or_else(write_failed);
             }
         };
+        let mut frame = String::new();
         if opts.clear_screen {
-            let _ = write!(out, "\x1b[2J\x1b[H");
+            frame.push_str("\x1b[2J\x1b[H");
         }
-        let frame = render_frame(
+        frame.push_str(&render_frame(
             &opts.addr,
             &report,
             prev.as_ref().map(|p| (p, opts.interval_ms)),
-        );
-        let _ = out.write_all(frame.as_bytes());
-        let _ = out.flush();
+        ));
+        if let Err(e) = out.write_all(frame.as_bytes()).and_then(|()| out.flush()) {
+            return write_failed(e);
+        }
         prev = Some(report);
         tick += 1;
         if opts.iterations > 0 && tick >= opts.iterations {
@@ -169,6 +184,7 @@ pub fn run<W: Write>(opts: &TopOptions, out: &mut W) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Daemon, ServeConfig, SolverConfig};
     use congest_sim::Registry;
 
     fn report(requests: u64, uptime_ms: u64) -> MetricsReport {
@@ -198,6 +214,48 @@ mod tests {
         let warm = render_frame("127.0.0.1:9", &second, Some((&first, 1000)));
         assert!(warm.contains("total=150 (50.0/s)"), "{warm}");
         assert!(warm.contains("p50=900us"), "{warm}");
+    }
+
+    /// A writer whose every write and flush fails with `kind`; it counts
+    /// the attempts.
+    struct Failing {
+        kind: std::io::ErrorKind,
+        attempts: usize,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            self.attempts += 1;
+            Err(self.kind.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.attempts += 1;
+            Err(self.kind.into())
+        }
+    }
+
+    #[test]
+    fn the_first_failed_write_ends_the_dashboard() {
+        let daemon = Daemon::start(ServeConfig::new(SolverConfig::new(16, 1))).expect("bind");
+        let opts = TopOptions {
+            addr: daemon.local_addr().to_string(),
+            interval_ms: 50,
+            iterations: 3,
+            clear_screen: true,
+        };
+        // A reader that went away is a clean exit; any other failure is
+        // returned.
+        for (kind, clean) in [
+            (std::io::ErrorKind::BrokenPipe, true),
+            (std::io::ErrorKind::PermissionDenied, false),
+        ] {
+            let mut out = Failing { kind, attempts: 0 };
+            assert_eq!(run(&opts, &mut out).is_ok(), clean, "{kind:?}");
+            assert_eq!(out.attempts, 1, "{kind:?}: written after a failed write");
+        }
+        daemon.drain();
+        daemon.wait();
     }
 
     #[test]

@@ -275,9 +275,19 @@ fn every_view_reads_one_account_after_a_resume() {
     let snap = &report.snapshot;
     let rounds = health.rounds_completed;
     assert_eq!(stats.solve_rounds, rounds);
-    let frame = render_frame(&addr.to_string(), &report, None);
-    assert!(frame.contains(&format!(" rounds={rounds} ")), "{frame}");
     assert_eq!(snap.gauge("solver_rounds_completed"), Some(rounds));
+    // The frame's `solver` line reads the whole solve's rounds, and no
+    // tally of this process's engine alone beside them.
+    let frame = render_frame(&addr.to_string(), &report, None);
+    let solver_line = frame
+        .lines()
+        .find(|line| line.starts_with("solver "))
+        .expect("a solver line");
+    assert!(
+        solver_line.contains(&format!(" rounds={rounds} ")),
+        "{frame}"
+    );
+    assert!(!solver_line.contains("msgs="), "{frame}");
     assert!(
         snap.counter("engine_rounds_total").unwrap_or(0) < rounds,
         "the resumed solve ran only the rounds after its image"
