@@ -1,7 +1,7 @@
 //! `rwbc-bench` — end-to-end perf scenarios with JSON output.
 //!
 //! ```text
-//! rwbc-bench [--list] [--smoke] [--sweep] [--large] [--threads LIST]
+//! rwbc-bench [--list] [--smoke] [--sweep] [--threads LIST]
 //!            [--allow-oversubscribe] [--scenario NAME]... [--trials T]
 //!            [--warmup W] [--out-dir DIR] [--tag TAG]
 //! rwbc-bench --validate FILE...
@@ -13,13 +13,16 @@
 //! `rwbc_bench::perf` for the schema). `--validate` checks existing
 //! files against the schema and exits non-zero on the first failure;
 //! `--compare` prints the median-wall-clock speedup of the second file
-//! relative to the first.
+//! relative to the first, whether their `(rounds, total_messages,
+//! total_bits)` fingerprints and phase breakdowns are identical, and both
+//! peak RSS values with their ratio. A fingerprint difference is reported,
+//! not an error.
 //!
 //! `--sweep` runs the threads-sweep matrix (`clean-er` at n = 4096, or
 //! n = 128 combined with `--smoke`) once per thread count in `--threads`
 //! (default `1,2,4,8`) and then checks that every workload's
 //! deterministic fingerprint is bit-identical across thread counts.
-//! `--large` adds the n = 65536 scale point to a full sweep. Requesting
+//! Requesting
 //! more threads than the host exposes is an error unless
 //! `--allow-oversubscribe` is passed, in which case the artifact records
 //! `oversubscribed: true`.
@@ -38,7 +41,6 @@ struct Options {
     list: bool,
     smoke: bool,
     sweep: bool,
-    large: bool,
     allow_oversubscribe: bool,
     threads: Option<Vec<usize>>,
     scenarios: Vec<String>,
@@ -51,7 +53,7 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: rwbc-bench [--list] [--smoke] [--sweep] [--large] [--threads LIST] \
+    "usage: rwbc-bench [--list] [--smoke] [--sweep] [--threads LIST] \
      [--allow-oversubscribe] [--scenario NAME]... [--trials T] \
      [--warmup W] [--out-dir DIR] [--tag TAG]\n       rwbc-bench --validate FILE...\n       \
      rwbc-bench --compare BASELINE.json CURRENT.json"
@@ -74,7 +76,6 @@ fn parse_args() -> Result<Options, String> {
         list: false,
         smoke: false,
         sweep: false,
-        large: false,
         allow_oversubscribe: false,
         threads: None,
         scenarios: Vec::new(),
@@ -92,7 +93,6 @@ fn parse_args() -> Result<Options, String> {
             "--list" => opts.list = true,
             "--smoke" => opts.smoke = true,
             "--sweep" => opts.sweep = true,
-            "--large" => opts.large = true,
             "--allow-oversubscribe" => opts.allow_oversubscribe = true,
             "--threads" => opts.threads = Some(parse_threads_list(&value("--threads")?)?),
             "--scenario" => opts.scenarios.push(value("--scenario")?),
@@ -191,6 +191,37 @@ fn run_compare(baseline: &Path, current: &Path) -> Result<(), String> {
         base,
         cur
     );
+    // The validators guarantee every field read below.
+    let fingerprint = |doc: &Json| {
+        let field = |key| doc.get(key).and_then(Json::as_u64).unwrap_or_default();
+        (
+            field("rounds"),
+            field("total_messages"),
+            field("total_bits"),
+        )
+    };
+    let (base_fp, cur_fp) = (fingerprint(&base_doc), fingerprint(&cur_doc));
+    if base_fp == cur_fp {
+        outln!("fingerprint (rounds, total_messages, total_bits): identical {base_fp:?}");
+    } else {
+        outln!(
+            "fingerprint (rounds, total_messages, total_bits): baseline {base_fp:?}  \
+             current {cur_fp:?}"
+        );
+    }
+    let same_phases = base_doc.get("phase_breakdown") == cur_doc.get("phase_breakdown");
+    outln!(
+        "phase_breakdown: {}",
+        if same_phases { "identical" } else { "differs" }
+    );
+    let peak = |doc: &Json| doc.get("peak_rss_bytes").and_then(Json::as_u64);
+    match (peak(&base_doc), peak(&cur_doc)) {
+        (Some(b), Some(c)) => outln!(
+            "peak_rss_bytes: baseline {b}  current {c}  current/baseline {:.3}",
+            c as f64 / b.max(1) as f64
+        ),
+        _ => outln!("peak_rss_bytes: n/a"),
+    }
     Ok(())
 }
 
@@ -200,7 +231,7 @@ fn select(opts: &Options) -> Result<Vec<Scenario>, String> {
         if opts.smoke {
             smoke_sweep_matrix(&threads)
         } else {
-            sweep_matrix(&threads, opts.large)
+            sweep_matrix(&threads)
         }
     } else if opts.smoke {
         smoke_matrix()

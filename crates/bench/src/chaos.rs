@@ -32,7 +32,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use congest_sim::algorithms::Flood;
 use congest_sim::trace::json::Json;
 use congest_sim::trace::jsonl::{decode_event, decode_trace, encode_event};
-use congest_sim::wire::{read_section, write_section, BitReader, BitWriter};
+use congest_sim::wire::{read_section, BitReader, BitWriter};
 use congest_sim::{
     FaultPlan, LinkCorruption, LinkOutage, MemoryTracer, Message, NodeCrash, Registry, Reliable,
     SimConfig, Simulator,
@@ -64,7 +64,8 @@ pub struct CodecReport {
     /// `serve-response`, `serve-frame`, `serve-step-checkpoint`,
     /// `exact-step-checkpoint`, `sketch-count-msg`,
     /// `sketch-step-checkpoint`, the `-resealed` variants of the four
-    /// checkpoint codecs, and `exact-mid-count-checkpoint-resealed`).
+    /// checkpoint codecs, `exact-mid-count-checkpoint-resealed` and
+    /// `step-sections-resealed`).
     pub name: &'static str,
     /// Mutated inputs fed to the decoder.
     pub cases: usize,
@@ -183,63 +184,64 @@ fn fuzz_codec(
     report
 }
 
-/// A sealed image taken apart: the unframed header in front of its
-/// sections, as `(value, width)` fields, and each section's payload.
-struct Sealed {
-    header: Vec<(u64, usize)>,
-    sections: Vec<Vec<u8>>,
+/// A checkpoint image taken apart: its 16-byte prelude and each sealed
+/// section's payload, to the end of the image.
+struct Sealed<'a> {
+    prelude: &'a [u8],
+    sections: Vec<&'a [u8]>,
 }
 
-impl Sealed {
-    /// Splits a corpus image whose `sections` sections follow a
-    /// `header_bits`-bit header.
-    fn split(image: &[u8], header_bits: usize, sections: usize) -> Sealed {
-        let mut r = BitReader::new(image);
-        let header = (0..header_bits)
-            .step_by(64)
-            .map(|at| {
-                let width = (header_bits - at).min(64);
-                (r.read_bits(width).expect("corpus image header"), width)
-            })
-            .collect();
-        let sections = (0..sections)
-            .map(|_| read_section(&mut r, "corpus").expect("corpus image section"))
-            .collect();
-        Sealed { header, sections }
+impl<'a> Sealed<'a> {
+    /// Splits a corpus image.
+    fn split(image: &'a [u8]) -> Sealed<'a> {
+        let (prelude, rest) = image.split_at(16);
+        let mut r = BitReader::new(rest);
+        let mut sections = Vec::new();
+        while r.remaining_bits() > 0 {
+            sections.push(read_section(&mut r, "corpus").expect("corpus image section"));
+        }
+        Sealed { prelude, sections }
     }
 
-    /// Writes the image back, each section under a fresh checksum.
-    fn seal(&self) -> Vec<u8> {
+    /// The image with section `at`'s payload replaced by `payload`, each
+    /// section under a fresh checksum.
+    fn reseal(&self, at: usize, payload: &[u8]) -> Vec<u8> {
         let mut w = BitWriter::new();
-        for &(value, width) in &self.header {
-            w.write_bits(value, width);
-        }
-        for section in &self.sections {
-            write_section(&mut w, section);
+        w.write_bytes(self.prelude);
+        for (i, &section) in self.sections.iter().enumerate() {
+            w.section(|w| w.write_bytes(if i == at { payload } else { section }));
         }
         w.finish()
     }
+
+    /// Mutates the payload of one of the first `among` sections and
+    /// re-seals the image.
+    fn mutate_one(&self, among: usize, rng: &mut StdRng) -> Vec<u8> {
+        let at = rng.gen_range(0..among as u64) as usize;
+        self.reseal(at, &mutate(self.sections[at], rng))
+    }
 }
 
-/// Mutates one section payload of an engine image (behind its 321-bit
-/// header: magic, version, node count, seed, round and the `started`
-/// flag; then stats, rngs, programs, pending and delayed) and re-seals
-/// it, so the damage reaches the decoder behind the checksum.
+/// Mutates one section payload of an engine image (header, stats, rngs,
+/// programs, pending or delayed) and re-seals it, so the damage reaches
+/// the decoder behind the checksum.
 fn mutate_engine_section(image: &[u8], rng: &mut StdRng) -> Vec<u8> {
-    let mut sealed = Sealed::split(image, 5 * 64 + 1, 5);
-    let at = rng.gen_range(0..sealed.sections.len() as u64) as usize;
-    sealed.sections[at] = mutate(&sealed.sections[at], rng);
-    sealed.seal()
+    let sealed = Sealed::split(image);
+    sealed.mutate_one(sealed.sections.len(), rng)
 }
 
 /// [`mutate_engine_section`] on the engine image nested in a
-/// `StepSolver` image (magic and version, then the header, phase
-/// metadata and engine-image sections), re-sealing the engine-image
-/// section around it too.
+/// `StepSolver` image (the header, phase metadata and engine-image
+/// sections), re-sealing the engine-image section around it too.
 fn mutate_step_engine_section(image: &[u8], rng: &mut StdRng) -> Vec<u8> {
-    let mut sealed = Sealed::split(image, 2 * 64, 3);
-    sealed.sections[2] = mutate_engine_section(&sealed.sections[2], rng);
-    sealed.seal()
+    let sealed = Sealed::split(image);
+    sealed.reseal(2, &mutate_engine_section(sealed.sections[2], rng))
+}
+
+/// Mutates a `StepSolver` image's own header or phase-metadata section
+/// (not the nested engine image) and re-seals it.
+fn mutate_step_section(image: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    Sealed::split(image).mutate_one(2, rng)
 }
 
 /// A small faulty traced run whose artifacts feed the corpora: real
@@ -682,6 +684,24 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
         budget,
         &mut rng,
         mutate_step_engine_section,
+        restore_step,
+    ));
+    // The step image's own header and phase metadata, re-sealed, in a
+    // walk-phase, a mid-count and a finished image: the plan, phase-tag
+    // and count-mode checks and the done image's centrality, stats and
+    // degradation decoders.
+    exact_solver.run_to_completion().expect("exact corpus run");
+    let step_sections_corpus = vec![
+        step_corpus[0].clone(),
+        mid_count_corpus[0].clone(),
+        exact_solver.checkpoint().expect("done corpus image"),
+    ];
+    codecs.push(fuzz_codec(
+        "step-sections-resealed",
+        &step_sections_corpus,
+        budget,
+        &mut rng,
+        mutate_step_section,
         restore_step,
     ));
 
@@ -1136,7 +1156,7 @@ mod tests {
     #[test]
     fn fuzzing_every_codec_panics_nowhere() {
         let report = fuzz_all_codecs(0xF422, 60);
-        assert_eq!(report.codecs.len(), 19);
+        assert_eq!(report.codecs.len(), 20);
         for codec in &report.codecs {
             assert!(
                 codec.panics.is_empty(),
@@ -1154,7 +1174,7 @@ mod tests {
             }
         }
         assert!(report.is_clean());
-        assert_eq!(report.total_cases(), 19 * 60);
+        assert_eq!(report.total_cases(), 20 * 60);
     }
 
     #[test]

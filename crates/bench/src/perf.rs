@@ -293,23 +293,12 @@ pub fn smoke_matrix() -> Vec<Scenario> {
 }
 
 /// The threads-sweep matrix: `clean-er` at n = 4096 once per requested
-/// thread count, plus (behind `large`) the n = 65536 scale point. The
-/// large scenario is opt-in because a single trial runs for minutes
-/// single-threaded and peaks well above the n = 4096 run's ~180 MB RSS
-/// (`BENCH_clean-er-n4096-t1.json`).
-pub fn sweep_matrix(threads: &[usize], large: bool) -> Vec<Scenario> {
-    let mut m: Vec<Scenario> = threads
+/// thread count.
+pub fn sweep_matrix(threads: &[usize]) -> Vec<Scenario> {
+    threads
         .iter()
         .map(|&t| Scenario::new(Mode::Clean, Topology::Er, 4096, t))
-        .collect();
-    if large {
-        m.extend(
-            threads
-                .iter()
-                .map(|&t| Scenario::new(Mode::Clean, Topology::Er, 65536, t)),
-        );
-    }
-    m
+        .collect()
 }
 
 /// The CI smoke sweep: `clean-er` at n = 128 once per requested thread
@@ -881,16 +870,13 @@ mod tests {
 
     #[test]
     fn sweep_matrices_cover_each_thread_count_once() {
-        let m = sweep_matrix(&[1, 2, 4, 8], false);
+        let m = sweep_matrix(&[1, 2, 4, 8]);
         assert_eq!(m.len(), 4);
         assert!(m.iter().all(|s| s.n == 4096));
         assert_eq!(
             m.iter().map(|s| s.threads).collect::<Vec<_>>(),
             vec![1, 2, 4, 8]
         );
-        let large = sweep_matrix(&[1, 8], true);
-        assert_eq!(large.len(), 4);
-        assert_eq!(large.iter().filter(|s| s.n == 65536).count(), 2);
         let smoke = smoke_sweep_matrix(&[1, 4]);
         assert_eq!(smoke.len(), 2);
         assert!(smoke.iter().all(|s| s.n == 128));

@@ -11,7 +11,7 @@ use crate::node::{Context, Incoming};
 use crate::rng::node_rng;
 use crate::stats::ordered;
 use crate::trace::{DropReason, TraceEvent, Tracer};
-use crate::wire::{read_section, write_section, BitReader, BitWriter, WireState};
+use crate::wire::{read_prelude, read_section, BitReader, BitWriter, WireState};
 use crate::{Message, NodeProgram, RunStats, SimConfig, SimError};
 
 /// Per-node outgoing `(destination, message)` buffers for one round.
@@ -26,8 +26,10 @@ const CHECKPOINT_MAGIC: u64 = 0xC4EC_5A7E;
 /// Bumped whenever the checkpoint layout changes incompatibly; only this
 /// version restores. Version 2 added [`RunStats::peak_edge`]; version 3
 /// added the corruption counters and reframed the body into CRC-guarded
-/// sections (see [`Simulator::checkpoint`]).
-const CHECKPOINT_VERSION: u64 = 3;
+/// sections; version 4 seals the header (node count, seed, round, started
+/// flag) in a section of its own, so every byte past the prelude is
+/// checksummed (see [`Simulator::checkpoint`]).
+const CHECKPOINT_VERSION: u64 = 4;
 
 /// Renders a worker panic payload for [`SimError::WorkerPanic`]. Panics
 /// raised via `panic!("..")` carry `&str` or `String`; anything else is
@@ -843,13 +845,14 @@ where
     /// checkpoint → kill → restore → run produces exactly the trace of the
     /// uninterrupted run, at any thread count.
     ///
-    /// Layout (version 3): an unframed header (magic, version, node count,
-    /// seed, round, started flag) followed by five CRC-guarded sections —
-    /// `stats`, `rngs`, `programs`, `pending`, `delayed` — each framed as
-    /// `u64 byte length + u32 CRC-32 + payload bytes`. A flipped bit
-    /// anywhere in a section fails that section's checksum on restore
-    /// with a [`SimError::CorruptCheckpoint`] naming the section, instead
-    /// of silently resuming from mangled state.
+    /// Layout (version 4): the 16-byte prelude (magic, version) followed
+    /// by six sealed sections — `header` (node count, seed, round, started
+    /// flag), `stats`, `rngs`, `programs`, `pending`, `delayed` — each
+    /// framed as `u64 byte length + u32 CRC-32 + payload bytes` and
+    /// written in place ([`BitWriter::section`]). A flipped bit anywhere
+    /// past the prelude is caught at its section on restore, with a
+    /// [`SimError::CorruptCheckpoint`] naming the section, instead of
+    /// silently resuming from mangled state.
     pub fn checkpoint(&self) -> Vec<u8>
     where
         P: WireState,
@@ -858,34 +861,23 @@ where
         let mut w = BitWriter::new();
         w.write_bits(CHECKPOINT_MAGIC, 64);
         w.write_bits(CHECKPOINT_VERSION, 64);
-        self.graph.node_count().encode_state(&mut w);
-        self.config.seed.encode_state(&mut w);
-        self.round.encode_state(&mut w);
-        self.started.encode_state(&mut w);
-        let mut sw = BitWriter::new();
-        self.stats.encode_state(&mut sw);
-        write_section(&mut w, &sw.finish());
-        let mut sw = BitWriter::new();
-        for rng in &self.rngs {
-            for word in rng.state() {
-                word.encode_state(&mut sw);
+        w.section(|w| {
+            self.graph.node_count().encode_state(w);
+            self.config.seed.encode_state(w);
+            self.round.encode_state(w);
+            self.started.encode_state(w);
+        });
+        w.section(|w| self.stats.encode_state(w));
+        w.section(|w| {
+            for rng in self.rngs.iter().chain([&self.fault_rng]) {
+                for word in rng.state() {
+                    word.encode_state(w);
+                }
             }
-        }
-        for word in self.fault_rng.state() {
-            word.encode_state(&mut sw);
-        }
-        write_section(&mut w, &sw.finish());
-        let mut sw = BitWriter::new();
-        for prog in &self.programs {
-            prog.encode_state(&mut sw);
-        }
-        write_section(&mut w, &sw.finish());
+        });
+        w.section(|w| self.programs.iter().for_each(|p| p.encode_state(w)));
         for boxes in [&self.pending, &self.delayed] {
-            let mut sw = BitWriter::new();
-            for inbox in boxes {
-                inbox.encode_state(&mut sw);
-            }
-            write_section(&mut w, &sw.finish());
+            w.section(|w| boxes.iter().for_each(|inbox| inbox.encode_state(w)));
         }
         w.finish()
     }
@@ -914,27 +906,27 @@ where
                 reason: reason.to_string(),
             }
         }
-        let mut r = BitReader::new(data);
-        if r.read_bits(64) != Some(CHECKPOINT_MAGIC) {
-            return Err(corrupt("bad magic word"));
-        }
-        let version = r.read_bits(64).ok_or_else(|| corrupt("truncated header"))?;
-        if version != CHECKPOINT_VERSION {
-            return Err(corrupt(&format!(
-                "unsupported checkpoint version {version} (this build reads version \
-                 {CHECKPOINT_VERSION})"
-            )));
-        }
-        let n = usize::decode_state(&mut r).ok_or_else(|| corrupt("truncated header"))?;
+        let mut r = read_prelude(data, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")?;
+        let mut section = |what| read_section(&mut r, what).map(BitReader::new);
+        let ((n, seed), (round, started)): ((usize, u64), (usize, bool)) =
+            WireState::decode_state(&mut section("header")?)
+                .ok_or_else(|| corrupt("truncated header"))?;
         if n != graph.node_count() {
             return Err(corrupt("node count disagrees with the provided graph"));
         }
-        let seed = u64::decode_state(&mut r).ok_or_else(|| corrupt("truncated header"))?;
         if seed != config.seed {
             return Err(corrupt("seed disagrees with the provided config"));
         }
-        let round = usize::decode_state(&mut r).ok_or_else(|| corrupt("truncated header"))?;
-        let started = bool::decode_state(&mut r).ok_or_else(|| corrupt("truncated header"))?;
+        fn read_n<T>(
+            r: &mut BitReader<'_>,
+            n: usize,
+            read: impl Fn(&mut BitReader<'_>) -> Option<T>,
+            what: &str,
+        ) -> Result<Vec<T>, SimError> {
+            (0..n)
+                .map(|_| read(r).ok_or_else(|| corrupt(&format!("truncated {what}"))))
+                .collect()
+        }
         let read_rng = |r: &mut BitReader<'_>| -> Option<StdRng> {
             let mut words = [0u64; 4];
             for w in &mut words {
@@ -942,38 +934,15 @@ where
             }
             Some(StdRng::from_state(words))
         };
-        let read_boxes =
-            |r: &mut BitReader<'_>, what: &str| -> Result<Vec<Vec<Incoming<P::Msg>>>, SimError> {
-                let mut boxes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    boxes.push(
-                        Vec::<Incoming<P::Msg>>::decode_state(r)
-                            .ok_or_else(|| corrupt(&format!("truncated {what} traffic")))?,
-                    );
-                }
-                Ok(boxes)
-            };
 
-        let stats_bytes = read_section(&mut r, "stats")?;
-        let stats = RunStats::decode_state(&mut BitReader::new(&stats_bytes))
+        let stats = RunStats::decode_state(&mut section("stats")?)
             .ok_or_else(|| corrupt("truncated stats"))?;
-        let rng_bytes = read_section(&mut r, "rngs")?;
-        let mut rr = BitReader::new(&rng_bytes);
-        let mut rngs = Vec::with_capacity(n);
-        for _ in 0..n {
-            rngs.push(read_rng(&mut rr).ok_or_else(|| corrupt("truncated rng state"))?);
-        }
+        let mut rr = section("rngs")?;
+        let rngs = read_n(&mut rr, n, read_rng, "rng state")?;
         let fault_rng = read_rng(&mut rr).ok_or_else(|| corrupt("truncated fault rng state"))?;
-        let prog_bytes = read_section(&mut r, "programs")?;
-        let mut pr = BitReader::new(&prog_bytes);
-        let mut programs = Vec::with_capacity(n);
-        for _ in 0..n {
-            programs.push(P::decode_state(&mut pr).ok_or_else(|| corrupt("truncated program"))?);
-        }
-        let pending_bytes = read_section(&mut r, "pending")?;
-        let pending = read_boxes(&mut BitReader::new(&pending_bytes), "pending")?;
-        let delayed_bytes = read_section(&mut r, "delayed")?;
-        let delayed = read_boxes(&mut BitReader::new(&delayed_bytes), "delayed")?;
+        let programs = read_n(&mut section("programs")?, n, P::decode_state, "program")?;
+        let mut traffic = |what| read_n(&mut section(what)?, n, Vec::decode_state, what);
+        let (pending, delayed) = (traffic("pending")?, traffic("delayed")?);
         let in_flight = pending.iter().map(Vec::len).sum::<usize>()
             + delayed.iter().map(Vec::len).sum::<usize>();
         let cut_set: HashSet<(NodeId, NodeId)> =

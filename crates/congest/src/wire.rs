@@ -5,8 +5,11 @@
 //! is what `write` puts into a [`BitCount`], a checksummed frame's seal is
 //! what it puts into a [`Crc32`], and its bytes are what it puts into a
 //! [`BitWriter`], so the charge, the seal and the bytes cannot disagree.
-//! The module is also the checkpoint codec ([`WireState`],
-//! [`write_section`]) and the serve daemon's payload codec.
+//! The module is also the serve daemon's payload codec and the checkpoint
+//! codec: [`WireState`] fields in an image framed one way, a 16-byte
+//! prelude of magic word and version ([`read_prelude`]) followed only by
+//! CRC-sealed, byte-aligned sections ([`BitWriter::section`],
+//! [`read_section`]).
 //!
 //! [`Message::write`]: crate::Message::write
 //!
@@ -297,6 +300,25 @@ impl BitWriter {
     pub fn finish(self) -> Vec<u8> {
         self.0.finish()
     }
+
+    /// Appends one sealed checkpoint section: a `u64` byte length, the
+    /// payload's `u32` CRC-32 (both big-endian) and the payload. `payload`
+    /// encodes it in place, behind the reserved fields, which are patched
+    /// once it is zero-padded to a byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the writer is not on a byte boundary.
+    pub fn section(&mut self, payload: impl FnOnce(&mut BitWriter)) {
+        assert_eq!(self.0.bits, 0, "a section starts on a byte boundary");
+        let frame = self.0.sink.len();
+        self.0.sink.resize(frame + 12, 0);
+        payload(self);
+        self.write_bits(0, (8 - self.0.bits) % 8);
+        let (head, body) = self.0.sink[frame..].split_at_mut(12);
+        head[..8].copy_from_slice(&(body.len() as u64).to_be_bytes());
+        head[8..].copy_from_slice(&crc32(body).to_be_bytes());
+    }
 }
 
 /// Bit-level reader over a byte slice; the mirror of [`BitWriter`].
@@ -430,39 +452,61 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// Appends one checkpoint section: `u64 byte length + u32 CRC-32 +
-/// payload bytes`.
-pub fn write_section(w: &mut BitWriter, body: &[u8]) {
-    w.write_bits(body.len() as u64, 64);
-    w.write_bits(u64::from(crc32(body)), 32);
-    w.write_bytes(body);
-}
-
-/// Reads back one section written by [`write_section`], verifying its
-/// checksum before any of the payload is decoded, so a flipped bit is
-/// caught at its section. `what` names the section in the error.
+/// Checks the 16-byte prelude that opens every checkpoint image, its
+/// `u64` magic word and `u64` format version, and returns a reader at
+/// the first section. `kind` names the image kind in the error.
 ///
 /// # Errors
 ///
-/// [`SimError::CorruptCheckpoint`] when the section is truncated or fails
-/// its checksum.
-pub fn read_section(r: &mut BitReader<'_>, what: &str) -> Result<Vec<u8>, SimError> {
+/// [`SimError::CorruptCheckpoint`] on another magic word or version.
+pub fn read_prelude<'a>(
+    image: &'a [u8],
+    magic: u64,
+    version: u64,
+    kind: &str,
+) -> Result<BitReader<'a>, SimError> {
+    let mut r = BitReader::new(image);
+    let reason = match (r.read_bits(64), r.read_bits(64)) {
+        (Some(m), Some(v)) if (m, v) == (magic, version) => return Ok(r),
+        (Some(m), Some(v)) if m == magic => {
+            format!("unsupported {kind} version {v} (this build reads version {version})")
+        }
+        (Some(m), None) if m == magic => format!("truncated {kind} prelude"),
+        _ => format!("bad {kind} magic word"),
+    };
+    Err(SimError::CorruptCheckpoint { reason })
+}
+
+/// Reads one section written by [`BitWriter::section`] and returns its
+/// payload, borrowed from the image, after verifying its checksum, so a
+/// flipped bit is caught at its section. `what` names the section in the
+/// error.
+///
+/// # Errors
+///
+/// [`SimError::CorruptCheckpoint`] when the reader is off a byte boundary
+/// or the section is truncated or fails its checksum.
+pub fn read_section<'a>(r: &mut BitReader<'a>, what: &str) -> Result<&'a [u8], SimError> {
     let corrupt = |reason: String| SimError::CorruptCheckpoint { reason };
-    let len = r
+    if !r.cursor.is_multiple_of(8) {
+        return Err(corrupt(format!(
+            "{what} section starts off a byte boundary"
+        )));
+    }
+    let (len, sum) = r
         .read_bits(64)
+        .zip(r.read_bits(32))
         .ok_or_else(|| corrupt(format!("truncated {what} section header")))?;
-    let len =
-        usize::try_from(len).map_err(|_| corrupt(format!("oversized {what} section length")))?;
-    let sum = r
-        .read_bits(32)
-        .ok_or_else(|| corrupt(format!("truncated {what} section header")))? as u32;
-    let bytes = r
-        .read_bytes(len)
+    let start = r.cursor / 8;
+    let payload = usize::try_from(len)
+        .ok()
+        .and_then(|len| r.data.get(start..start.checked_add(len)?))
         .ok_or_else(|| corrupt(format!("truncated {what} section")))?;
-    if crc32(&bytes) != sum {
+    if crc32(payload) != sum as u32 {
         return Err(corrupt(format!("{what} section failed its checksum")));
     }
-    Ok(bytes)
+    r.cursor += 8 * payload.len();
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -625,6 +669,70 @@ mod tests {
             prop_assert_eq!(r.read_bits(pad), Some(0));
             prop_assert_eq!(r.read_bits(1), None);
             prop_assert_eq!(r.read_bytes(1), None);
+        }
+    }
+
+    fn apply(w: &mut BitWriter, op: &Op) {
+        match op {
+            Op::Bits(value, width) => w.write_bits(*value, *width),
+            Op::Bytes(bytes) => w.write_bytes(bytes),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sections_are_sealed_in_place(
+            lead in proptest::collection::vec(any::<u8>(), 0..4),
+            bodies in proptest::collection::vec(proptest::collection::vec(op(), 0..12), 1..4),
+            flip in any::<usize>(),
+        ) {
+            // The oracle frame: the payload encoded on its own, behind
+            // its `u64` length and `u32` CRC-32, big-endian.
+            let mut w = BitWriter::new();
+            w.write_bytes(&lead);
+            let mut oracle = lead.clone();
+            let mut payloads = Vec::new();
+            for ops in &bodies {
+                w.section(|w| ops.iter().for_each(|op| apply(w, op)));
+                let mut body = BitWriter::new();
+                ops.iter().for_each(|op| apply(&mut body, op));
+                let body = body.finish();
+                oracle.extend((body.len() as u64).to_be_bytes());
+                oracle.extend(crc32(&body).to_be_bytes());
+                payloads.push((oracle.len(), body.clone()));
+                oracle.extend(body);
+            }
+            let image = w.finish();
+            prop_assert_eq!(&image, &oracle);
+
+            // Each payload comes back as the image's own bytes.
+            let mut r = BitReader::new(&image);
+            prop_assert_eq!(r.read_bytes(lead.len()), Some(lead.clone()));
+            for (at, body) in &payloads {
+                let got = read_section(&mut r, "test").unwrap();
+                prop_assert_eq!(got, &body[..]);
+                prop_assert_eq!(got.as_ptr(), image[*at..].as_ptr());
+            }
+            prop_assert_eq!(r.remaining_bits(), 0);
+
+            // Truncated anywhere, one bit flipped in the checksum or the
+            // payload, or read off a byte boundary: a typed error.
+            let first = &image[lead.len()..payloads[0].0 + payloads[0].1.len()];
+            for cut in 0..first.len() {
+                let err = read_section(&mut BitReader::new(&first[..cut]), "test").unwrap_err();
+                prop_assert!(err.to_string().contains("truncated test section"), "{}", err);
+            }
+            let mut flipped = first.to_vec();
+            let bit = 64 + flip % (flipped.len() * 8 - 64);
+            flipped[bit / 8] ^= 0x80 >> (bit % 8);
+            let err = read_section(&mut BitReader::new(&flipped), "test").unwrap_err();
+            prop_assert!(err.to_string().contains("failed its checksum"), "{}", err);
+            let mut r = BitReader::new(first);
+            r.read_bits(1 + flip % 7).unwrap();
+            let err = read_section(&mut r, "test").unwrap_err();
+            prop_assert!(err.to_string().contains("off a byte boundary"), "{}", err);
         }
     }
 

@@ -770,6 +770,28 @@ fn restore_rejects_corrupt_images() {
         Err(SimError::CorruptCheckpoint { .. })
     ));
 
+    // The header is a sealed section like the others: behind the 16-byte
+    // prelude, its 12-byte frame, the node count and the seed come the
+    // round and the started flag. A flipped bit in either, and any other
+    // flipped bit past the prelude, is refused.
+    let round_at = 16 + 12 + 16;
+    assert_eq!(image[round_at..round_at + 8], 1u64.to_be_bytes());
+    assert_eq!(image[round_at + 8], 0x80, "started");
+    let flipped_bit = |bit: usize| {
+        let mut bad = image.to_vec();
+        bad[bit / 8] ^= 0x80 >> (bit % 8);
+        Simulator::<Flood>::restore(&g, cfg.clone(), &bad)
+    };
+    for bit in [8 * round_at + 63, 8 * (round_at + 8)]
+        .into_iter()
+        .chain(16 * 8..image.len() * 8)
+    {
+        assert!(
+            matches!(flipped_bit(bit), Err(SimError::CorruptCheckpoint { .. })),
+            "flipped bit {bit} restored"
+        );
+    }
+
     // Seed mismatch between image and config.
     assert!(matches!(
         Simulator::<Flood>::restore(&g, cfg.clone().with_seed(2), &image),

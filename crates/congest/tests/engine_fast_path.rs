@@ -165,8 +165,8 @@ fn old_checkpoint_versions_get_a_typed_error() {
     let sim = Simulator::new(&g, cfg.clone(), |v| Flood::new(v, 0));
     let mut image = sim.checkpoint();
     // The version is a big-endian u64 right after the magic word.
-    assert_eq!(image[8..16], 3u64.to_be_bytes());
-    for version in [1u64, 2, 4, 999] {
+    assert_eq!(image[8..16], 4u64.to_be_bytes());
+    for version in [1u64, 2, 3, 5, 999] {
         image[8..16].copy_from_slice(&version.to_be_bytes());
         match Simulator::<Flood>::restore(&g, cfg.clone(), &image) {
             Err(SimError::CorruptCheckpoint { reason }) => {

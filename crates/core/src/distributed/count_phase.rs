@@ -195,17 +195,6 @@ impl CountProgram {
         q as f64 * inv_scale / self.k as f64
     }
 
-    /// The count `q = round(value · K · 2^F)` whose potential is `value`
-    /// bit for bit, if it is nonzero and fits the count field.
-    fn count_of(&self, value: f64) -> Option<u64> {
-        let scale = f64::from(1u32 << self.fractional_bits);
-        // `as` saturates: NaN and negatives become 0, and a count past
-        // the field stays past it.
-        let q = (value * self.k as f64 * scale).round() as u64;
-        (q != 0 && q <= low_bits(self.value_bits) && self.value(q).to_bits() == value.to_bits())
-            .then_some(q)
-    }
-
     /// The cell key `slot << id_bits | source`: a cell word shifted right
     /// by `value_bits`.
     fn key(&self, slot: usize, source: usize) -> u64 {
@@ -393,19 +382,14 @@ fn low_bits(bits: u8) -> u64 {
 // topology cache that `on_round` rebuilds on first use after a restore —
 // excluding it keeps the bytes of a restored-and-resumed run identical to
 // an uninterrupted one — and `cursor` and `id_bits`, which `sent` and `n`
-// imply. The own counts are written as held, `(source, q)` pairs by
-// ascending source; the cells as `(slot, source, value)` triples in
-// arrival order, each value the potential its `q` stands for.
+// imply. The own counts and the cells are written as held: `(source, q)`
+// pairs by ascending source, and the cell words in arrival order.
 impl congest_sim::wire::WireState for CountProgram {
     fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
         self.me.encode_state(w);
         self.n.encode_state(w);
         self.own.encode_state(w);
-        self.cells.len().encode_state(w);
-        for &word in &self.cells {
-            let (slot, source, q) = self.unpack(word);
-            (slot as u32, source as u32, self.value(q)).encode_state(w);
-        }
+        self.cells.encode_state(w);
         self.degree.encode_state(w);
         self.value_bits.encode_state(w);
         self.fractional_bits.encode_state(w);
@@ -425,13 +409,13 @@ impl congest_sim::wire::WireState for CountProgram {
         let me = usize::decode_state(r)?;
         let n = usize::decode_state(r)?;
         let own = Vec::decode_state(r)?;
-        let triples: Vec<(u32, u32, f64)> = Vec::decode_state(r)?;
+        let cells = Vec::decode_state(r)?;
         let mut p = CountProgram {
             me,
             n,
             own,
             cursor: 0,
-            cells: Vec::with_capacity(triples.len()),
+            cells,
             id_bits: 0,
             degree: usize::decode_state(r)?,
             value_bits: u8::decode_state(r)?,
@@ -461,13 +445,12 @@ impl congest_sim::wire::WireState for CountProgram {
             return None;
         }
         p.id_bits = id_bits(p.n);
-        // A cell fits its word, holds a source its neighbor has already
-        // delivered, above the slot's previous one, and a value that one
-        // nonzero count of the field's width stands for; anything else is
-        // a corrupt image.
+        // A cell's slot fits its field and names a neighbor, its source is
+        // one the neighbor has already delivered, above the slot's previous
+        // one, and its count is nonzero; anything else is a corrupt image.
         let mut next = vec![0usize; p.degree];
-        for (slot, source, value) in triples {
-            let (slot, source) = (slot as usize, source as usize);
+        for &word in &p.cells {
+            let (slot, source, q) = p.unpack(word);
             if slot >= p.degree || slot as u64 > low_bits(p.id_bits) || source < next[slot] {
                 return None;
             }
@@ -476,12 +459,10 @@ impl congest_sim::wire::WireState for CountProgram {
             } else {
                 p.received_rounds
             };
-            if source >= delivered.min(p.n) {
+            if source >= delivered.min(p.n) || q == 0 {
                 return None;
             }
-            let q = p.count_of(value)?;
             next[slot] = source + 1;
-            p.cells.push(p.key(slot, source) << p.value_bits | q);
         }
         p.cursor = p.own.partition_point(|&(s, _)| (s as usize) < p.sent);
         Some(p)
@@ -724,26 +705,6 @@ mod tests {
                 bad.own,
                 bad.cells
             );
-        }
-        // Values no count of the field stands for bit for bit: one ulp
-        // off a count's value, and the value of 2^16, one past the
-        // field. After `me`, `n`, the 96-bit own pairs and the cells'
-        // length, cell `i` is 128 bits, its value last.
-        let at = |i: usize| (3 * 64 + 96 * p.own.len() + 64 + 128 * i + 64) / 8;
-        let with_value = |i: usize, value: f64| {
-            let mut bytes = encode(&p);
-            bytes[at(i)..at(i) + 8].copy_from_slice(&value.to_bits().to_be_bytes());
-            bytes
-        };
-        let held = p.value(p.unpack(p.cells[2]).2);
-        assert_eq!(
-            with_value(2, held),
-            encode(&p),
-            "cell 2's value is at byte {}",
-            at(2)
-        );
-        for value in [f64::from_bits(held.to_bits() + 1), p.value(1 << 16)] {
-            assert!(decode(&with_value(2, value)).is_none(), "value {value}");
         }
     }
 

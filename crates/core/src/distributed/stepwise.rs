@@ -31,7 +31,7 @@ use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use congest_sim::wire::{read_section, write_section, BitReader, BitWriter, WireState};
+use congest_sim::wire::{read_prelude, read_section, BitReader, BitWriter, WireState};
 use congest_sim::{
     EngineMetrics, NodeProgram, Reliable, RunStats, SimConfig, SimError, Simulator, Tracer,
     DEFAULT_DEATH_THRESHOLD,
@@ -61,8 +61,10 @@ pub const STEP_CHECKPOINT_MAGIC: u64 = 0x5E12_C4EC;
 /// `count_mode` / `sketch_suppressed` fields of done images. Version 3
 /// writes the walk and exact count programs' state as they hold it
 /// (sorted nonzero rows and cells) and drops the sketch program's
-/// `effective_n`.
-pub const STEP_CHECKPOINT_VERSION: u64 = 3;
+/// `effective_n`. Version 4 nests a version-4 engine image, whose header
+/// is a sealed section, and writes the exact count program's cells as
+/// the 8-byte words it holds.
+pub const STEP_CHECKPOINT_VERSION: u64 = 4;
 
 /// Which pipeline stage a [`StepSolver`] is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1090,9 +1092,10 @@ impl<'g> StepSolver<'g> {
     }
 
     /// Serializes the full solve state at the current round boundary:
-    /// magic + version, a CRC-guarded header (node count, seed, target,
-    /// fixed-point plan, phase tag), a CRC-guarded phase-metadata section,
-    /// and the engine's own (internally CRC-sectioned) image.
+    /// the 16-byte prelude (magic, version) and three sealed sections
+    /// ([`BitWriter::section`]): the header (node count, seed, target,
+    /// fixed-point plan, phase tag), the phase metadata, and the engine's
+    /// own image (itself a prelude and sealed sections).
     ///
     /// # Errors
     ///
@@ -1117,46 +1120,41 @@ impl<'g> StepSolver<'g> {
         let mut w = BitWriter::new();
         w.write_bits(STEP_CHECKPOINT_MAGIC, 64);
         w.write_bits(STEP_CHECKPOINT_VERSION, 64);
-        let mut hw = BitWriter::new();
-        self.graph.node_count().encode_state(&mut hw);
-        self.config.seed.encode_state(&mut hw);
-        self.target.encode_state(&mut hw);
-        self.fixed_point_bits.encode_state(&mut hw);
-        self.value_bits.encode_state(&mut hw);
-        phase_tag.encode_state(&mut hw);
-        write_section(&mut w, &hw.finish());
-
-        let mut mw = BitWriter::new();
-        match &self.state {
+        w.section(|w| {
+            self.graph.node_count().encode_state(w);
+            self.config.seed.encode_state(w);
+            self.target.encode_state(w);
+            self.fixed_point_bits.encode_state(w);
+            self.value_bits.encode_state(w);
+            phase_tag.encode_state(w);
+        });
+        w.section(|w| match &self.state {
             PhaseState::Count(_) => {
                 self.walk_stats
                     .as_ref()
                     .expect("the walk phase ran")
-                    .encode_state(&mut mw);
-                self.degradation.walks_lost.encode_state(&mut mw);
+                    .encode_state(w);
+                self.degradation.walks_lost.encode_state(w);
             }
             PhaseState::Done(run) => {
-                run.centrality.as_slice().to_vec().encode_state(&mut mw);
-                run.walk_stats.encode_state(&mut mw);
-                run.count_stats.encode_state(&mut mw);
-                run.degradation.walks_lost.encode_state(&mut mw);
-                run.degradation.walk_subphases.encode_state(&mut mw);
-                run.degradation.count_cells_missing.encode_state(&mut mw);
-                run.degradation
-                    .corrupt_frames_detected
-                    .encode_state(&mut mw);
-                run.degradation.links_quarantined.encode_state(&mut mw);
+                run.centrality.as_slice().to_vec().encode_state(w);
+                run.walk_stats.encode_state(w);
+                run.count_stats.encode_state(w);
+                run.degradation.walks_lost.encode_state(w);
+                run.degradation.walk_subphases.encode_state(w);
+                run.degradation.count_cells_missing.encode_state(w);
+                run.degradation.corrupt_frames_detected.encode_state(w);
+                run.degradation.links_quarantined.encode_state(w);
                 let mode_precision: u8 = match run.count_mode {
                     CountMode::Exact => 0,
                     CountMode::Sketch { precision } => precision,
                 };
-                mode_precision.encode_state(&mut mw);
-                run.sketch_suppressed.encode_state(&mut mw);
+                mode_precision.encode_state(w);
+                run.sketch_suppressed.encode_state(w);
             }
             _ => {}
-        }
-        write_section(&mut w, &mw.finish());
-        write_section(&mut w, &engine);
+        });
+        w.section(|w| w.write_bytes(&engine));
         Ok(w.finish())
     }
 
@@ -1183,32 +1181,21 @@ impl<'g> StepSolver<'g> {
         if !checkpointable(&solver.config) {
             return Err(not_checkpointable());
         }
-        let mut r = BitReader::new(data);
-        if r.read_bits(64) != Some(STEP_CHECKPOINT_MAGIC) {
-            return Err(corrupt("bad magic word"));
-        }
-        let version = r.read_bits(64).ok_or_else(|| corrupt("truncated header"))?;
-        if version != STEP_CHECKPOINT_VERSION {
-            return Err(corrupt(&format!(
-                "unsupported step-checkpoint version {version} (this build reads version \
-                 {STEP_CHECKPOINT_VERSION})"
-            )));
-        }
-        let header = read_section(&mut r, "header").map_err(RwbcError::Sim)?;
-        let mut hr = BitReader::new(&header);
-        let n = usize::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
+        let (magic, version) = (STEP_CHECKPOINT_MAGIC, STEP_CHECKPOINT_VERSION);
+        let mut r = read_prelude(data, magic, version, "step-checkpoint")?;
+        let mut section = |what| read_section(&mut r, what).map(BitReader::new);
+        let ((n, seed), (image_target, image_f), (image_vb, phase_tag)): (
+            (usize, u64),
+            (usize, u8),
+            (u8, u8),
+        ) = WireState::decode_state(&mut section("header")?)
+            .ok_or_else(|| corrupt("truncated header"))?;
         if n != graph.node_count() {
             return Err(corrupt("node count disagrees with the provided graph"));
         }
-        let seed = u64::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
         if seed != solver.config.seed {
             return Err(corrupt("seed disagrees with the provided config"));
         }
-        let image_target =
-            usize::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
-        let image_f = u8::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
-        let image_vb = u8::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
-        let phase_tag = u8::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
         if (image_target, image_f, image_vb)
             != (solver.target, solver.fixed_point_bits, solver.value_bits)
         {
@@ -1227,15 +1214,14 @@ impl<'g> StepSolver<'g> {
         if !tag_mode_ok {
             return Err(corrupt("count mode disagrees with the image's count phase"));
         }
-        let meta = read_section(&mut r, "phase metadata").map_err(RwbcError::Sim)?;
-        let mut mr = BitReader::new(&meta);
-        let engine = read_section(&mut r, "engine image").map_err(RwbcError::Sim)?;
+        let mut mr = section("phase metadata")?;
+        let engine = read_section(&mut r, "engine image")?;
 
         solver.state = match phase_tag {
             0 => {
                 let cfg = solver.walk_sim(0).0;
                 let mut sim: Simulator<'g, WalkProgram> =
-                    Simulator::restore(graph, cfg, &engine).map_err(RwbcError::Sim)?;
+                    Simulator::restore(graph, cfg, engine).map_err(RwbcError::Sim)?;
                 // Program images are checked on decode; the batches in
                 // flight can only be checked against the network here.
                 let unknown_source = sim
@@ -1264,11 +1250,11 @@ impl<'g> StepSolver<'g> {
                 let cfg = solver.count_sim();
                 PhaseState::Count(if phase_tag == 1 {
                     CountNet::Exact(Net::Raw(
-                        Simulator::restore(graph, cfg, &engine).map_err(RwbcError::Sim)?,
+                        Simulator::restore(graph, cfg, engine).map_err(RwbcError::Sim)?,
                     ))
                 } else {
                     CountNet::Sketch(Net::Raw(
-                        Simulator::restore(graph, cfg, &engine).map_err(RwbcError::Sim)?,
+                        Simulator::restore(graph, cfg, engine).map_err(RwbcError::Sim)?,
                     ))
                 })
             }
@@ -1391,7 +1377,7 @@ mod tests {
         let image = solver.checkpoint().unwrap();
         assert_eq!(
             (image.len(), crc32(&image)),
-            (10_614, 0xE835_2692),
+            (8_706, 0x7027_31A1),
             "exact count-phase image changed"
         );
         let mut restored = StepSolver::restore(&g, c, &image).unwrap();
@@ -1430,8 +1416,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = connected_gnp(16, 0.3, 100, &mut rng).unwrap();
         for (discipline, pin) in [
-            (CongestionDiscipline::HoldAndResend, (7_083, 0xB4F1_565A)),
-            (CongestionDiscipline::Batched, (8_395, 0xAFEC_4C51)),
+            (CongestionDiscipline::HoldAndResend, (7_095, 0xFE37_42AA)),
+            (CongestionDiscipline::Batched, (8_407, 0x7623_095A)),
         ] {
             let c = DistributedConfig::builder()
                 .walks(6)
@@ -1493,17 +1479,17 @@ mod tests {
         let batch = in_flight.next().expect("one batch in flight").msg;
         assert!(in_flight.next().is_none());
         assert_eq!(batch.tokens()[0].source, n);
-        // Frame it like the solver's own image.
+        // Frame it like the solver's own image: its prelude, header and
+        // phase metadata, then this engine image.
         let image = solver.checkpoint().unwrap();
-        let mut r = BitReader::new(&image);
-        r.read_bits(64).unwrap();
-        r.read_bits(64).unwrap();
         let mut w = BitWriter::new();
-        w.write_bits(STEP_CHECKPOINT_MAGIC, 64);
-        w.write_bits(STEP_CHECKPOINT_VERSION, 64);
-        write_section(&mut w, &read_section(&mut r, "header").unwrap());
-        write_section(&mut w, &read_section(&mut r, "phase metadata").unwrap());
-        write_section(&mut w, &sim.checkpoint());
+        w.write_bytes(&image[..16]);
+        let mut r = BitReader::new(&image[16..]);
+        for what in ["header", "phase metadata"] {
+            let payload = read_section(&mut r, what).unwrap();
+            w.section(|w| w.write_bytes(payload));
+        }
+        w.section(|w| w.write_bytes(&sim.checkpoint()));
         match StepSolver::restore(&g, c, &w.finish()) {
             Err(RwbcError::Sim(SimError::CorruptCheckpoint { reason })) => {
                 assert!(reason.contains("in-flight"), "{reason}");
@@ -1533,7 +1519,7 @@ mod tests {
             solver.step().unwrap();
         }
         assert_eq!(solver.phase(), SolvePhase::Count);
-        assert_image_pinned(&g, c, solver, (11_781, 0x05E3_7C15), "sketch count-phase");
+        assert_image_pinned(&g, c, solver, (11_793, 0x2A26_B64D), "sketch count-phase");
     }
 
     #[test]
@@ -1666,8 +1652,8 @@ mod tests {
         solver.step().unwrap();
         let mut image = solver.checkpoint().unwrap();
         // The version is a big-endian u64 at bytes 8..16.
-        assert_eq!(image[8..16], STEP_CHECKPOINT_VERSION.to_be_bytes());
-        for version in [1, 2, STEP_CHECKPOINT_VERSION + 1] {
+        assert_eq!(image[8..16], 4u64.to_be_bytes());
+        for version in [1u64, 2, 3, 5] {
             image[8..16].copy_from_slice(&version.to_be_bytes());
             match StepSolver::restore(&g, c.clone(), &image) {
                 Err(RwbcError::Sim(SimError::CorruptCheckpoint { reason })) => {
