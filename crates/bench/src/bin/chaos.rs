@@ -12,7 +12,8 @@
 //! `run` executes the full RWBC pipeline on a small deterministic graph
 //! under a fault plan and prints the degradation report. `fuzz` mutates
 //! real encoded artifacts and feeds them to every decoder in the repo,
-//! failing if any decode panics (the CI gate). `shrink` minimizes a
+//! failing if any decode panics or if a whole checkpoint image restores
+//! after a change (the CI gates). `shrink` minimizes a
 //! failing plan to the smallest schedule that still violates the chosen
 //! property (`walks-lost`, `not-clean`, or `run-error`) and writes the
 //! repro as JSON. `replay` re-checks a previously shrunk plan file.
@@ -176,9 +177,10 @@ fn cmd_fuzz(opts: &Options) -> Result<(), String> {
     );
     for codec in &report.codecs {
         outln!(
-            "{:<12} cases {:>6}  accepted {:>6}  rejected {:>6}  panics {}",
+            "{:<12} cases {:>6}  unchanged {:>4}  accepted {:>6}  rejected {:>6}  panics {}",
             codec.name,
             codec.cases,
+            codec.unchanged,
             codec.accepted,
             codec.rejected,
             codec.panics.len()
@@ -187,11 +189,20 @@ fn cmd_fuzz(opts: &Options) -> Result<(), String> {
             eprintln!("  PANIC: {msg}");
         }
     }
-    if report.is_clean() {
-        outln!("{} cases, zero panics", report.total_cases());
-        Ok(())
-    } else {
+    let lenient: Vec<&str> = report.lenient_images().map(|c| c.name).collect();
+    if !report.is_clean() {
         Err("decoder panicked on mutated input".into())
+    } else if !lenient.is_empty() {
+        Err(format!(
+            "changed whole checkpoint images restored: {}",
+            lenient.join(", ")
+        ))
+    } else {
+        outln!(
+            "{} cases, zero panics, no changed whole image restored",
+            report.total_cases()
+        );
+        Ok(())
     }
 }
 

@@ -1,4 +1,5 @@
 use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
 
@@ -11,7 +12,7 @@ use crate::node::{Context, Incoming};
 use crate::rng::node_rng;
 use crate::stats::ordered;
 use crate::trace::{DropReason, TraceEvent, Tracer};
-use crate::wire::{read_prelude, read_section, BitReader, BitWriter, WireState};
+use crate::wire::{decode_section, read_end, read_prelude, BitReader, BitWriter, WireState};
 use crate::{Message, NodeProgram, RunStats, SimConfig, SimError};
 
 /// Per-node outgoing `(destination, message)` buffers for one round.
@@ -75,10 +76,10 @@ pub struct Simulator<'g, P: NodeProgram> {
     /// [`SimConfig::effective_threads`] evaluated once for this graph.
     /// 1 means every round runs on the calling thread.
     effective_threads: usize,
-    /// Destination groups of prepared outboxes, in the slots
-    /// [`group_slots`] allocates. Persistent scratch — refilled each
+    /// Destination groups and tallies of prepared outboxes, in the slots
+    /// [`sender_slots`] allocates. Persistent scratch — refilled each
     /// round, never checkpointed.
-    sender_groups: Vec<Vec<Group>>,
+    sender_slots: Vec<SenderSlot>,
     /// Per-worker scatter arenas (`workers × n` destination columns):
     /// wave 1 moves each worker's outgoing messages into its own arena,
     /// and the merge wave splices column `to` of every arena into
@@ -92,6 +93,11 @@ pub struct Simulator<'g, P: NodeProgram> {
     /// [`Simulator::with_reference_delivery`]).
     reference_delivery: bool,
     in_flight: usize,
+    /// Whether `pending` may hold messages out of ascending sender order:
+    /// delayed traffic joined it, or it came from a restored image. Only
+    /// then does the next step check (and sort) its inboxes; every commit
+    /// path fills them in ascending sender order.
+    pending_unordered: bool,
     stats: RunStats,
     round: usize,
     started: bool,
@@ -150,10 +156,11 @@ where
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             outboxes: (0..n).map(|_| Vec::new()).collect(),
             effective_threads,
-            sender_groups: group_slots(n, effective_threads),
+            sender_slots: sender_slots(n, effective_threads),
             worker_inboxes: Vec::new(),
             reference_delivery: false,
             in_flight: 0,
+            pending_unordered: false,
             stats,
             round: 0,
             started: false,
@@ -168,10 +175,11 @@ where
 
     /// Commits every round through the reference implementation
     /// (per-group allocation, a `has_edge` lookup per group, no buffer
-    /// reuse) instead of the prepare → book spine; the node callbacks
-    /// run exactly as they otherwise would, at any thread count. The
-    /// observable execution — stats, traces, checkpoints, RNG streams —
-    /// is identical to the normal path. Exists so the test suite can
+    /// reuse, every group booked on its own through
+    /// [`Simulator::account_group`]) instead of the prepare → book
+    /// spine; the node callbacks run exactly as they otherwise would, at
+    /// any thread count. The observable execution — stats, traces,
+    /// checkpoints, RNG streams — is identical to the normal path. Exists so the test suite can
     /// check the commit against an oracle; not useful otherwise.
     #[doc(hidden)]
     pub fn with_reference_delivery(mut self, reference: bool) -> Self {
@@ -285,6 +293,11 @@ where
         Ok(done)
     }
 
+    /// One round: the `on_start` wave first if it has not run, then the
+    /// round-counter advance, the inbox swap, the delayed backlog joining
+    /// `pending`, crashed receivers' losses, and [`Simulator::run_wave`].
+    /// Inboxes are checked (and stably sorted) into ascending sender
+    /// order only when `pending_unordered` says they can be out of it.
     fn step_round(&mut self) -> Result<bool, SimError> {
         if !self.started {
             self.started = true;
@@ -308,6 +321,7 @@ where
         // the emptied buffers from two rounds ago — capacity intact, so
         // a steady-state round allocates no inbox storage.
         std::mem::swap(&mut self.pending, &mut self.inboxes);
+        let unordered = std::mem::take(&mut self.pending_unordered);
         // Delayed traffic joins the next delivery wave; everything still
         // undelivered after this swap is exactly the delayed backlog.
         self.in_flight = 0;
@@ -315,6 +329,7 @@ where
             self.in_flight += delayed.len();
             pending.append(delayed);
         }
+        self.pending_unordered = self.in_flight > 0;
         // A crashed receiver loses everything delivered while it is down.
         if !self.config.faults.crashes.is_empty() {
             for (v, inbox) in self.inboxes.iter_mut().enumerate() {
@@ -334,13 +349,15 @@ where
                 }
             }
         }
-        for inbox in &mut self.inboxes {
-            // Delivery order must be by ascending sender. Clean commits
-            // already fill inboxes in that order (senders are committed
-            // 0..n); only delayed arrivals break it, so the (allocating,
-            // stable) sort usually short-circuits here.
-            if !inbox.windows(2).all(|w| w[0].from <= w[1].from) {
-                inbox.sort_by_key(|m| m.from);
+        // Delivery order must be by ascending sender. Every commit fills
+        // inboxes in that order (senders are booked 0..n); only delayed
+        // arrivals, which joined ahead of that round's commit, or a
+        // restored image break it, and only then is the scan paid.
+        if unordered {
+            for inbox in &mut self.inboxes {
+                if !inbox.windows(2).all(|w| w[0].from <= w[1].from) {
+                    inbox.sort_by_key(|m| m.from);
+                }
             }
         }
         self.run_wave(false)?;
@@ -434,21 +451,25 @@ where
     /// `on_start` wave included, takes this one path.
     ///
     /// **Wave 1** ([`Simulator::run_callbacks`]) runs the callbacks over
-    /// sender chunks, inline with one worker and on scoped workers
-    /// otherwise. With several workers it also prepares every outbox
-    /// ([`prepare_outbox`]) and, when the fault plan draws no
-    /// per-message randomness, scatters the messages into per-worker
-    /// arenas ([`scatter_outbox`]).
+    /// sender chunks: inline with one worker, else chunk 0 on the
+    /// calling thread and every other chunk on a scoped worker. With
+    /// several workers it also prepares every outbox into its sender's
+    /// slot ([`prepare_outbox`]: the destination groups and their
+    /// [`Tally`]) and, when the fault plan draws no per-message
+    /// randomness, scatters the messages into per-worker arenas
+    /// ([`scatter_outbox`]).
     ///
     /// **Spine** ([`Simulator::commit_spine`], single-threaded) books
-    /// every sender in ascending order. With one worker it prepares each
-    /// outbox right before booking it, while the outbox is still in
-    /// cache.
+    /// every sender in ascending order by folding its tally. With one
+    /// worker it prepares each outbox right before booking it, while the
+    /// outbox is still in cache, and scatters it straight into `pending`
+    /// unless the fault plan draws per-message randomness.
     ///
-    /// **Wave 2** (scatter only): merge workers chunked by destination
-    /// splice the arena columns into `pending` in worker order —
-    /// ascending sender — overlapped with the spine, which touches only
-    /// stats, trace and metrics.
+    /// **Wave 2** (scatter with several workers): merge workers chunked
+    /// by destination splice the arena columns into `pending` in worker
+    /// order — ascending sender. The calling thread books the spine,
+    /// which touches only stats, trace and metrics, and then merges
+    /// chunk 0 itself.
     ///
     /// Under [`Simulator::with_reference_delivery`], wave 1 only runs the
     /// callbacks and [`Simulator::commit_reference`] commits.
@@ -471,10 +492,12 @@ where
         let prepared = workers > 1 && !self.reference_delivery;
         // Per-message fault randomness (drops, duplicates, delays,
         // corruption) must be drawn on the spine in deterministic
-        // order. Without it, delivery is a pure function of the outage
-        // schedule, and wave 1 can scatter messages straight into
-        // per-worker arenas.
-        let scatter = prepared && !self.config.faults.uses_rng();
+        // order, so the spine routes every message. Without it,
+        // delivery is a pure function of the outage schedule, and the
+        // messages are scattered instead: by wave 1 into per-worker
+        // arenas, or with one worker by the spine into `pending`.
+        let route = self.config.faults.uses_rng();
+        let scatter = prepared && !route;
         if scatter {
             if self.worker_inboxes.len() != workers {
                 self.worker_inboxes.resize_with(workers, Vec::new);
@@ -497,13 +520,13 @@ where
         let result = if self.reference_delivery {
             wave1.and_then(|()| self.commit_reference(&mut outboxes))
         } else {
-            let mut groups = std::mem::take(&mut self.sender_groups);
+            let mut slots = std::mem::take(&mut self.sender_slots);
             let result = if scatter && wave1.is_ok() {
-                self.merge_while_booking(&mut outboxes, &mut groups)
+                self.merge_while_booking(&mut outboxes, &mut slots)
             } else {
-                self.commit_spine(&mut outboxes, &mut groups, wave1, prepared, !scatter)
+                self.commit_spine(&mut outboxes, &mut slots, wave1, prepared, route)
             };
-            self.sender_groups = groups;
+            self.sender_slots = slots;
             result
         };
         if result.is_err() {
@@ -519,16 +542,17 @@ where
         result
     }
 
-    /// Wave 1: runs every live node's callback over sender chunks,
-    /// inline with one worker and on scoped workers otherwise, each on
-    /// its own slices of programs, RNGs, outboxes and trace buffers.
-    /// With `prepared`, each worker then prepares its senders' outboxes
-    /// into their group slots, and with `scatter` moves the messages
-    /// into its own arena.
+    /// Wave 1: runs every live node's callback over sender chunks, each
+    /// on its own slices of programs, RNGs, outboxes and trace buffers:
+    /// inline with one worker, else chunk 0 on the calling thread while
+    /// scoped workers run the others. With `prepared`, each chunk then
+    /// prepares its senders' outboxes into their slots, and with
+    /// `scatter` moves the messages into its own arena.
     ///
-    /// A worker stops at its first failure and workers are joined in
-    /// chunk order, so the error returned is the lowest failing sender's.
-    /// A panic on a scoped worker comes back as [`SimError::WorkerPanic`].
+    /// A chunk stops at its first failure and chunks are joined in
+    /// order, so the error returned is the lowest failing sender's. With
+    /// several workers, a panic in any chunk — chunk 0 on the calling
+    /// thread included — comes back as [`SimError::WorkerPanic`].
     fn run_callbacks(
         &mut self,
         inboxes: &[Vec<Incoming<P::Msg>>],
@@ -540,12 +564,19 @@ where
         let graph = self.graph;
         let round = self.round;
         let faults = &self.config.faults;
+        let rules = Rules {
+            graph,
+            config: &self.config,
+            cut: &self.cut_set,
+            budget: self.stats.budget_bits,
+            round,
+        };
         let work = move |base: usize,
                          progs: &mut [P],
                          rngs: &mut [StdRng],
                          outs: &mut [Vec<(NodeId, P::Msg)>],
                          ins: &[Vec<Incoming<P::Msg>>],
-                         groups: &mut [Vec<Group>],
+                         slots: &mut [SenderSlot],
                          traces: &mut [Vec<TraceEvent>],
                          arena: &mut [Vec<Incoming<P::Msg>>]|
               -> Result<(), SimError> {
@@ -564,9 +595,10 @@ where
                 if prepared {
                     // Even a crashed node's (empty) outbox is prepared:
                     // that clears its slot of an earlier round's groups.
-                    prepare_outbox(graph, v, &mut outs[offset], &mut groups[offset])?;
+                    let slot = &mut slots[offset];
+                    prepare_outbox(&rules, v, &mut outs[offset], slot)?;
                     if scatter {
-                        scatter_outbox(faults, round, v, &mut outs[offset], &groups[offset], arena);
+                        scatter_outbox(faults, round, v, &mut outs[offset], &slot.groups, arena);
                     }
                 }
             }
@@ -581,7 +613,7 @@ where
                 &mut self.rngs,
                 outboxes,
                 inboxes,
-                &mut self.sender_groups,
+                &mut self.sender_slots,
                 &mut self.node_trace,
                 &mut [],
             );
@@ -589,18 +621,19 @@ where
         let chunk = graph.node_count().div_ceil(workers);
         // Workers buffer events per node; the engine drains the buffers
         // in node order afterwards, so the trace never observes the
-        // thread layout. A worker gets `&mut []` (promoted to 'static)
+        // thread layout. A chunk gets `&mut []` (promoted to 'static)
         // for every per-node slice the wave does not use: trace buffers
-        // when untraced, group slots unless prepared, an arena unless
+        // when untraced, sender slots unless prepared, an arena unless
         // scattering.
         let traced = !self.node_trace.is_empty();
         let mut trace_chunks = self.node_trace.chunks_mut(chunk);
-        let mut group_chunks = self.sender_groups.chunks_mut(chunk);
+        let mut slot_chunks = self.sender_slots.chunks_mut(chunk);
         let mut arenas = self.worker_inboxes.iter_mut();
         let programs = &mut self.programs;
         let rngs = &mut self.rngs;
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
+            let mut chunk0 = None;
+            let mut handles = Vec::with_capacity(workers - 1);
             for (idx, (((progs, rngs), outs), ins)) in programs
                 .chunks_mut(chunk)
                 .zip(rngs.chunks_mut(chunk))
@@ -615,10 +648,10 @@ where
                 } else {
                     &mut []
                 };
-                let groups: &mut [Vec<Group>] = if prepared {
-                    group_chunks
+                let slots: &mut [SenderSlot] = if prepared {
+                    slot_chunks
                         .next()
-                        .expect("group chunks align with program chunks")
+                        .expect("slot chunks align with program chunks")
                 } else {
                     &mut []
                 };
@@ -627,25 +660,32 @@ where
                 } else {
                     &mut []
                 };
-                handles.push(scope.spawn(move || {
-                    work(idx * chunk, progs, rngs, outs, ins, groups, traces, arena)
-                }));
+                let job = move || work(idx * chunk, progs, rngs, outs, ins, slots, traces, arena);
+                if idx == 0 {
+                    chunk0 = Some(job);
+                } else {
+                    handles.push(scope.spawn(job));
+                }
             }
-            // Every handle is joined, in chunk order, so the whole pool
-            // drains even when a worker panics, and the first error
-            // reported is the lowest sender's.
-            let mut first: Option<SimError> = None;
-            for handle in handles {
-                let joined = handle.join().unwrap_or_else(|payload| {
-                    // `&*payload` reborrows the boxed payload itself; a
-                    // plain `&payload` would unsize the `Box` into a
-                    // fresh trait object and every downcast would miss.
+            // `&*payload` reborrows the boxed payload itself; a plain
+            // `&payload` would unsize the `Box` into a fresh trait
+            // object and every downcast would miss.
+            let settle = |chunk: std::thread::Result<Result<(), SimError>>| {
+                chunk.unwrap_or_else(|payload| {
                     Err(SimError::WorkerPanic {
                         round,
                         payload: panic_payload_string(&*payload),
                     })
-                });
-                if let Err(e) = joined {
+                })
+            };
+            // Chunk 0 runs here while the workers run theirs. Every
+            // chunk is settled, in order, so the whole pool drains even
+            // when one panics, and the first error reported is the
+            // lowest sender's.
+            let mut first =
+                chunk0.and_then(|job| settle(catch_unwind(AssertUnwindSafe(job))).err());
+            for handle in handles {
+                if let Err(e) = settle(handle.join()) {
                     first.get_or_insert(e);
                 }
             }
@@ -653,27 +693,28 @@ where
         })
     }
 
-    /// Wave 2 of a scattering round, overlapped with the spine: merge
-    /// workers own destination chunks and append every arena's column
-    /// for each destination to `pending`, arena 0 first, while the spine
-    /// books the groups wave 1 prepared. The merge touches only
-    /// `pending` and the arenas, the spine only stats, trace and
-    /// metrics.
+    /// Wave 2 of a scattering round: merge chunks own destination
+    /// ranges and append every arena's column for each destination to
+    /// `pending`, arena 0 first ([`merge_columns`]). Scoped workers
+    /// merge every chunk but chunk 0 while the calling thread books the
+    /// spine from the tallies wave 1 prepared and then merges chunk 0.
+    /// The merge touches only `pending` and the arenas, the spine only
+    /// stats, trace and metrics. A panic in any merge chunk comes back
+    /// as [`SimError::WorkerPanic`].
     fn merge_while_booking(
         &mut self,
         outboxes: &mut Outboxes<P::Msg>,
-        groups: &mut [Vec<Group>],
+        slots: &mut [SenderSlot],
     ) -> Result<(), SimError> {
         let round = self.round;
         let chunk = self.graph.node_count().div_ceil(self.effective_threads);
         let mut pending = std::mem::take(&mut self.pending);
         let mut arenas = std::mem::take(&mut self.worker_inboxes);
         let (spine, panic) = std::thread::scope(|scope| {
-            // Transpose the arenas: merge worker `i` owns destination
+            // Transpose the arenas: merge chunk `i` owns destination
             // slice `i` of *every* arena, so each `pending[to]` column is
             // appended from arena 0, 1, … in order — ascending sender,
-            // the delivery order the next round's inbox sort expects to
-            // already hold.
+            // the delivery order the next round's inboxes must hold.
             let mut slices: Vec<ArenaSlices<'_, P::Msg>> = (0..self.effective_threads)
                 .map(|_| Vec::with_capacity(arenas.len()))
                 .collect();
@@ -682,21 +723,14 @@ where
                     slices[i].push(cols);
                 }
             }
-            let mut handles = Vec::new();
-            for (pend, mut cols) in pending.chunks_mut(chunk).zip(slices) {
-                handles.push(scope.spawn(move || {
-                    for (rel, dst) in pend.iter_mut().enumerate() {
-                        for arena_cols in cols.iter_mut() {
-                            let col = &mut arena_cols[rel];
-                            let used = col.len();
-                            dst.append(col);
-                            shrink_after_burst(col, used);
-                        }
-                    }
-                }));
-            }
-            let spine = self.commit_spine(outboxes, groups, Ok(()), true, false);
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+            let mut jobs = pending
+                .chunks_mut(chunk)
+                .zip(slices)
+                .map(|(pend, cols)| move || merge_columns(pend, cols));
+            let chunk0 = jobs.next();
+            let handles: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+            let spine = self.commit_spine(outboxes, slots, Ok(()), true, false);
+            let mut panic = chunk0.and_then(|job| catch_unwind(AssertUnwindSafe(job)).err());
             for handle in handles {
                 if let Err(payload) = handle.join() {
                     panic.get_or_insert(payload);
@@ -723,8 +757,8 @@ where
         for outbox in outboxes.iter_mut() {
             outbox.clear();
         }
-        for groups in &mut self.sender_groups {
-            groups.clear();
+        for slot in &mut self.sender_slots {
+            slot.groups.clear();
         }
         for arena in &mut self.worker_inboxes {
             for col in arena.iter_mut() {
@@ -738,29 +772,38 @@ where
     /// runs single-threaded and makes every fault decision in
     /// deterministic `(from, to, send order)` order, so the thread count
     /// never changes stats, trace, metrics or which messages a fault
-    /// plan affects.
+    /// plan affects. Untraced and unrouted, it is O(n) per round: one
+    /// tally per sender, whatever the senders sent.
     ///
-    /// With `prepared`, wave 1 already grouped and checked each outbox
-    /// into `groups[from]`; otherwise the spine prepares each outbox into
-    /// the one slot `groups[0]` just before booking it. With `route`, the
-    /// spine also routes the messages; otherwise wave 1 scattered them.
+    /// With `prepared`, wave 1 already grouped, checked and tallied each
+    /// outbox into `slots[from]`; otherwise the spine prepares each
+    /// outbox into the one slot `slots[0]` just before booking it and,
+    /// unless it routes, scatters the messages straight into `pending`.
+    /// With `route`, the spine routes every message through the fault
+    /// plan; otherwise wave 1 or the spine scattered them.
     ///
-    /// A send to a non-neighbor — `wave1`'s error or this pass's — fails
-    /// the round only after every group the sequential order meets
-    /// before it is booked: the earlier senders', and the groups its own
-    /// sender addressed to lower destinations. So the error is the first
-    /// one in sequential order at every thread count.
+    /// The first error in sequential order — a send to a non-neighbor
+    /// or, under the strict policy, a group over a budget; `wave1`'s or
+    /// this pass's — fails the round only after every group that order
+    /// meets before it is booked: the earlier senders', and the groups
+    /// its own sender addressed to lower destinations, which
+    /// [`prepare_outbox`] keeps and tallies. So the error is the same at
+    /// every thread count.
     fn commit_spine(
         &mut self,
         outboxes: &mut Outboxes<P::Msg>,
-        groups: &mut [Vec<Group>],
+        slots: &mut [SenderSlot],
         wave1: Result<(), SimError>,
         prepared: bool,
         route: bool,
     ) -> Result<(), SimError> {
         let (senders, failure) = match wave1 {
             Ok(()) => (outboxes.len(), Ok(())),
-            Err(e @ SimError::NotNeighbor { from, .. }) => (from + 1, Err(e)),
+            Err(
+                e @ (SimError::NotNeighbor { from, .. }
+                | SimError::TooManyMessages { from, .. }
+                | SimError::BandwidthExceeded { from, .. }),
+            ) => (from + 1, Err(e)),
             Err(e) => return Err(e),
         };
         let edge_detail = self
@@ -770,18 +813,23 @@ where
         let mut counters = RoundCounters::default();
         for (from, outbox) in outboxes.iter_mut().enumerate().take(senders) {
             let (slot, checked) = if prepared {
-                (from, Ok(()))
+                (&slots[from], Ok(()))
             } else {
-                (0, prepare_outbox(self.graph, from, outbox, &mut groups[0]))
+                let rules = Rules {
+                    graph: self.graph,
+                    config: &self.config,
+                    cut: &self.cut_set,
+                    budget: self.stats.budget_bits,
+                    round: self.round,
+                };
+                let checked = prepare_outbox(&rules, from, outbox, &mut slots[0]);
+                if !route {
+                    let (faults, groups) = (&self.config.faults, &slots[0].groups);
+                    scatter_outbox(faults, self.round, from, outbox, groups, &mut self.pending);
+                }
+                (&slots[0], checked)
             };
-            self.book_sender(
-                from,
-                outbox,
-                &groups[slot],
-                route,
-                edge_detail,
-                &mut counters,
-            )?;
+            self.book_sender(from, outbox, slot, route, edge_detail, &mut counters);
             checked?;
         }
         failure?;
@@ -789,51 +837,109 @@ where
         Ok(())
     }
 
-    /// Books one sender's destination groups in ascending destination
-    /// order: each group's checks and bookkeeping
-    /// ([`Simulator::account_group`]), then, with `route`, its messages
-    /// in send order through [`Simulator::route_one`], which keeps the
-    /// fault RNG's draw order. Without `route`, wave 1 has already
-    /// scattered the messages and only `in_flight` advances. The only
-    /// booking loop besides [`Simulator::commit_reference`].
+    /// Books one sender: folds its [`Tally`] into the statistics and the
+    /// round's counters in O(1). The tally's peak is the sender's first
+    /// largest group, so folding senders in ascending order sets the
+    /// same peak edge as booking group by group. Only with a tracer
+    /// attached or with `route` does it walk the groups, in ascending
+    /// destination order: each group's trace events
+    /// ([`Simulator::trace_group`]), then, with `route`, its messages in
+    /// send order through [`Simulator::route_one`], which keeps the
+    /// fault RNG's draw order. Without `route` the messages are already
+    /// scattered and only `in_flight` advances. The only booking code
+    /// besides [`Simulator::commit_reference`].
     fn book_sender(
         &mut self,
         from: NodeId,
         outbox: &mut Vec<(NodeId, P::Msg)>,
-        groups: &[Group],
+        slot: &SenderSlot,
         route: bool,
         edge_detail: bool,
         counters: &mut RoundCounters,
-    ) -> Result<(), SimError> {
-        let send_round = self.round;
-        // A sender with nothing to book keeps its outbox's capacity.
-        if groups.is_empty() {
-            return Ok(());
+    ) {
+        let tally = &slot.tally;
+        let stats = &mut self.stats;
+        stats.violations += tally.violations;
+        stats.total_messages += tally.messages;
+        stats.total_bits += tally.bits;
+        if tally.peak_bits > stats.max_bits_edge_round {
+            stats.max_bits_edge_round = tally.peak_bits;
+            stats.peak_edge = Some((from, tally.peak_to, self.round));
         }
+        stats.max_messages_edge_round = stats.max_messages_edge_round.max(tally.peak_count);
+        stats.cut.messages += tally.cut_messages;
+        stats.cut.bits += tally.cut_bits;
+        stats.dropped += tally.link_dropped;
+        counters.messages += tally.messages;
+        counters.bits += tally.bits;
+        counters.cut_messages += tally.cut_messages;
+        counters.cut_bits += tally.cut_bits;
         if !route {
-            for &(to, count, bits) in groups {
-                if self.account_group(from, to, count, bits, send_round, edge_detail, counters)? {
-                    self.in_flight += count;
+            self.in_flight += tally.delivered;
+            if self.tracer.is_some() {
+                for &(to, count, bits) in &slot.groups {
+                    self.trace_group(from, to, count, bits, edge_detail);
                 }
             }
-            return Ok(());
+            return;
         }
+        // A sender with nothing to book keeps its outbox's capacity.
+        if slot.groups.is_empty() {
+            return;
+        }
+        let send_round = self.round;
         let used = outbox.len();
         let mut queue = outbox.drain(..);
-        for &(to, count, bits) in groups {
-            let deliver =
-                self.account_group(from, to, count, bits, send_round, edge_detail, counters)?;
+        for &(to, count, bits) in &slot.groups {
+            let up = self.trace_group(from, to, count, bits, edge_detail);
             for _ in 0..count {
                 let (_, msg) = queue.next().expect("group sizes cover the outbox");
                 // A downed link loses the whole group (already booked).
-                if deliver {
+                if up {
                     self.route_one(from, to, send_round, msg);
                 }
             }
         }
         drop(queue);
         shrink_after_burst(outbox, used);
-        Ok(())
+    }
+
+    /// Emits one booked group's trace events — `EdgeTraffic` with edge
+    /// detail, and a `Dropped` per message when its link is down — and
+    /// returns whether the link is up.
+    fn trace_group(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        count: usize,
+        bits: usize,
+        edge_detail: bool,
+    ) -> bool {
+        let round = self.round;
+        let up = !self.config.faults.link_down(from, to, round);
+        if let Some(tr) = self.tracer.as_deref_mut() {
+            if edge_detail {
+                tr.record(&TraceEvent::EdgeTraffic {
+                    round,
+                    from,
+                    to,
+                    messages: count,
+                    bits,
+                    cut: crosses_cut(&self.cut_set, from, to),
+                });
+            }
+            if !up {
+                for _ in 0..count {
+                    tr.record(&TraceEvent::Dropped {
+                        round,
+                        from,
+                        to,
+                        reason: DropReason::LinkDown,
+                    });
+                }
+            }
+        }
+        up
     }
 
     /// Serializes the complete simulation state at the current round
@@ -892,8 +998,9 @@ where
     /// # Errors
     ///
     /// [`SimError::CorruptCheckpoint`] when the image is truncated, has the
-    /// wrong magic/version, fails a section checksum, or disagrees with
-    /// `graph`/`config`. The reason names the offending section, so a
+    /// wrong magic/version, fails a section checksum, holds data past its
+    /// last section or past the fields a section decodes to, or disagrees
+    /// with `graph`/`config`. The reason names the offending section, so a
     /// flipped bit in (say) the RNG block reports `rngs section failed
     /// its checksum` rather than a downstream decode artifact.
     pub fn restore(graph: &'g Graph, config: SimConfig, data: &[u8]) -> Result<Self, SimError>
@@ -907,10 +1014,10 @@ where
             }
         }
         let mut r = read_prelude(data, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")?;
-        let mut section = |what| read_section(&mut r, what).map(BitReader::new);
         let ((n, seed), (round, started)): ((usize, u64), (usize, bool)) =
-            WireState::decode_state(&mut section("header")?)
-                .ok_or_else(|| corrupt("truncated header"))?;
+            decode_section(&mut r, "header", |h| {
+                WireState::decode_state(h).ok_or_else(|| corrupt("truncated header"))
+            })?;
         if n != graph.node_count() {
             return Err(corrupt("node count disagrees with the provided graph"));
         }
@@ -935,14 +1042,21 @@ where
             Some(StdRng::from_state(words))
         };
 
-        let stats = RunStats::decode_state(&mut section("stats")?)
-            .ok_or_else(|| corrupt("truncated stats"))?;
-        let mut rr = section("rngs")?;
-        let rngs = read_n(&mut rr, n, read_rng, "rng state")?;
-        let fault_rng = read_rng(&mut rr).ok_or_else(|| corrupt("truncated fault rng state"))?;
-        let programs = read_n(&mut section("programs")?, n, P::decode_state, "program")?;
-        let mut traffic = |what| read_n(&mut section(what)?, n, Vec::decode_state, what);
+        let stats = decode_section(&mut r, "stats", |s| {
+            RunStats::decode_state(s).ok_or_else(|| corrupt("truncated stats"))
+        })?;
+        let (rngs, fault_rng) = decode_section(&mut r, "rngs", |s| {
+            let rngs = read_n(s, n, read_rng, "rng state")?;
+            let fault_rng = read_rng(s).ok_or_else(|| corrupt("truncated fault rng state"))?;
+            Ok((rngs, fault_rng))
+        })?;
+        let programs = decode_section(&mut r, "programs", |s| {
+            read_n(s, n, P::decode_state, "program")
+        })?;
+        let mut traffic =
+            |what| decode_section(&mut r, what, |s| read_n(s, n, Vec::decode_state, what));
         let (pending, delayed) = (traffic("pending")?, traffic("delayed")?);
+        read_end(&r, "checkpoint image")?;
         let in_flight = pending.iter().map(Vec::len).sum::<usize>()
             + delayed.iter().map(Vec::len).sum::<usize>();
         let cut_set: HashSet<(NodeId, NodeId)> =
@@ -965,10 +1079,11 @@ where
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             outboxes: (0..n).map(|_| Vec::new()).collect(),
             effective_threads,
-            sender_groups: group_slots(n, effective_threads),
+            sender_slots: sender_slots(n, effective_threads),
             worker_inboxes: Vec::new(),
             reference_delivery: false,
             in_flight,
+            pending_unordered: true,
             stats,
             round,
             started,
@@ -1037,9 +1152,10 @@ where
     /// messages should be routed (`false`: the link is out and the whole
     /// group was dropped, with no randomness consumed).
     ///
-    /// The caller has already validated that `(from, to)` is an edge —
-    /// the reference commit with a per-group `has_edge`, everything else
-    /// through [`prepare_outbox`].
+    /// Only [`Simulator::commit_reference`] calls this, after its
+    /// per-group `has_edge` check: the spine books each sender from the
+    /// [`Tally`] that [`prepare_outbox`] folded instead, and this
+    /// group-by-group account is the oracle it is compared against.
     #[allow(clippy::too_many_arguments)]
     fn account_group(
         &mut self,
@@ -1093,9 +1209,7 @@ where
             self.stats.peak_edge = Some((from, to, send_round));
         }
         self.stats.max_messages_edge_round = self.stats.max_messages_edge_round.max(count);
-        // Gating on emptiness skips the hash-and-probe per group in the
-        // (typical) meterless configuration; the result is unchanged.
-        let crosses_cut = !self.cut_set.is_empty() && self.cut_set.contains(&ordered(from, to));
+        let crosses_cut = crosses_cut(&self.cut_set, from, to);
         if crosses_cut {
             self.stats.cut.messages += count as u64;
             self.stats.cut.bits += bits as u64;
@@ -1271,73 +1385,194 @@ where
     }
 }
 
-/// The destination-group slots for a graph of `n` nodes: one per sender
-/// when several workers prepare outboxes in wave 1, else one slot the
-/// spine reuses for every sender. Allocated with the simulator, not at
-/// the first wave: allocating this small block after the programs' first
+/// The sender slots for a graph of `n` nodes: one per sender when
+/// several workers prepare outboxes in wave 1, else one slot the spine
+/// reuses for every sender. Allocated with the simulator, not at the
+/// first wave: allocating this small block after the programs' first
 /// allocations raised the peak RSS of a reliable BA n = 512 solve from
 /// 80 to 83 MiB under glibc malloc (heap placement, not size).
-fn group_slots(n: usize, workers: usize) -> Vec<Vec<Group>> {
+fn sender_slots(n: usize, workers: usize) -> Vec<SenderSlot> {
     let slots = if workers > 1 { n } else { 1 };
-    (0..slots).map(|_| Vec::new()).collect()
+    (0..slots).map(|_| SenderSlot::default()).collect()
 }
 
-/// One merge worker's view of every wave-1 scatter arena: for each
+/// One sender's prepared outbox: its destination groups and their
+/// tally, refilled by [`prepare_outbox`] every round.
+#[derive(Debug, Default)]
+struct SenderSlot {
+    groups: Vec<Group>,
+    tally: Tally,
+}
+
+/// One sender's traffic in a round, folded group by group as
+/// [`prepare_outbox`] forms the groups (ascending destination), so the
+/// spine books the sender without walking them
+/// ([`Simulator::book_sender`]).
+#[derive(Debug, Default)]
+struct Tally {
+    messages: u64,
+    bits: u64,
+    /// The most bits in one group, and that group's destination: the
+    /// first such group, as the per-edge peak keeps the first record.
+    peak_bits: usize,
+    peak_to: NodeId,
+    /// The most messages in one group.
+    peak_count: usize,
+    cut_messages: u64,
+    cut_bits: u64,
+    /// Groups over a budget, under [`ViolationPolicy::Record`].
+    violations: u64,
+    /// Messages lost on a downed link.
+    link_dropped: u64,
+    /// Messages on live links: what `in_flight` gains when they are
+    /// scattered rather than routed.
+    delivered: usize,
+}
+
+impl Tally {
+    /// Adds one group after its budget checks: the message count, then
+    /// the bits. Under [`ViolationPolicy::Strict`] a group over a budget
+    /// is refused with its error and left out of the tally.
+    fn add(
+        &mut self,
+        rules: &Rules<'_>,
+        from: NodeId,
+        to: NodeId,
+        count: usize,
+        bits: usize,
+    ) -> Result<(), SimError> {
+        let config = rules.config;
+        let over_count = count > config.messages_per_edge;
+        let over_bits = bits > rules.budget;
+        if over_count || over_bits {
+            match config.violation_policy {
+                ViolationPolicy::Record => self.violations += 1,
+                ViolationPolicy::Strict if over_count => {
+                    return Err(SimError::TooManyMessages {
+                        from,
+                        to,
+                        round: rules.round,
+                        count,
+                        limit: config.messages_per_edge,
+                    })
+                }
+                ViolationPolicy::Strict => {
+                    return Err(SimError::BandwidthExceeded {
+                        from,
+                        to,
+                        round: rules.round,
+                        bits,
+                        budget: rules.budget,
+                    })
+                }
+            }
+        }
+        self.messages += count as u64;
+        self.bits += bits as u64;
+        if bits > self.peak_bits {
+            self.peak_bits = bits;
+            self.peak_to = to;
+        }
+        self.peak_count = self.peak_count.max(count);
+        if crosses_cut(rules.cut, from, to) {
+            self.cut_messages += count as u64;
+            self.cut_bits += bits as u64;
+        }
+        if config.faults.link_down(from, to, rules.round) {
+            self.link_dropped += count as u64;
+        } else {
+            self.delivered += count;
+        }
+        Ok(())
+    }
+}
+
+/// What [`prepare_outbox`] checks and tallies a sender's groups against
+/// in one round: the per-edge budgets, the cut and the link outages.
+#[derive(Clone, Copy)]
+struct Rules<'a> {
+    graph: &'a Graph,
+    config: &'a SimConfig,
+    cut: &'a HashSet<(NodeId, NodeId)>,
+    budget: usize,
+    round: usize,
+}
+
+/// Whether edge `{from, to}` is metered by the cut. Gating on emptiness
+/// skips the hash-and-probe per group in the (typical) meterless
+/// configuration; the result is unchanged.
+fn crosses_cut(cut: &HashSet<(NodeId, NodeId)>, from: NodeId, to: NodeId) -> bool {
+    !cut.is_empty() && cut.contains(&ordered(from, to))
+}
+
+/// One merge chunk's view of every wave-1 scatter arena: for each
 /// arena (ascending sender chunk), the slice of destination columns
-/// this worker owns.
+/// this chunk owns.
 type ArenaSlices<'a, M> = Vec<&'a mut [Vec<Incoming<M>>]>;
 
+/// Merges one destination chunk: appends every arena's column for each
+/// destination to its `pending` inbox, arena 0 first.
+fn merge_columns<M>(pending: &mut [Vec<Incoming<M>>], mut cols: ArenaSlices<'_, M>) {
+    for (rel, dst) in pending.iter_mut().enumerate() {
+        for arena_cols in cols.iter_mut() {
+            let col = &mut arena_cols[rel];
+            let used = col.len();
+            dst.append(col);
+            shrink_after_burst(col, used);
+        }
+    }
+}
+
 /// Prepares one sender's outbox for booking — the only code that sorts,
-/// groups and neighbor-checks sends. Sorts the outbox by destination
-/// when needed (stable, so each destination's send order is kept — and
-/// skipped when the program already sent in ascending order, since a
-/// stable sort allocates), records one `(to, count, bits)` group per
-/// destination into `groups`, and merge-walks the sorted neighbor slice
-/// against the groups: O(deg + groups) per sender instead of a
-/// `has_edge` search per group. On a send to a non-neighbor, `groups`
-/// keeps only the groups ahead of it, which the spine books before it
-/// reports the error.
+/// groups, neighbor-checks and budget-checks sends. Sorts the outbox by
+/// destination when needed (stable, so each destination's send order is
+/// kept — and skipped when the program already sent in ascending order,
+/// since a stable sort allocates), then forms one `(to, count, bits)`
+/// group per destination into `slot.groups` and adds it to `slot.tally`
+/// ([`Tally::add`]). The sorted neighbor slice is merge-walked against
+/// the destinations: O(deg + groups) per sender instead of a `has_edge`
+/// search per group.
+///
+/// The first error in the sender's sequential order — a send to a
+/// non-neighbor, or under the strict policy a group over a budget —
+/// ends the pass: the slot keeps the groups ahead of it, tallied, which
+/// the spine books before it reports the error.
 fn prepare_outbox<M: Message>(
-    graph: &Graph,
+    rules: &Rules<'_>,
     from: NodeId,
     outbox: &mut [(NodeId, M)],
-    groups: &mut Vec<Group>,
+    slot: &mut SenderSlot,
 ) -> Result<(), SimError> {
-    groups.clear();
+    slot.groups.clear();
+    slot.tally = Tally::default();
     if outbox.is_empty() {
         return Ok(());
     }
-    let n = graph.node_count();
+    let n = rules.graph.node_count();
     if !outbox.windows(2).all(|w| w[0].0 <= w[1].0) {
         outbox.sort_by_key(|(to, _)| *to);
     }
+    let neigh: &[NodeId] = rules.graph.neighbor_slice(from);
+    let mut ni = 0usize;
     let mut i = 0;
     while i < outbox.len() {
         let to = outbox[i].0;
+        while ni < neigh.len() && neigh[ni] < to {
+            ni += 1;
+        }
+        if ni >= neigh.len() || neigh[ni] != to {
+            return Err(SimError::NotNeighbor { from, to });
+        }
         let start = i;
         let mut bits = 0usize;
         while i < outbox.len() && outbox[i].0 == to {
             bits += outbox[i].1.bit_size(n);
             i += 1;
         }
-        groups.push((to, i - start, bits));
+        slot.tally.add(rules, from, to, i - start, bits)?;
+        slot.groups.push((to, i - start, bits));
     }
-    let neigh: &[NodeId] = graph.neighbor_slice(from);
-    let mut ni = 0usize;
-    let bad = groups.iter().position(|&(to, _, _)| {
-        while ni < neigh.len() && neigh[ni] < to {
-            ni += 1;
-        }
-        ni >= neigh.len() || neigh[ni] != to
-    });
-    match bad {
-        None => Ok(()),
-        Some(k) => {
-            let to = groups[k].0;
-            groups.truncate(k);
-            Err(SimError::NotNeighbor { from, to })
-        }
-    }
+    Ok(())
 }
 
 /// Drains one prepared outbox into a worker's scratch arena (wave 1,

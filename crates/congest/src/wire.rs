@@ -509,6 +509,50 @@ pub fn read_section<'a>(r: &mut BitReader<'a>, what: &str) -> Result<&'a [u8], S
     Ok(payload)
 }
 
+/// Reads one section ([`read_section`]) and decodes its payload with
+/// `decode`, which must read it to the end: a payload with more left
+/// than its final byte's zero pad is refused ([`read_end`]).
+///
+/// # Errors
+///
+/// [`read_section`]'s and `decode`'s errors, and
+/// [`SimError::CorruptCheckpoint`] when the payload holds unread data.
+pub fn decode_section<'a, T>(
+    r: &mut BitReader<'a>,
+    what: &str,
+    decode: impl FnOnce(&mut BitReader<'a>) -> Result<T, SimError>,
+) -> Result<T, SimError> {
+    let mut payload = BitReader::new(read_section(r, what)?);
+    let value = decode(&mut payload)?;
+    read_end(&payload, &format!("{what} section"))?;
+    Ok(value)
+}
+
+/// Checks that nothing is left to read in `r` but the zero padding of
+/// its final byte — at the end of a section's payload, or after an
+/// image's last section, where no padding is left. `what` names the
+/// section or image in the error.
+///
+/// # Errors
+///
+/// [`SimError::CorruptCheckpoint`] when a whole byte or a set padding
+/// bit is left.
+pub fn read_end(r: &BitReader<'_>, what: &str) -> Result<(), SimError> {
+    let rest = r.remaining_bits();
+    let drained = match rest {
+        0 => true,
+        1..=7 => r.data[r.data.len() - 1] & ((1u8 << rest) - 1) == 0,
+        _ => false,
+    };
+    if drained {
+        Ok(())
+    } else {
+        Err(SimError::CorruptCheckpoint {
+            reason: format!("{what} holds unread data"),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,7 @@
 //! Engine semantics tests: budget enforcement, determinism, parallelism,
 //! cut metering, and failure cases.
 
+use congest_sim::wire::{read_section, BitReader, BitWriter};
 use congest_sim::{
     bits_for_node_id, BitSink, Context, Incoming, Message, NodeProgram, SimConfig, SimError,
     Simulator, ViolationPolicy,
@@ -215,13 +216,14 @@ impl NodeProgram for Scripted {
 /// A round that breaks several rules fails with the first error the
 /// sequential order meets: senders ascending, each sender's destinations
 /// ascending, and each destination's neighbor check before its budget
-/// checks. Every thread count and the reference delivery path agree.
+/// checks, the message count before the bits. Every thread count and the
+/// reference delivery path agree.
 #[test]
 fn first_error_in_sequential_order_at_every_thread_count() {
     let g = path(64).unwrap();
     let budget = SimConfig::default().budget_bits(64);
     let over = budget + 1;
-    let shapes: [(&Script, SimError); 3] = [
+    let shapes: [(&Script, SimError); 4] = [
         (
             &[(1, 2, over), (40, 10, 1)],
             SimError::BandwidthExceeded {
@@ -245,6 +247,16 @@ fn first_error_in_sequential_order_at_every_thread_count() {
         (
             &[(5, 1, 1), (5, 6, over)],
             SimError::NotNeighbor { from: 5, to: 1 },
+        ),
+        (
+            &[(33, 32, over), (33, 32, 1), (50, 51, over)],
+            SimError::TooManyMessages {
+                from: 33,
+                to: 32,
+                round: 1,
+                count: 2,
+                limit: 1,
+            },
         ),
     ];
     let paths = [(1, false), (2, false), (4, false), (1, true), (4, true)];
@@ -791,6 +803,57 @@ fn restore_rejects_corrupt_images() {
             "flipped bit {bit} restored"
         );
     }
+
+    // Nothing may follow the last section: appended bytes are refused.
+    for tail in [&[0u8][..], &[0xAB, 0xCD, 0xEF]] {
+        let mut long = image.to_vec();
+        long.extend_from_slice(tail);
+        assert!(
+            matches!(
+                Simulator::<Flood>::restore(&g, cfg.clone(), &long),
+                Err(SimError::CorruptCheckpoint { .. })
+            ),
+            "image with {tail:?} appended restored"
+        );
+    }
+
+    // Nor may a section hold more than its decoder reads: a zero byte
+    // re-sealed into the end of any of the six sections is refused, and
+    // so is a set bit in the header's zero pad (its 193 bits leave 7).
+    let reseal = |edit: &dyn Fn(usize, &mut Vec<u8>)| {
+        let mut w = BitWriter::new();
+        w.write_bytes(&image[..16]);
+        let mut r = BitReader::new(&image[16..]);
+        for at in 0..6 {
+            let mut payload = read_section(&mut r, "test").unwrap().to_vec();
+            edit(at, &mut payload);
+            w.section(|w| w.write_bytes(&payload));
+        }
+        assert_eq!(r.remaining_bits(), 0);
+        Simulator::<Flood>::restore(&g, cfg.clone(), &w.finish())
+    };
+    assert!(reseal(&|_, _| {}).is_ok(), "a plain re-seal restores");
+    for section in 0..6 {
+        assert!(
+            matches!(
+                reseal(&|at, payload| if at == section {
+                    payload.push(0);
+                }),
+                Err(SimError::CorruptCheckpoint { .. })
+            ),
+            "section {section} with a trailing zero byte restored"
+        );
+    }
+    let header_pad = reseal(&|at, payload| {
+        if at == 0 {
+            assert_eq!(payload.len(), 25);
+            payload[24] |= 0x01;
+        }
+    });
+    assert!(matches!(
+        header_pad,
+        Err(SimError::CorruptCheckpoint { .. })
+    ));
 
     // Seed mismatch between image and config.
     assert!(matches!(

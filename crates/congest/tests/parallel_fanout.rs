@@ -19,18 +19,27 @@
 //! metrics registry snapshot, and (for checkpointable programs) the
 //! end-of-run checkpoint bytes. A separate test crosses a *mid-run*
 //! checkpoint between t1 and t8 in both directions on the scatter path.
+//!
+//! The untraced spine books each sender from its tally alone, so one
+//! more proptest runs untraced: several messages of mixed widths per
+//! edge, over a cut, through a link outage and with groups over both
+//! budgets under `ViolationPolicy::Record`, against the reference
+//! commit.
+
+use std::ops::RangeInclusive;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use congest_sim::algorithms::Flood;
+use congest_sim::wire::{BitReader, BitWriter, WireState};
 use congest_sim::{
-    EngineMetrics, FaultPlan, LinkOutage, MemoryTracer, NodeCrash, Registry, Reliable, RunStats,
-    SimConfig, Simulator, TraceEvent,
+    Context, EngineMetrics, FaultPlan, Incoming, LinkOutage, MemoryTracer, NodeCrash, NodeProgram,
+    Registry, Reliable, RunStats, SimConfig, Simulator, TraceEvent, ViolationPolicy,
 };
 use rwbc_graph::generators::random_tree;
-use rwbc_graph::Graph;
+use rwbc_graph::{Graph, NodeId};
 
 /// Strategy: a random connected graph with n in [64, 96) — combined
 /// with `granularity = 4`, thread counts up to 8 all genuinely engage
@@ -132,6 +141,86 @@ fn reliable_run(
     (stats, events, registry.snapshot())
 }
 
+/// Sends every neighbor four 24-bit `u64`s at the start, so every group
+/// of the `on_start` wave ties for the run's widest (a `u64` costs its
+/// value's width), then a burst in each of its first `rounds_left`
+/// rounds: one to three messages of 1 to 24 bits each per neighbor,
+/// visiting the neighbors in ascending or descending order, so outboxes
+/// arrive sorted and unsorted.
+struct Burst {
+    rounds_left: u64,
+}
+
+impl Burst {
+    fn send(
+        ctx: &mut Context<'_, u64>,
+        counts: RangeInclusive<usize>,
+        widths: RangeInclusive<u32>,
+    ) {
+        let mut neighbors: Vec<NodeId> = ctx.neighbors().collect();
+        if rand::Rng::gen_bool(ctx.rng(), 0.5) {
+            neighbors.reverse();
+        }
+        for to in neighbors {
+            for _ in 0..rand::Rng::gen_range(ctx.rng(), counts.clone()) {
+                let width = rand::Rng::gen_range(ctx.rng(), widths.clone());
+                let low = rand::Rng::gen_range(ctx.rng(), 0..1u64 << (width - 1));
+                ctx.send(to, (1 << (width - 1)) | low);
+            }
+        }
+    }
+}
+
+impl NodeProgram for Burst {
+    type Msg = u64;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+        Burst::send(ctx, 4..=4, 24..=24);
+    }
+
+    fn on_round(&mut self, ctx: &mut Context<'_, u64>, _inbox: &[Incoming<u64>]) {
+        if self.rounds_left > 0 {
+            self.rounds_left -= 1;
+            Burst::send(ctx, 1..=3, 1..=24);
+        }
+    }
+
+    fn is_terminated(&self) -> bool {
+        self.rounds_left == 0
+    }
+}
+
+impl WireState for Burst {
+    fn encode_state(&self, w: &mut BitWriter) {
+        self.rounds_left.encode_state(w);
+    }
+
+    fn decode_state(r: &mut BitReader<'_>) -> Option<Burst> {
+        Some(Burst {
+            rounds_left: u64::decode_state(r)?,
+        })
+    }
+}
+
+/// One untraced, metered `Burst` run, through the spine or the
+/// reference commit; returns everything observable without a tracer.
+fn burst_run(
+    g: &Graph,
+    cfg: SimConfig,
+    rounds: u64,
+    reference: bool,
+) -> (RunStats, congest_sim::metrics::MetricsSnapshot, Vec<u8>) {
+    let registry = Registry::new();
+    let engine = EngineMetrics::register(&registry);
+    let mut sim = Simulator::new(g, cfg, |_| Burst {
+        rounds_left: rounds,
+    })
+    .with_reference_delivery(reference)
+    .with_metrics(engine);
+    let stats = sim.run().unwrap();
+    (stats, registry.snapshot(), sim.checkpoint())
+}
+
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 proptest! {
@@ -190,6 +279,50 @@ proptest! {
             prop_assert_eq!(&re1, &re, "reliable trace diverges at {} threads", threads);
             prop_assert_eq!(&rm1, &rm, "reliable metrics diverge at {} threads", threads);
         }
+    }
+
+    /// Untraced, the spine books every sender from its tally: message
+    /// and bit totals, per-edge maxima and the peak edge, the cut
+    /// meter, link-outage drops and `Record` violations of both budgets
+    /// must match the reference commit at every thread count.
+    #[test]
+    fn untraced_tallies_match_the_reference_commit(
+        g in arb_graph(),
+        seed in 0u64..50,
+        rounds in 2u64..6,
+    ) {
+        let edges = g.edge_vec();
+        let outage = edges[edges.len() / 2];
+        let cfg = |threads: usize| {
+            config(
+                seed,
+                threads,
+                FaultPlan::default().with_link_outage(LinkOutage {
+                    u: outage.0,
+                    v: outage.1,
+                    from_round: 1,
+                    until_round: 3,
+                }),
+            )
+            .with_cut(edges.iter().copied().step_by(3).collect())
+            .with_messages_per_edge(3)
+            .with_violation_policy(ViolationPolicy::Record)
+        };
+        let (s1, m1, c1) = burst_run(&g, cfg(1), rounds, true);
+        prop_assert!(s1.violations > 0 && s1.cut.messages > 0 && s1.dropped > 0);
+        prop_assert!(s1.max_messages_edge_round == 4 && s1.max_bits_edge_round > s1.budget_bits);
+        // The peak is the first of the `on_start` wave's tied groups.
+        prop_assert_eq!(s1.peak_edge, Some((0, g.neighbor_slice(0)[0], 0)));
+        for threads in THREADS {
+            let (s, m, c) = burst_run(&g, cfg(threads), rounds, false);
+            prop_assert_eq!(&s1, &s, "stats diverge at {} threads", threads);
+            prop_assert_eq!(&m1, &m, "metrics diverge at {} threads", threads);
+            prop_assert_eq!(&c1, &c, "checkpoint diverges at {} threads", threads);
+        }
+        let (s, m, c) = burst_run(&g, cfg(4), rounds, true);
+        prop_assert_eq!(&s1, &s, "the reference diverges at 4 threads");
+        prop_assert_eq!(&m1, &m, "the reference's metrics diverge at 4 threads");
+        prop_assert_eq!(&c1, &c, "the reference's checkpoint diverges at 4 threads");
     }
 
     /// A mid-run checkpoint crosses thread counts in both directions on

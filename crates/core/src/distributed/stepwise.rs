@@ -31,7 +31,7 @@ use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use congest_sim::wire::{read_prelude, read_section, BitReader, BitWriter, WireState};
+use congest_sim::wire::{read_end, read_prelude, read_section, BitReader, BitWriter, WireState};
 use congest_sim::{
     EngineMetrics, NodeProgram, Reliable, RunStats, SimConfig, SimError, Simulator, Tracer,
     DEFAULT_DEATH_THRESHOLD,
@@ -1168,7 +1168,8 @@ impl<'g> StepSolver<'g> {
     /// # Errors
     ///
     /// [`RwbcError::Sim`] with [`SimError::CorruptCheckpoint`] when the
-    /// image is truncated, mangled, of another format version, or
+    /// image is truncated, mangled, of another format version, holds data
+    /// past its last section or past the fields a section decodes to, or
     /// disagrees with `graph`/`config`; [`RwbcError::InvalidParameter`]
     /// when `config` is outside the clean single-sub-phase subset; the
     /// same validation errors as [`StepSolver::new`] otherwise.
@@ -1188,8 +1189,13 @@ impl<'g> StepSolver<'g> {
             (usize, u64),
             (usize, u8),
             (u8, u8),
-        ) = WireState::decode_state(&mut section("header")?)
-            .ok_or_else(|| corrupt("truncated header"))?;
+        ) = {
+            let mut header = section("header")?;
+            let fields =
+                WireState::decode_state(&mut header).ok_or_else(|| corrupt("truncated header"))?;
+            read_end(&header, "header section")?;
+            fields
+        };
         if n != graph.node_count() {
             return Err(corrupt("node count disagrees with the provided graph"));
         }
@@ -1216,6 +1222,7 @@ impl<'g> StepSolver<'g> {
         }
         let mut mr = section("phase metadata")?;
         let engine = read_section(&mut r, "engine image")?;
+        read_end(&r, "step-checkpoint image")?;
 
         solver.state = match phase_tag {
             0 => {
@@ -1259,6 +1266,9 @@ impl<'g> StepSolver<'g> {
                 })
             }
             2 => {
+                if !engine.is_empty() {
+                    return Err(corrupt("a finished solve's image holds an engine image"));
+                }
                 let values: Vec<f64> = Vec::decode_state(&mut mr)
                     .ok_or_else(|| corrupt("truncated centrality values"))?;
                 if values.len() != n {
@@ -1310,6 +1320,7 @@ impl<'g> StepSolver<'g> {
             }
             _ => return Err(corrupt("unknown phase tag")),
         };
+        read_end(&mr, "phase metadata section")?;
         Ok(solver)
     }
 }
@@ -1781,6 +1792,57 @@ mod tests {
         let mut other = c.clone();
         other.seed ^= 1;
         assert!(StepSolver::restore(&g, other, &image).is_err());
+    }
+
+    /// Nothing may follow a step image's last section, and no section may
+    /// hold more than its decoder reads: in a walk, a mid-count and a
+    /// finished image, appended bytes are refused, and so is a zero byte
+    /// re-sealed into the end of the header, the phase metadata or the
+    /// engine image (which for a finished solve must be empty).
+    #[test]
+    fn restore_refuses_data_past_what_it_decodes() {
+        let g = star(5).unwrap();
+        let c = cfg(6);
+        let mut solver = StepSolver::new(&g, c.clone()).unwrap();
+        solver.step().unwrap();
+        let mut images = vec![solver.checkpoint().unwrap()];
+        while solver.phase() != SolvePhase::Count {
+            solver.step().unwrap();
+        }
+        solver.step().unwrap();
+        images.push(solver.checkpoint().unwrap());
+        solver.run_to_completion().unwrap();
+        images.push(solver.checkpoint().unwrap());
+        let refused = |image: &[u8]| {
+            matches!(
+                StepSolver::restore(&g, c.clone(), image),
+                Err(RwbcError::Sim(SimError::CorruptCheckpoint { .. }))
+            )
+        };
+        for image in &images {
+            assert!(StepSolver::restore(&g, c.clone(), image).is_ok());
+            for tail in [&[0u8][..], &[0xAB, 0xCD, 0xEF]] {
+                let mut long = image.clone();
+                long.extend_from_slice(tail);
+                assert!(refused(&long), "image with {tail:?} appended restored");
+            }
+            for section in 0..3 {
+                let mut w = BitWriter::new();
+                w.write_bytes(&image[..16]);
+                let mut r = BitReader::new(&image[16..]);
+                for at in 0..3 {
+                    let mut payload = read_section(&mut r, "test").unwrap().to_vec();
+                    if at == section {
+                        payload.push(0);
+                    }
+                    w.section(|w| w.write_bytes(&payload));
+                }
+                assert!(
+                    refused(&w.finish()),
+                    "section {section} with a trailing zero byte restored"
+                );
+            }
+        }
     }
 
     #[test]
